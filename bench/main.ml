@@ -173,9 +173,10 @@ let write_scale_json (samples : Daric_analysis.Scale.sample list) : unit =
   close_out oc
 
 (* The same tiny trace under forced 1-, 2- and 4-domain pools must
-   agree exactly: the sharded tick and staged assembly promise
-   sequential semantics at any pool size. Checked on every scale run
-   (and on runtest through the bench-scale-smoke alias). *)
+   agree exactly: the staged tick and block assembly split only their
+   signature discharge across the pool, so they promise sequential
+   semantics at any pool size. Checked on every scale run (and on
+   runtest through the bench-scale-smoke alias). *)
 let check_domain_consistency () =
   let trace () =
     let s =

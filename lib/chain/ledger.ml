@@ -18,10 +18,11 @@
     bucketed by due round, and every spend is appended to an
     append-only *spent log* that watchtowers consume through a cursor —
     monitoring cost is O(newly spent outpoints), independent of both
-    channel count and chain history. Rounds with several due
-    transactions verify their witnesses across {!Daric_util.Dpool}
-    domains, with journaled rollback to a sequential replay whenever
-    the optimistic parallel pass rejects. *)
+    channel count and chain history. Each round validates its due
+    transactions in one staged walk with deferred signature checks,
+    discharges them once across {!Daric_util.Dpool} domains, and only
+    then commits; a rejecting discharge replays the round with inline
+    verification. *)
 
 module Tx = Daric_tx.Tx
 module Txcodec = Daric_tx.Txcodec
@@ -257,7 +258,7 @@ let iter_spent_since (t : t) ~(cursor : int) (f : Tx.outpoint -> unit) : int =
 
 (* Shared shape of validation, parameterized over the state view:
    [known_txid] and [lookup] default to the ledger's confirmed state,
-   but staged validators (sharded tick, block assembly) substitute
+   but staged validators (the round walk, block assembly) substitute
    views that overlay not-yet-committed effects. [verify_witness] is
    either the inline verifier or the deferring one. *)
 let validate_gen (t : t) (tx : Tx.t) ~(known_txid : string -> bool)
@@ -365,11 +366,11 @@ let validate_batched (t : t) (tx : Tx.t) : (unit, reject_reason) result =
 
 (** A read-only overlay over the confirmed chain state: outpoints spent
     and outputs/txids produced by not-yet-committed acceptances. Both
-    the sharded tick's reconciliation pass and the mempool's one-pass
-    block assembly validate against such a view and commit (through
-    {!record}) only after every deferred signature check has been
-    discharged — replacing the optimistic record-then-rollback scheme,
-    which serialized on mutating the live chain state. *)
+    the round walk of {!tick} and the mempool's one-pass block assembly
+    validate against such a view and commit (through {!record}) only
+    after every deferred signature check has been discharged — no
+    speculative mutation of the live chain state, nothing to roll
+    back. *)
 module Staged = struct
   type view = {
     base : t;
@@ -409,12 +410,6 @@ module Staged = struct
           { recorded = v.base.round; output })
       tx.outputs
 end
-
-(** {!validate} against a staged view. *)
-let validate_staged (v : Staged.view) (tx : Tx.t) :
-    (unit, reject_reason) result =
-  validate_gen v.Staged.base tx ~known_txid:(Staged.known_txid v)
-    ~lookup:(Staged.lookup v) ~verify_witness:Spend.verify_input
 
 (** {!validate_deferring} against a staged view. *)
 let validate_deferring_staged (v : Staged.view) (tx : Tx.t)
@@ -555,7 +550,30 @@ let mint (t : t) ~(value : int) ~(spk : Tx.spk) : Tx.outpoint =
   record t tx;
   { Tx.txid = Tx.txid tx; vout = 0 }
 
-(* Authoritative sequential processing of a round's due transactions. *)
+(* Verdict of one due transaction against the round's staged view:
+   deferring validation first, its signature checks returned for the
+   round's discharge; a deferring reject re-runs the inline validator
+   (deferral only widens acceptance, so it rejects too) for the
+   authoritative isolating reason, exactly as [validate_batched]
+   reports it. *)
+let verdict_of (v : Staged.view) (tx : Tx.t) :
+    (Daric_tx.Sighash.deferred list, reject_reason) result =
+  let defs = ref [] in
+  match validate_deferring_staged v tx ~defer:(fun d -> defs := d :: !defs) with
+  | Ok () -> Ok (List.rev !defs)
+  | Error _ -> (
+      match
+        validate_gen v.Staged.base tx ~known_txid:(Staged.known_txid v)
+          ~lookup:(Staged.lookup v) ~verify_witness:Spend.verify_input
+      with
+      | Error reason -> Error reason
+      | Ok () ->
+          (* unreachable (deferral only widens acceptance), but if the
+             impossible happens the inline verdict wins *)
+          Ok [])
+
+(* Inline processing of a round, validating and recording one
+   transaction at a time — the fallback after a rejecting discharge. *)
 let process_sequential (t : t) (due : Tx.t list) : unit =
   List.iter
     (fun tx ->
@@ -564,211 +582,37 @@ let process_sequential (t : t) (due : Tx.t list) : unit =
       | Error reason -> t.events <- Rejected (tx, reason) :: t.events)
     due
 
-(* ---------------- sharded round processing ----------------
-
-   The round's due transactions are partitioned by the hash of their
-   input outpoints into [Dpool.count ()] shards. A transaction whose
-   inputs all fall in one shard — and whose validity cannot depend on
-   any other due transaction — is validated entirely inside that
-   shard, against the immutable pre-round state plus a shard-local
-   spent set, with every signature check deferred. Shards only read
-   the shared ledger, so they run concurrently with no speculative
-   mutation and nothing to roll back.
-
-   Transactions a shard cannot decide alone form the reconciliation
-   set R:
-   - no inputs (no shard to own them; always value-overspent anyway),
-   - inputs spanning more than one shard,
-   - spending an output another due transaction creates
-     (prevout txid among the due txids),
-   - a txid duplicated within the round,
-   - transitively: spending an outpoint some R member also spends
-     (the poisoning fixpoint below) — otherwise the shard walk could
-     not know whether the contested outpoint is still unspent.
-
-   R is resolved in one sequential pass in posting order over ALL due
-   transactions: non-R verdicts are replayed onto a staged view at
-   their original positions (so an R transaction at index i sees
-   exactly the acceptances a sequential validator would have applied
-   before i), and R members validate against that view.
-
-   All deferred signature checks — shard and reconciliation alike —
-   are then discharged in a single batch across the pool. Only after
-   an accepting discharge does the commit pass mutate the ledger, in
-   posting order, reproducing the sequential event stream exactly. A
-   rejecting discharge abandons the verdicts (nothing was mutated)
-   and replays the round sequentially, which is authoritative. *)
-
-type verdict =
-  | V_accept of Daric_tx.Sighash.deferred list
-  | V_reject of reject_reason
-
-let shard_of_outpoint (nshards : int) (o : Tx.outpoint) : int =
-  (Hashtbl.hash o.txid + o.vout) mod nshards
-
-(* Shard of a transaction's inputs, or [None] when they span shards
-   (or there are none). *)
-let shard_of_tx (nshards : int) (tx : Tx.t) : int option =
-  match tx.inputs with
-  | [] -> None
-  | first :: rest ->
-      let s = shard_of_outpoint nshards first.prevout in
-      if
-        List.for_all
-          (fun (i : Tx.input) -> shard_of_outpoint nshards i.prevout = s)
-          rest
-      then Some s
-      else None
-
-(* Verdict of one transaction against a state view: deferring
-   validation first; a deferring reject re-runs the inline validator
-   (deferral only widens acceptance, so it rejects too) for the
-   authoritative isolating reason, exactly as the sequential
-   [validate_batched] fallback reports it. *)
-let verdict_of (t : t) ~(known_txid : string -> bool)
-    ~(lookup : Tx.outpoint -> utxo option) (tx : Tx.t) : verdict =
-  let defs = ref [] in
-  match
-    validate_gen t tx ~known_txid ~lookup
-      ~verify_witness:(fun tx ~input_index ~spent ~input_age ->
-        Spend.verify_input_deferred tx ~input_index ~spent ~input_age
-          ~defer:(fun d -> defs := d :: !defs))
-  with
-  | Ok () -> V_accept (List.rev !defs)
-  | Error _ -> (
-      match validate_gen t tx ~known_txid ~lookup ~verify_witness:Spend.verify_input with
-      | Error reason -> V_reject reason
-      | Ok () ->
-          (* unreachable (deferral only widens acceptance), but if the
-             impossible happens the inline verdict wins *)
-          V_accept [])
-
-let process_sharded (t : t) (due : Tx.t array) : unit =
-  let n = Array.length due in
-  let nshards = max 1 (Dpool.count ()) in
-  (* Reconciliation membership. *)
-  let in_recon = Array.make n false in
-  let shard = Array.make n 0 in
-  let id_count : (string, int) Hashtbl.t = Hashtbl.create (2 * n) in
-  Array.iter
-    (fun tx ->
-      let id = Tx.txid tx in
-      Hashtbl.replace id_count id
-        (1 + Option.value ~default:0 (Hashtbl.find_opt id_count id)))
-    due;
-  for idx = 0 to n - 1 do
-    let tx = due.(idx) in
-    (match shard_of_tx nshards tx with
-    | None -> in_recon.(idx) <- true
-    | Some s -> shard.(idx) <- s);
-    if
-      Hashtbl.find id_count (Tx.txid tx) > 1
-      || List.exists
-           (fun (i : Tx.input) -> Hashtbl.mem id_count i.prevout.txid)
-           tx.inputs
-    then in_recon.(idx) <- true
-  done;
-  (* Poisoning fixpoint: an R member contests its input outpoints; any
-     transaction spending a contested outpoint joins R (its shard
-     cannot know whether the outpoint survives the earlier members). *)
-  let poisoned : (Tx.outpoint, unit) Hashtbl.t = Hashtbl.create 16 in
-  let poison (tx : Tx.t) =
-    List.iter
-      (fun (i : Tx.input) -> Hashtbl.replace poisoned i.prevout ())
-      tx.inputs
-  in
-  for idx = 0 to n - 1 do
-    if in_recon.(idx) then poison due.(idx)
-  done;
-  if Hashtbl.length poisoned > 0 then begin
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for idx = 0 to n - 1 do
-        if
-          (not in_recon.(idx))
-          && List.exists
-               (fun (i : Tx.input) -> Hashtbl.mem poisoned i.prevout)
-               due.(idx).inputs
-        then begin
-          in_recon.(idx) <- true;
-          poison due.(idx);
-          changed := true
-        end
-      done
-    done
-  end;
-  (* Shard walks: per-shard index lists in posting order, validated
-     read-only against the pre-round state plus a shard-local spent
-     set. Disjoint slots of [verdicts] are written from pool domains;
-     the [map_array] barrier publishes them to this domain. *)
-  let verdicts : verdict option array = Array.make n None in
-  let buckets = Array.make nshards [] in
-  for idx = n - 1 downto 0 do
-    if not in_recon.(idx) then buckets.(shard.(idx)) <- idx :: buckets.(shard.(idx))
-  done;
-  let walk_shard (idxs : int list) : unit =
-    let spent : (Tx.outpoint, unit) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun idx ->
-        let tx = due.(idx) in
-        let v =
-          verdict_of t ~known_txid:(chain_txid t)
-            ~lookup:(fun o ->
-              if Hashtbl.mem spent o then None else find_utxo t o)
-            tx
-        in
-        (match v with
-        | V_accept _ ->
-            List.iter
-              (fun (i : Tx.input) -> Hashtbl.replace spent i.prevout ())
-              tx.inputs
-        | V_reject _ -> ());
-        verdicts.(idx) <- Some v)
-      idxs
-  in
-  ignore (Dpool.map_array walk_shard buckets);
-  (* Reconciliation: replay in posting order over a staged view. *)
-  let recon_count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 in_recon in
-  if recon_count > 0 then begin
-    let view = Staged.create t in
-    for idx = 0 to n - 1 do
-      let tx = due.(idx) in
-      match verdicts.(idx) with
-      | Some (V_accept _) -> Staged.stage_accept view tx
-      | Some (V_reject _) -> ()
-      | None ->
-          let v =
-            verdict_of t ~known_txid:(Staged.known_txid view)
-              ~lookup:(Staged.lookup view) tx
-          in
-          (match v with
-          | V_accept _ -> Staged.stage_accept view tx
-          | V_reject _ -> ());
-          verdicts.(idx) <- Some v
-    done
-  end;
-  (* One discharge for the whole round, then commit in posting order. *)
+(* One staged walk over the round's due transactions in posting order:
+   each is validated against the pre-round state plus the acceptances
+   staged before it (so it sees exactly what the inline walk would),
+   with every signature check deferred. The round's checks are then
+   discharged once across the pool, and only an accepting discharge
+   commits, in posting order — the inline event stream exactly. A
+   rejecting discharge mutated nothing; the round is replayed inline,
+   which isolates the bad witness. *)
+let process_round (t : t) (due : Tx.t list) : unit =
+  let view = Staged.create t in
   let deferred = ref [] in
-  for idx = n - 1 downto 0 do
-    match verdicts.(idx) with
-    | Some (V_accept ds) -> deferred := List.rev_append (List.rev ds) !deferred
-    | _ -> ()
-  done;
-  if discharge !deferred then
-    Array.iteri
-      (fun idx tx ->
-        match verdicts.(idx) with
-        | Some (V_accept _) -> record t tx
-        | Some (V_reject reason) -> t.events <- Rejected (tx, reason) :: t.events
-        | None -> assert false)
+  let verdicts =
+    List.map
+      (fun tx ->
+        let v = verdict_of view tx in
+        (match v with
+        | Ok ds ->
+            Staged.stage_accept view tx;
+            deferred := List.rev_append ds !deferred
+        | Error _ -> ());
+        v)
       due
-  else process_sequential t (Array.to_list due)
-
-(* Sharded processing only pays once a round carries enough work to
-   split; below this many due transactions the sequential path is used
-   directly. *)
-let parallel_min_due = 2
+  in
+  if discharge !deferred then
+    List.iter2
+      (fun tx v ->
+        match v with
+        | Ok _ -> record t tx
+        | Error reason -> t.events <- Rejected (tx, reason) :: t.events)
+      due verdicts
+  else process_sequential t due
 
 (** Advance one round: deliver due pending transactions (in posting
     order) and return this round's events. *)
@@ -779,8 +623,6 @@ let tick (t : t) : event list =
   | None -> ()
   | Some bucket ->
       Hashtbl.remove t.pending t.round;
-      if Vec.length bucket >= parallel_min_due && Dpool.count () > 1 then
-        process_sharded t (Vec.to_array bucket)
-      else process_sequential t (Vec.to_list bucket));
+      process_round t (Vec.to_list bucket));
   compact_tail t;
   List.rev t.events

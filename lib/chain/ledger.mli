@@ -14,10 +14,12 @@
     Chain-state reads are indexed — {!spender_of},
     {!recorded_round_of} and {!accepted_count} are O(1), and the
     append-only spent log ({!iter_spent_since}) lets monitors pay only
-    for outpoints spent since their last poll. Rounds with several due
-    transactions verify witnesses across {!Daric_util.Dpool} domains
-    with rollback to an authoritative sequential replay on rejection,
-    so acceptance semantics are identical to the sequential path. *)
+    for outpoints spent since their last poll. {!tick} validates a
+    round's due transactions in posting order against a {!Staged} view
+    with signature checks deferred, discharges them once across
+    {!Daric_util.Dpool} domains and then commits; a rejecting discharge
+    replays the round with inline verification, so acceptance
+    semantics are those of {!validate} applied in posting order. *)
 
 module Tx = Daric_tx.Tx
 
@@ -134,10 +136,10 @@ val validate_batched : t -> Tx.t -> (unit, reject_reason) result
 
 (** Read-only overlay over the confirmed state: outpoints spent and
     outputs/txids produced by not-yet-committed acceptances. Staged
-    validators (the sharded {!tick} reconciliation pass, the mempool's
-    one-pass block assembly) accumulate acceptances here and commit
-    through {!record} only after the round's deferred signature checks
-    discharge — no speculative mutation, nothing to roll back. *)
+    validators (the round walk of {!tick}, the mempool's one-pass block
+    assembly) accumulate acceptances here and commit through {!record}
+    only after the round's deferred signature checks discharge — no
+    speculative mutation, nothing to roll back. *)
 module Staged : sig
   type view
 
@@ -149,9 +151,6 @@ module Staged : sig
   (** Overlay the effects of accepting a transaction (assumed
       validated against this view). *)
 end
-
-val validate_staged : Staged.view -> Tx.t -> (unit, reject_reason) result
-(** {!validate} against a staged view. *)
 
 val validate_deferring_staged :
   Staged.view -> Tx.t -> defer:(Daric_tx.Sighash.deferred -> unit) ->
@@ -172,9 +171,7 @@ val rollback : t -> checkpoint -> unit
     rolling back works from any round at or after the checkpoint's
     (nested checkpoints may be re-entered in stack order — the model
     checker's DFS backtracking). Raises [Invalid_argument] only if the
-    ledger sits at a round *before* the checkpoint's. Also used by
-    optimistic validators ({!Mempool.tick} block assembly) to discard
-    an optimistic prefix within a single round. *)
+    ledger sits at a round *before* the checkpoint's. *)
 
 val pending_due : t -> (int * Tx.t list) list
 (** Not-yet-due postings as [(due round, txs in posting order)],

@@ -169,9 +169,10 @@ let by_rate_order (a : entry) (b : entry) : int =
   | 0 -> compare a.seq b.seq
   | c -> c
 
-(* Authoritative greedy block assembly: walk entries by descending fee
-   rate, confirm whatever still validates up to the capacity, evict
-   what no longer does. *)
+(* Inline greedy block assembly: walk entries by descending fee rate,
+   confirm whatever still validates up to the capacity, evict what no
+   longer does — the fallback after a rejecting discharge, which
+   isolates the bad witness per transaction. *)
 let assemble_sequential (t : t) (by_rate : entry list) : Tx.t list =
   let confirmed = ref [] in
   let used = ref 0 in
@@ -240,24 +241,19 @@ let assemble_staged (t : t) (by_rate : entry list) : Tx.t list option =
 
 (** Advance one round. On block rounds, confirm the highest-fee-rate
     transactions that still validate, up to the block capacity; returns
-    the confirmed transactions. Blocks with at least two candidate
-    transactions assemble on a staged view with witness verification
-    discharged across {!Daric_util.Dpool} domains; any rejection falls
-    back to the sequential walk (nothing was committed), so
-    confirmation semantics are identical. *)
+    the confirmed transactions. Blocks assemble on a staged view with
+    witness verification discharged across {!Daric_util.Dpool}
+    domains; a rejecting discharge falls back to the inline walk
+    (nothing was committed), so confirmation semantics are identical. *)
 let tick (t : t) : Tx.t list =
   (* Advance the underlying ledger clock (it has nothing pending). *)
   ignore (Ledger.tick t.ledger);
   if Ledger.height t.ledger mod t.config.rounds_per_block <> 0 then []
-  else begin
+  else
     let by_rate = List.sort by_rate_order t.pool in
-    match by_rate with
-    | _ :: _ :: _ when Daric_util.Dpool.count () > 1 -> (
-        match assemble_staged t by_rate with
-        | Some txs -> txs
-        | None -> assemble_sequential t by_rate)
-    | _ -> assemble_sequential t by_rate
-  end
+    match assemble_staged t by_rate with
+    | Some txs -> txs
+    | None -> assemble_sequential t by_rate
 
 let pool_size (t : t) : int = List.length t.pool
 let total_fees_collected (t : t) : int = t.confirmed_fees

@@ -279,7 +279,22 @@ let mark_punished (t : t) (channel_id : string) : unit =
 
 let cursor (t : t) : int = t.cursor
 let set_cursor (t : t) (c : int) : unit = t.cursor <- c
-let fresh_ids (t : t) : string list = t.fresh
+
+(** The fresh list as a function of the tower's logical state: each
+    channel once (its newest entry) and only while it is still guarded.
+    The live list may repeat a re-watched channel or keep one unwatched
+    or punished since; the poll skips both harmlessly, but a snapshot
+    must not depend on them, or a restored tower (which drops them)
+    would snapshot differently from one that never crashed. *)
+let fresh_ids (t : t) : string list =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun cid ->
+      Hashtbl.mem t.entries cid
+      && (not (Hashtbl.mem seen cid))
+      && (Hashtbl.replace seen cid ();
+          true))
+    t.fresh
 
 let fold_records (t : t) (f : record -> 'a -> 'a) (init : 'a) : 'a =
   Hashtbl.fold (fun _ e acc -> f (entry_record t e) acc) t.entries init

@@ -81,7 +81,8 @@ val set_cursor : t -> int -> unit
 (** Restore the spent-log cursor (recovery). *)
 
 val fresh_ids : t -> string list
-(** Channels (re)watched since the last poll, newest first. *)
+(** Channels (re)watched since the last poll and still guarded, newest
+    first, each once — what a snapshot persists. *)
 
 val fold_records : t -> (record -> 'a -> 'a) -> 'a -> 'a
 (** Fold over every guarded record (decoded from the packed form). *)

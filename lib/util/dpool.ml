@@ -158,12 +158,3 @@ let map_chunks (f : 'a array -> 'b) (xs : 'a array) : 'b array =
     {!map_chunks}). *)
 let all_chunks (f : 'a array -> bool) (xs : 'a array) : bool =
   Array.for_all Fun.id (map_chunks f xs)
-
-(** [map_array f xs] is [Array.map f xs] with the elements spread
-    across pool domains (element order preserved). With a count of 1
-    this is exactly [Array.map f xs]. *)
-let map_array (f : 'a -> 'b) (xs : 'a array) : 'b array =
-  let chunks = map_chunks (Array.map f) xs in
-  match chunks with
-  | [| one |] -> one
-  | _ -> Array.concat (Array.to_list chunks)

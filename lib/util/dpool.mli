@@ -21,9 +21,5 @@ val map_chunks : ('a array -> 'b) -> 'a array -> 'b array
 val all_chunks : ('a array -> bool) -> 'a array -> bool
 (** Conjunction of {!map_chunks}. *)
 
-val map_array : ('a -> 'b) -> 'a array -> 'b array
-(** [Array.map] with elements spread across pool domains, order
-    preserved; plain [Array.map] when the count is 1. *)
-
 val shutdown : unit -> unit
 (** Join all workers (registered [at_exit]; safe to call twice). *)

@@ -8,6 +8,7 @@ module Mempool = Daric_chain.Mempool
 module Schnorr = Daric_crypto.Schnorr
 module Sighash = Daric_tx.Sighash
 module Rng = Daric_util.Rng
+module Dpool = Daric_util.Dpool
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -246,6 +247,49 @@ let test_higher_feerate_first () =
   | _ -> Alcotest.fail "expected exactly one tx in the tight block");
   ignore (Mempool.tick mp)
 
+(* A forged witness (the right public key, another key's signature)
+   passes admission, which checks no signatures, and every structural
+   check of block assembly: only the block's signature discharge
+   rejects it, which sends assembly to its inline fallback. The forged
+   tx is evicted and the honest ones confirm, at any domain count. *)
+let test_forged_witness_evicted () =
+  let run domains =
+    Dpool.with_domains domains (fun () ->
+        let mp = mk_mempool () in
+        let l = Mempool.ledger mp in
+        let sk, pk = keypair 1 in
+        let _, pk2 = keypair 2 in
+        let forger, _ = keypair 3 in
+        let op_a = Ledger.mint l ~value:50_000 ~spk:(p2wpkh pk) in
+        let op_f = Ledger.mint l ~value:50_000 ~spk:(p2wpkh pk) in
+        let op_b = Ledger.mint l ~value:50_000 ~spk:(p2wpkh pk) in
+        let honest_a = spend_tx ~sk ~pk ~from:op_a ~value:49_000 ~to_pk:pk2 () in
+        let honest_b = spend_tx ~sk ~pk ~from:op_b ~value:48_500 ~to_pk:pk2 () in
+        (* the highest fee rate: first in the assembly walk *)
+        let forged = spend_tx ~sk:forger ~pk ~from:op_f ~value:40_000 ~to_pk:pk2 () in
+        (match Ledger.validate l forged with
+        | Error (Ledger.Invalid_witness (0, _)) -> ()
+        | _ -> Alcotest.fail "forged witness must fail inline validation");
+        List.iter
+          (fun tx ->
+            match Mempool.submit mp tx with
+            | Ok () -> ()
+            | Error e -> Alcotest.fail (Mempool.submit_error_to_string e))
+          [ honest_a; forged; honest_b ];
+        let confirmed = List.map Tx.txid (Mempool.tick mp) in
+        check_b
+          (Printf.sprintf "honest txs confirm (%d domains)" domains)
+          true
+          (List.sort compare confirmed
+          = List.sort compare [ Tx.txid honest_a; Tx.txid honest_b ]);
+        check_i "forged tx evicted" 0 (Mempool.pool_size mp);
+        check_b "forged input unspent" true (Ledger.is_unspent l op_f);
+        check_i "fees of the honest txs" 2_500 (Mempool.total_fees_collected mp);
+        confirmed)
+  in
+  let one = run 1 in
+  check_b "1 and 2 domains confirm the same block" true (one = run 2)
+
 (* Checkpoint/rollback stress under nested checkpoint discipline,
    interleaved with aggressive log compaction (compact_depth = 2, so
    rolled-back entries include packed ones). A deterministic op script
@@ -401,4 +445,6 @@ let () =
           Alcotest.test_case "rbf rules" `Quick test_rbf_rules;
           Alcotest.test_case "block capacity" `Quick test_block_capacity;
           Alcotest.test_case "feerate priority" `Quick test_higher_feerate_first;
+          Alcotest.test_case "forged witness evicted" `Quick
+            test_forged_witness_evicted;
           QCheck_alcotest.to_alcotest prop_no_double_spend ] ) ]

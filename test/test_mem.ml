@@ -216,13 +216,22 @@ let fuzz_arena_vs_boxed =
       run_pair_trace ops;
       true)
 
-(* A directed trace hitting the interesting corners in one run:
-   watch-all, fraud, re-watch a punished channel, unwatch, recover,
-   fraud after recovery. *)
+(* Directed traces hitting the interesting corners:
+   - watch-all, fraud, re-watch a punished channel, unwatch, recover,
+     fraud after recovery;
+   - a channel unwatched while still queued for the next poll's direct
+     check, between recoveries: the restored tower no longer queues it,
+     so the snapshots of both towers must not depend on the queue's
+     stale entries;
+   - a channel re-watched after such an unwatch, which the live queue
+     holds twice and the restored one once. *)
 let test_directed_trace () =
-  run_pair_trace
-    [ Watch 0; Watch 1; Watch 2; Watch 3; Fraud 1; Watch 1; Unwatch 2;
-      Recover; Fraud 0; Watch 2; Recover; Fraud 3 ]
+  List.iter run_pair_trace
+    [ [ Watch 0; Watch 1; Watch 2; Watch 3; Fraud 1; Watch 1; Unwatch 2;
+        Recover; Fraud 0; Watch 2; Recover; Fraud 3 ];
+      [ Watch 0; Watch 1; Unwatch 2; Recover; Unwatch 1; Recover; Watch 2;
+        Recover ];
+      [ Watch 1; Unwatch 1; Recover; Watch 1; Recover ] ]
 
 (* ---------------- churn: heap tracks guarded count (S1) ---------------- *)
 

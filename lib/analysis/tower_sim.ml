@@ -160,18 +160,32 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(rounds = 24)
   let tower_storage_bytes = Watchtower.storage_bytes (Durable.tower probe) in
   let guarded_before = Watchtower.guarded_count (Durable.tower probe) in
   (* Crash the probe (drop its RAM) and time the full re-open: snapshot
-     + WAL replay + one catch-up poll from the restored cursor. *)
-  let recovery, recovery_seconds =
+     + WAL replay + one catch-up poll from the restored cursor. Before
+     the catch-up poll, the recovered tower must hold exactly the live
+     probe's record bytes (checked outside the timed spans). *)
+  let recovery, recover_seconds =
     timed (fun () ->
         match Durable.recover ~snapshot_every ~wid:"probe" probe_store with
-        | Ok r ->
-            Durable.end_of_round r.Durable.t ~round:final_round
-              ~ledger:env.ledger ~post;
-            r
+        | Ok r -> r
         | Error e ->
             failwith ("tower_sim: recovery failed: " ^ Persist.error_to_string e))
   in
   let tw = Durable.tower recovery.Durable.t in
+  let blobs t =
+    let acc = ref [] in
+    Watchtower.iter_record_blobs t (fun b -> acc := b :: !acc);
+    List.sort String.compare !acc
+  in
+  if blobs tw <> blobs (Durable.tower probe) then
+    failwith "tower_sim: recovered record bytes differ from the live probe";
+  if Watchtower.storage_bytes tw <> tower_storage_bytes then
+    failwith "tower_sim: recovered storage bytes differ from the live probe";
+  let (), catch_up_seconds =
+    timed (fun () ->
+        Durable.end_of_round recovery.Durable.t ~round:final_round
+          ~ledger:env.ledger ~post)
+  in
+  let recovery_seconds = recover_seconds +. catch_up_seconds in
   if Watchtower.guarded_count tw <> guarded_before then
     failwith "tower_sim: recovered tower lost channels";
   if List.length (Watchtower.punished tw) <> frauds then

@@ -31,4 +31,8 @@ let read_pub r : Keys.pub =
 let write_role w (role : Keys.role) =
   W.byte w (match role with Keys.Alice -> 0 | Keys.Bob -> 1)
 
-let read_role r : Keys.role = if R.byte r = 0 then Keys.Alice else Keys.Bob
+let read_role r : Keys.role =
+  match R.byte r with
+  | 0 -> Keys.Alice
+  | 1 -> Keys.Bob
+  | _ -> raise (R.Malformed "unknown role byte")

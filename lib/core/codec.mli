@@ -11,3 +11,5 @@ val write_pub : W.t -> Keys.pub -> unit
 val read_pub : R.t -> Keys.pub
 val write_role : W.t -> Keys.role -> unit
 val read_role : R.t -> Keys.role
+(** Only the bytes {!write_role} writes (0 or 1);
+    @raise Daric_util.Byteio.Reader.Malformed on any other. *)

@@ -136,7 +136,7 @@ let mk ?(snapshot_every = 16) (tower : Watchtower.t) (store : store)
     wal;
     snapshot_every = max 1 snapshot_every;
     rounds_since_snapshot = 0;
-    journaled_punished = List.length (Watchtower.punished tower);
+    journaled_punished = Watchtower.punished_count tower;
     journaled_cursor = Watchtower.cursor tower;
     snapshots_taken = 0;
     last_snapshot_bytes = 0 }
@@ -178,8 +178,11 @@ let recover ?snapshot_every ~(wid : string) (store : store) :
       (fun acc (r : Wal.record) ->
         let* () = acc in
         if r.kind = k_watch then
+          (* the payload is exactly the record's encoding: install it *)
           let* rec_ = Persist.decode_record r.payload in
-          Ok (Watchtower.restore_record tower ~fresh:true rec_)
+          Ok
+            (Watchtower.restore_record tower ~fresh:true rec_ r.payload ~off:0
+               ~len:(String.length r.payload))
         else if r.kind = k_unwatch then
           Ok (Watchtower.unwatch tower ~channel_id:r.payload)
         else if r.kind = k_punish then
@@ -198,10 +201,12 @@ let recover ?snapshot_every ~(wid : string) (store : store) :
 
 (** {!Watchtower.watch}, journaled: the record hits the WAL before
     [watch] returns. A crash earlier loses nothing the client cannot
-    re-send. *)
+    re-send. The record is encoded once, for both the arena and the
+    WAL. *)
 let watch (t : t) (r : Watchtower.record) : bool =
-  if Watchtower.watch t.tower r then begin
-    Wal.append t.wal ~kind:k_watch (Persist.encode_record r);
+  let enc = Persist.encode_record r in
+  if Watchtower.watch_encoded t.tower r enc then begin
+    Wal.append t.wal ~kind:k_watch enc;
     true
   end
   else false
@@ -222,12 +227,18 @@ let end_of_round (t : t) ~(round : int) ~(ledger : Ledger.t)
   let buffered = ref [] in
   Watchtower.end_of_round t.tower ~round ~ledger ~post:(fun tx ->
       buffered := tx :: !buffered);
-  let punished = Watchtower.punished t.tower in
-  let n_new = List.length punished - t.journaled_punished in
-  let new_ids = List.filteri (fun i _ -> i < n_new) punished in
+  (* the round's punishments are the newest [n_new] entries of the
+     punished list (newest first): journal them oldest first, walking
+     only those *)
+  let n_new = Watchtower.punished_count t.tower - t.journaled_punished in
+  let rec newest k l acc =
+    match l with
+    | cid :: rest when k > 0 -> newest (k - 1) rest (cid :: acc)
+    | _ -> acc
+  in
   List.iter
     (fun cid -> Wal.append t.wal ~kind:k_punish cid)
-    (List.rev new_ids);
+    (newest n_new (Watchtower.punished t.tower) []);
   t.journaled_punished <- t.journaled_punished + n_new;
   let cursor = Watchtower.cursor t.tower in
   if cursor <> t.journaled_cursor then begin

@@ -206,9 +206,14 @@ let encode_tower (t : Watchtower.t) : string =
   W.u64 w (Int64.of_int (Watchtower.cursor t));
   W.contents w
 
-(** Rebuild a tower from its snapshot. Records are installed through
-    {!Watchtower.restore_record} (no re-verification — they were
-    verified when watched and the store is CRC-framed). *)
+(** Rebuild a tower from its snapshot, streaming: each record is
+    decoded once — to validate it and to read its index fields — and
+    the bytes that decode consumed go into the arena as they are (no
+    intermediate list, no re-encode; see
+    {!Watchtower.restore_record}). The punished ids that follow are
+    recorded without reclaiming anything: every record in a snapshot
+    was live when it was taken, including one re-watched after its
+    punishment. *)
 let restore_tower (blob : string) : (Watchtower.t, error) result =
   let r = R.create blob in
   match read_header r ~magic:tower_magic with
@@ -218,24 +223,20 @@ let restore_tower (blob : string) : (Watchtower.t, error) result =
           let wid = R.var_string r in
           let t = Watchtower.create ~wid () in
           let n = R.varint r in
-          let records =
-            List.init n (fun _ -> Watchtower.read_record r)
-          in
-          let punished = read_list r (fun r -> R.var_string r) in
-          (* Punishments first: [mark_punished] reclaims the channel's
-             record exactly as the live punish path does, but a record
-             in the snapshot was *re-watched after* any punishment it
-             appears next to — installing it afterwards preserves the
-             live ordering. *)
-          List.iter (Watchtower.mark_punished t) punished;
-          List.iter (Watchtower.restore_record t ~fresh:false) records;
-          let fresh = read_list r (fun r -> R.var_string r) in
-          List.iter
-            (fun cid ->
-              match Watchtower.find_record t cid with
-              | Some rec_ -> Watchtower.restore_record t ~fresh:true rec_
-              | None -> ())
-            (List.rev fresh);
-          Watchtower.set_cursor t (Int64.to_int (R.u64 r));
-          if not (R.at_end r) then Error (Bad_field "trailing bytes")
-          else Ok t)
+          for _ = 1 to n do
+            let off = R.pos r in
+            let rec_ = Watchtower.read_record r in
+            Watchtower.restore_record t ~fresh:false rec_ blob ~off
+              ~len:(R.pos r - off)
+          done;
+          if Watchtower.guarded_count t <> n then
+            Error (Bad_field "duplicate channel record")
+          else begin
+            List.iter (Watchtower.restore_punished t)
+              (read_list r (fun r -> R.var_string r));
+            List.iter (Watchtower.mark_fresh t)
+              (List.rev (read_list r (fun r -> R.var_string r)));
+            Watchtower.set_cursor t (Int64.to_int (R.u64 r));
+            if not (R.at_end r) then Error (Bad_field "trailing bytes")
+            else Ok t
+          end)

@@ -33,6 +33,8 @@ val encode_record : Watchtower.record -> string
     (headerless — the WAL frame carries the version). *)
 
 val decode_record : string -> (Watchtower.record, error) result
+(** Canonical encodings only: an [Ok] blob is exactly the
+    {!encode_record} of its result. Never raises. *)
 
 val encode_tower : Watchtower.t -> string
 (** Full tower snapshot: identity, every guarded record, the punished
@@ -40,6 +42,11 @@ val encode_tower : Watchtower.t -> string
     channels) bytes, each O(1). *)
 
 val restore_tower : string -> (Watchtower.t, error) result
-(** Rebuild a tower from {!encode_tower} output. Records install
+(** Rebuild a tower from {!encode_tower} output, streaming: each record
+    is decoded once, for validation and its index fields, and the
+    snapshot bytes it was decoded from are installed into the arena
+    as they are — no re-encode, no per-record list. Records install
     without signature re-verification — they were verified when
-    watched and the store is CRC-framed. *)
+    watched and the store is CRC-framed. A duplicate channel record
+    is [Bad_field]; never raises.
+    [encode_tower (restore_tower b) = b] up to record order. *)

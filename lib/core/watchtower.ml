@@ -115,9 +115,12 @@ let write_record w (r : record) =
   W.var_string w r.sig_a;
   W.var_string w r.sig_b
 
+(* No interning: a decoded record is always transient — the tower
+   retains bytes, and [find_record], [react] and recovery decode on
+   demand — so hash-consing its strings would share nothing. *)
 let read_record r : record =
-  let channel_id = Intern.string (R.var_string r) in
-  let txid = Intern.string (R.var_string r) in
+  let channel_id = R.var_string r in
+  let txid = R.var_string r in
   let vout = R.u32 r in
   let keys_a = Codec.read_pub r in
   let keys_b = Codec.read_pub r in
@@ -127,8 +130,8 @@ let read_record r : record =
   let client_role = Codec.read_role r in
   let revoked = R.u32 r in
   let rev_body = Txcodec.read_tx r in
-  let sig_a = Intern.string (R.var_string r) in
-  let sig_b = Intern.string (R.var_string r) in
+  let sig_a = R.var_string r in
+  let sig_b = R.var_string r in
   { channel_id; funding = { Tx.txid; vout }; keys_a; keys_b; s0; rel_lock;
     cash; client_role; revoked; rev_body; sig_a; sig_b }
 
@@ -161,10 +164,14 @@ let entry_record (t : t) (e : entry) : record =
   | Boxed_rec r -> r
   | Slot s -> decode_record_exn (Arena.read t.arena s)
 
-(* Install or overwrite the entry for [r.channel_id], reusing the
-   existing arena slot in place when the new encoding fits (record
-   sizes are stable across updates of one channel). *)
-let put_record (t : t) (r : record) : unit =
+(* Install or overwrite the entry for [r.channel_id]. [r]'s
+   {!encode_record} bytes are the [len] bytes of [enc] at [off] — the
+   caller already holds them (a fresh encoding, a WAL payload, a span
+   of a snapshot), so the packed backend copies them into the arena
+   as they are. The existing slot is reused in place when they fit
+   (record sizes are stable across updates of one channel). *)
+let put_record (t : t) (r : record) (enc : string) ~(off : int) ~(len : int) :
+    unit =
   let rb = record_bytes r in
   match Hashtbl.find_opt t.entries r.channel_id with
   | Some e ->
@@ -175,12 +182,12 @@ let put_record (t : t) (r : record) : unit =
       end;
       e.e_rbytes <- rb;
       (match e.e_data with
-      | Slot s -> e.e_data <- Slot (Arena.replace t.arena s (encode_record r))
+      | Slot s -> e.e_data <- Slot (Arena.replace_sub t.arena s enc ~off ~len)
       | Boxed_rec _ -> e.e_data <- Boxed_rec r)
   | None ->
       let data =
         match t.backend with
-        | Packed -> Slot (Arena.store t.arena (encode_record r))
+        | Packed -> Slot (Arena.store_sub t.arena enc ~off ~len)
         | Boxed -> Boxed_rec r
       in
       Hashtbl.replace t.entries r.channel_id
@@ -232,25 +239,38 @@ let record_valid (r : record) : bool =
     after each update. Storage stays constant per channel; both the
     replace and the funding-index update are O(1). Records whose
     signatures do not batch-verify are rejected (returns [false]) and
-    the previous record, if any, is kept. *)
-let watch (t : t) (r : record) : bool =
+    the previous record, if any, is kept. [enc] is [r]'s
+    {!encode_record} bytes, which the caller also journals. *)
+let watch_encoded (t : t) (r : record) (enc : string) : bool =
   if not (record_valid r) then false
   else begin
-    put_record t r;
+    put_record t r enc ~off:0 ~len:(String.length enc);
     t.fresh <- r.channel_id :: t.fresh;
     true
   end
 
+let watch (t : t) (r : record) : bool = watch_encoded t r (encode_record r)
+
 (** Install a record without re-running {!record_valid} — the recovery
     path: the record came from this tower's own snapshot/WAL (it was
     verified when first watched, and the store is CRC-framed), so the
-    batch verification is not paid again. [fresh] controls whether the
-    next poll re-checks the channel's funding directly — replayed
-    journal entries say [true] (their funding may have been spent while
-    the tower was down), snapshot restores carry the persisted flag. *)
-let restore_record (t : t) ~(fresh : bool) (r : record) : unit =
-  put_record t r;
+    batch verification is not paid again. [r] was decoded from the
+    [len] bytes of [enc] at [off]; the decoder accepts only canonical
+    encodings, so those bytes are [r]'s {!encode_record} and are
+    installed as they are, never re-encoded. [fresh] controls whether
+    the next poll re-checks the channel's funding directly — replayed
+    journal entries say [true] (their funding may have been spent
+    while the tower was down); snapshot restores use {!mark_fresh}. *)
+let restore_record (t : t) ~(fresh : bool) (r : record) (enc : string)
+    ~(off : int) ~(len : int) : unit =
+  put_record t r enc ~off ~len;
   if fresh then t.fresh <- r.channel_id :: t.fresh
+
+(** Queue a guarded channel for a direct funding check at the next
+    poll (the snapshot's persisted fresh list). Unguarded ids are
+    ignored. *)
+let mark_fresh (t : t) (channel_id : string) : unit =
+  if Hashtbl.mem t.entries channel_id then t.fresh <- channel_id :: t.fresh
 
 let unwatch (t : t) ~(channel_id : string) : unit = drop_record t channel_id
 
@@ -262,8 +282,18 @@ let find_record (t : t) (channel_id : string) : record option =
   | Some e -> Some (entry_record t e)
 
 let punished (t : t) : string list = t.punished_list
+let punished_count (t : t) : int = Hashtbl.length t.punished_set
 let punished_mem (t : t) (channel_id : string) : bool =
   Hashtbl.mem t.punished_set channel_id
+
+(** Restore a snapshot's punished id: recorded, no record reclaimed —
+    every record in a snapshot was live when it was taken (a channel
+    re-watched after its punishment keeps its new record). *)
+let restore_punished (t : t) (channel_id : string) : unit =
+  if not (Hashtbl.mem t.punished_set channel_id) then begin
+    t.punished_list <- channel_id :: t.punished_list;
+    Hashtbl.replace t.punished_set channel_id ()
+  end
 
 (** Replay a journaled punishment (recovery): record the fact without
     posting anything — the revocation transaction was already posted
@@ -271,10 +301,7 @@ let punished_mem (t : t) (channel_id : string) : bool =
     channel's record, if restored, is reclaimed exactly as the live
     punish path would have. *)
 let mark_punished (t : t) (channel_id : string) : unit =
-  if not (Hashtbl.mem t.punished_set channel_id) then begin
-    t.punished_list <- channel_id :: t.punished_list;
-    Hashtbl.replace t.punished_set channel_id ()
-  end;
+  restore_punished t channel_id;
   drop_record t channel_id
 
 let cursor (t : t) : int = t.cursor

@@ -52,12 +52,27 @@ val watch : t -> record -> bool
     Returns [false] — keeping the previous record — when
     {!record_valid} rejects the signatures. *)
 
-val restore_record : t -> fresh:bool -> record -> unit
-(** Install a record without re-running {!record_valid} — the
-    snapshot/WAL recovery path ({!Persist.restore_tower},
-    {!Durable.recover}): the record was verified when first watched
-    and the store is CRC-framed. [fresh] queues the channel for a
+val watch_encoded : t -> record -> string -> bool
+(** {!watch} given the record's {!encode_record} bytes, which the
+    packed backend stores as they are — for a caller that journals the
+    same encoding ({!Durable.watch}). *)
+
+val restore_record :
+  t -> fresh:bool -> record -> string -> off:int -> len:int -> unit
+(** [restore_record t ~fresh r src ~off ~len] installs [r], decoded
+    from the [len] bytes of [src] at [off], without re-running
+    {!record_valid} — the snapshot/WAL recovery path
+    ({!Persist.restore_tower}, {!Durable.recover}): the record was
+    verified when first watched and the store is CRC-framed. The
+    decoder accepts only canonical encodings, so those bytes are [r]'s
+    {!encode_record}: the packed backend copies them into the arena
+    as they are, with no re-encode. [fresh] queues the channel for a
     direct funding check at the next poll. *)
+
+val mark_fresh : t -> string -> unit
+(** Queue a guarded channel for a direct funding check at the next
+    poll (restoring a snapshot's fresh list); unguarded ids are
+    ignored. *)
 
 val unwatch : t -> channel_id:string -> unit
 (** Remove the channel and reclaim its record storage (the arena slot
@@ -66,12 +81,20 @@ val unwatch : t -> channel_id:string -> unit
 val punished : t -> string list
 (** Channels on which the tower has reacted, newest first. *)
 
+val punished_count : t -> int
+(** [List.length (punished t)], in O(1). *)
+
 val punished_mem : t -> string -> bool
 
 val mark_punished : t -> string -> unit
 (** Replay a journaled punishment during recovery: record the fact
     without re-posting (idempotent), reclaiming the channel's record
     exactly as the live punish path does. *)
+
+val restore_punished : t -> string -> unit
+(** Restore a snapshot's punished id: record it (idempotent) without
+    reclaiming any record — every record in a snapshot was live when
+    the snapshot was taken. *)
 
 val cursor : t -> int
 (** Position in the ledger's spent-outpoint log up to which this tower
@@ -114,8 +137,10 @@ val write_record : Daric_util.Byteio.Writer.t -> record -> unit
 
 val read_record : Daric_util.Byteio.Reader.t -> record
 (** Inverse of {!write_record}; raises {!Daric_tx.Txcodec.Bad_blob} or
-    [Reader.Truncated] on malformed input. Decoded ids, txids and
-    signatures are interned. *)
+    [Reader.Truncated] on malformed input, and accepts only canonical
+    encodings. The record's own strings (channel id, funding txid,
+    signatures) are not interned: a decoded record is transient — the
+    tower retains bytes and decodes on demand. *)
 
 val encode_record : record -> string
 val decode_record_exn : string -> record

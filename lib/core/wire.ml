@@ -190,4 +190,4 @@ let decode (s : string) : msg option =
       | _ -> None
     in
     if R.at_end r then msg else None
-  with R.Truncated -> None
+  with R.Truncated | R.Malformed _ -> None

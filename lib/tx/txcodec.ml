@@ -5,7 +5,8 @@
     Headerless: callers own their magic/version framing (the snapshot
     header, the WAL frame, the arena slot). Decoding errors raise
     {!Bad_blob} or {!Daric_util.Byteio.Reader.Truncated}; callers wrap
-    them into their own typed errors.
+    them into their own typed errors. Only canonical encodings decode:
+    every accepted field re-encodes to the bytes it was read from.
 
     [Raw] scripts are deliberately not encodable — they exist for
     tests and funding sources only, and a compactor or snapshotter
@@ -17,7 +18,8 @@ module W = Daric_util.Byteio.Writer
 module R = Daric_util.Byteio.Reader
 module Intern = Daric_util.Intern
 
-exception Bad_blob of string
+(* One malformed-input exception for the reader and every codec on it. *)
+exception Bad_blob = R.Malformed
 
 let write_spk w (spk : Tx.spk) =
   match spk with
@@ -45,7 +47,10 @@ let write_output w (o : Tx.output) =
   write_spk w o.Tx.spk
 
 let read_output r : Tx.output =
-  let value = Int64.to_int (R.u64 r) in
+  let v = R.u64 r in
+  let value = Int64.to_int v in
+  if not (Int64.equal (Int64.of_int value) v) then
+    raise (Bad_blob "output value out of range");
   { Tx.value; spk = read_spk r }
 
 let write_list w f l =
@@ -62,7 +67,11 @@ let write_opt w f = function
       W.byte w 1;
       f w v
 
-let read_opt r f = match R.byte r with 0 -> None | _ -> Some (f r)
+let read_opt r f =
+  match R.byte r with
+  | 0 -> None
+  | 1 -> Some (f r)
+  | _ -> raise (Bad_blob "unknown option tag")
 
 let write_input w (i : Tx.input) =
   W.var_string w i.Tx.prevout.txid;

@@ -10,6 +10,9 @@ module W = Daric_util.Byteio.Writer
 module R = Daric_util.Byteio.Reader
 
 exception Bad_blob of string
+(** The same exception as {!Daric_util.Byteio.Reader.Malformed}, so one
+    handler covers the reader's and the codec's malformed-input errors.
+    Only canonical encodings decode. *)
 
 val write_spk : W.t -> Tx.spk -> unit
 

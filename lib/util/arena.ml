@@ -82,8 +82,8 @@ let fresh_slot (t : t) (cap : int) : slot =
   t.bump <- t.bump + cap;
   s
 
-let store (t : t) (blob : string) : slot =
-  let len = String.length blob in
+(** Copy [src.[off .. off+len-1]] into a fresh (or free-listed) slot. *)
+let store_sub (t : t) (src : string) ~(off : int) ~(len : int) : slot =
   let cap = cap_of_len len in
   let cls = class_of_cap cap in
   let s =
@@ -93,11 +93,14 @@ let store (t : t) (blob : string) : slot =
         s
     | [] -> fresh_slot t cap
   in
-  Bytes.blit_string blob 0 t.chunks.(s.s_chunk) s.s_off len;
+  Bytes.blit_string src off t.chunks.(s.s_chunk) s.s_off len;
   s.s_len <- len;
   t.live_bytes <- t.live_bytes + len;
   t.live_slots <- t.live_slots + 1;
   s
+
+let store (t : t) (blob : string) : slot =
+  store_sub t blob ~off:0 ~len:(String.length blob)
 
 let free (t : t) (s : slot) : unit =
   if s.s_len >= 0 then begin
@@ -108,20 +111,20 @@ let free (t : t) (s : slot) : unit =
     t.free.(class_of_cap s.s_cap) <- s :: t.free.(class_of_cap s.s_cap)
   end
 
-(** Overwrite in place when the new blob fits the slot's capacity (the
+(** Overwrite in place when the new bytes fit the slot's capacity (the
     common case: a watchtower record's size is stable across updates);
-    otherwise free + store. Returns the slot now holding [blob]. *)
-let replace (t : t) (s : slot) (blob : string) : slot =
-  let len = String.length blob in
+    otherwise free + store. Returns the slot now holding them. *)
+let replace_sub (t : t) (s : slot) (src : string) ~(off : int) ~(len : int) :
+    slot =
   if s.s_len >= 0 && len <= s.s_cap then begin
-    Bytes.blit_string blob 0 t.chunks.(s.s_chunk) s.s_off len;
+    Bytes.blit_string src off t.chunks.(s.s_chunk) s.s_off len;
     t.live_bytes <- t.live_bytes + len - s.s_len;
     s.s_len <- len;
     s
   end
   else begin
     free t s;
-    store t blob
+    store_sub t src ~off ~len
   end
 
 let read (t : t) (s : slot) : string =

@@ -17,10 +17,15 @@ val store : t -> string -> slot
 (** Copy [blob] into the arena (reusing a freed slot of the same size
     class when one exists) and return its handle. *)
 
-val replace : t -> slot -> string -> slot
-(** Overwrite a live slot in place when the new blob fits its
+val store_sub : t -> string -> off:int -> len:int -> slot
+(** [store] of the [len] bytes of [src] starting at [off], without
+    copying them out first. *)
+
+val replace_sub : t -> slot -> string -> off:int -> len:int -> slot
+(** [replace_sub t s src ~off ~len] overwrites a live slot with the
+    [len] bytes of [src] starting at [off], in place when they fit its
     capacity — the common case for fixed-shape records — otherwise
-    free + store. Returns the slot now holding the blob. *)
+    free + store. Returns the slot now holding the bytes. *)
 
 val free : t -> slot -> unit
 (** Return the slot to its size-class free list. Idempotent. *)

@@ -36,7 +36,17 @@ module Reader : sig
   exception Truncated
   (** Raised by every reading function on insufficient input. *)
 
+  exception Malformed of string
+  (** Raised on input no writer produces: a negative length, or a
+      varint that is not in its shortest form or does not fit a
+      non-negative [int]. Field codecs built on the reader raise it
+      for their own non-canonical encodings too. *)
+
   val create : string -> t
+
+  val pos : t -> int
+  (** Bytes consumed so far. *)
+
   val remaining : t -> int
   val at_end : t -> bool
   val byte : t -> int
@@ -44,6 +54,9 @@ module Reader : sig
   val u16 : t -> int
   val u32 : t -> int
   val u64 : t -> int64
+
   val varint : t -> int
+  (** CompactSize, canonical only. @raise Malformed otherwise. *)
+
   val var_string : t -> string
 end

@@ -9,7 +9,11 @@
    store survives a real process-level drop of the handle, and the WAL
    framing is fuzzed — random record sequences round-trip, and any
    single-byte corruption or tail truncation yields an error or a
-   strict prefix, never a mis-replay. *)
+   strict prefix, never a mis-replay. The record, snapshot and wire
+   decoders are fuzzed too: arbitrary and single-byte-mutated blobs
+   are rejected or decoded, never raise, and a decoded record is
+   exactly its bytes; a restored snapshot re-encodes to itself, and a
+   WAL replay installs each replayed payload as it is. *)
 
 module Tx = Daric_tx.Tx
 module Ledger = Daric_chain.Ledger
@@ -18,6 +22,8 @@ module Persist = Daric_core.Persist
 module Durable = Daric_core.Durable
 module Towerset = Daric_core.Towerset
 module Wal = Daric_util.Wal
+module R = Daric_util.Byteio.Reader
+module Wire = Daric_core.Wire
 module I = Daric_schemes.Scheme_intf
 module DS = Daric_schemes.Daric_scheme
 
@@ -358,6 +364,258 @@ let fuzz_attach_truncates =
               rs' = rs @ [ { Wal.kind = 7; payload = "after-repair" } ]
           | _ -> false))
 
+
+(* ---- decoders on a trust boundary never raise ---- *)
+
+let ffs = String.make 9 '\xff'
+
+(* Snapshot bytes up to and including the wid: an empty tower's
+   snapshot minus its three empty counts (records, punished, fresh)
+   and its 8-byte cursor. *)
+let tower_prefix =
+  let e = Persist.encode_tower (Watchtower.create ~wid:"t" ()) in
+  String.sub e 0 (String.length e - 11)
+
+let no_raise name f =
+  match f () with
+  | _ -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+
+(* A 0xff varint prefix with all-ones value used to decode as -1 and
+   make [String.sub]/[List.init] raise [Invalid_argument]. *)
+let test_negative_lengths () =
+  check_b "record: negative id length" true
+    (Result.is_error (Persist.decode_record ffs));
+  check_b "snapshot: negative record count" true
+    (Result.is_error (Persist.restore_tower (tower_prefix ^ ffs)));
+  check_b "snapshot: negative punished count" true
+    (Result.is_error (Persist.restore_tower (tower_prefix ^ "\x00" ^ ffs)));
+  check_b "wire: negative id length" true (Wire.decode ("\x01" ^ ffs) = None)
+
+(* World records, the snapshot of a tower holding them with one
+   punished channel, and wire messages built from them: the seeds the
+   mutation fuzzers corrupt. *)
+let fixtures =
+  lazy
+    (let env, chans = build_world ~channels:3 ~updates:1 ~seed:53 in
+     let records = Array.to_list (Array.map (fun s -> Option.get (DS.watch_record s)) chans) in
+     let tw = Watchtower.create ~wid:"fx" () in
+     List.iter (fun r -> ignore (Watchtower.watch tw r)) records;
+     DS.publish_revoked chans.(1);
+     let post tx = Ledger.post env.ledger tx ~delay:0 in
+     for _ = 1 to 2 do
+       I.settle env 1;
+       Watchtower.end_of_round tw ~round:(Ledger.height env.ledger)
+         ~ledger:env.ledger ~post
+     done;
+     let r = List.hd records in
+     let id = r.Watchtower.channel_id in
+     let wires =
+       List.map Wire.encode
+         [ Wire.Create_info { id; tid = r.Watchtower.funding; keys = r.Watchtower.keys_a };
+           Wire.Create_com { id; split_sig = r.Watchtower.sig_a; commit_sig = r.Watchtower.sig_b };
+           Wire.Update_req { id; theta = r.Watchtower.rev_body.Tx.outputs; tstp = 7 };
+           Wire.Revoke_responder { id; rev_sig = r.Watchtower.sig_a };
+           Wire.Close_ack { id; fin_sig = r.Watchtower.sig_b } ]
+     in
+     (List.map Persist.encode_record records, Persist.encode_tower tw, wires))
+
+let test_canonical_only () =
+  let records, _, _ = Lazy.force fixtures in
+  let blob = List.hd records in
+  (* the role byte follows id, txid, vout, two key bundles and three
+     u32 parameters *)
+  let id_len = Char.code blob.[0] in
+  let txid_len = Char.code blob.[1 + id_len] in
+  let role_at = 1 + id_len + 1 + txid_len + 4 + 32 + 12 in
+  check_b "role byte located" true
+    (blob.[role_at] = '\x00' || blob.[role_at] = '\x01');
+  let b = Bytes.of_string blob in
+  Bytes.set b role_at '\x02';
+  check_b "role byte 2 rejected" true
+    (Result.is_error (Persist.decode_record (Bytes.to_string b)));
+  (* the same id length, spelt as a 3-byte varint *)
+  let long_len =
+    "\xfd" ^ String.make 1 (Char.chr id_len) ^ "\x00"
+    ^ String.sub blob 1 (String.length blob - 1)
+  in
+  check_b "non-minimal varint rejected" true
+    (Result.is_error (Persist.decode_record long_len))
+
+let mutate (blob : string) (pos_seed : int) (delta_seed : int) : string =
+  let pos = pos_seed mod String.length blob in
+  let b = Bytes.of_string blob in
+  Bytes.set b pos
+    (Char.chr ((Char.code (Bytes.get b pos) + 1 + (delta_seed mod 255)) land 0xff));
+  Bytes.to_string b
+
+let fuzz_arbitrary_bytes =
+  QCheck.Test.make ~count:500 ~name:"decoders never raise on arbitrary bytes"
+    QCheck.(pair string bool)
+    (fun (junk, headed) ->
+      let snap = if headed then tower_prefix ^ junk else junk in
+      no_raise "decode_record" (fun () -> Persist.decode_record junk)
+      && no_raise "restore_tower" (fun () -> Persist.restore_tower snap)
+      && no_raise "Wire.decode" (fun () -> Wire.decode junk))
+
+(* A single-byte mutation either fails to decode or decodes a record
+   whose encoding is the mutated blob itself: the decoder accepts only
+   canonical bytes, so installing them equals re-encoding. *)
+let fuzz_mutated_blobs =
+  QCheck.Test.make ~count:600 ~name:"single-byte mutations never raise"
+    QCheck.(triple small_nat small_nat small_nat)
+    (fun (which, pos_seed, delta_seed) ->
+      let records, snap, wires = Lazy.force fixtures in
+      let record = mutate (List.nth records (which mod List.length records)) pos_seed delta_seed in
+      let snap = mutate snap pos_seed delta_seed in
+      let wire = mutate (List.nth wires (which mod List.length wires)) pos_seed delta_seed in
+      no_raise "restore_tower" (fun () -> Persist.restore_tower snap)
+      && no_raise "Wire.decode" (fun () -> Wire.decode wire)
+      &&
+      match Persist.decode_record record with
+      | Error _ -> true
+      | Ok r -> String.equal (Persist.encode_record r) record
+      | exception e ->
+          QCheck.Test.fail_reportf "decode_record raised %s" (Printexc.to_string e))
+
+(* ---- restore and replay install bytes, not re-encodings ---- *)
+
+type op = Watch of int | Unwatch of int | Update of int | Fraud of int | Poll | Snap
+
+let trace_chans = 4
+
+let show_op = function
+  | Watch i -> Printf.sprintf "W%d" i
+  | Unwatch i -> Printf.sprintf "U%d" i
+  | Update i -> Printf.sprintf "A%d" i
+  | Fraud i -> Printf.sprintf "F%d" i
+  | Poll -> "P"
+  | Snap -> "S"
+
+let arb_ops =
+  let chan = QCheck.Gen.int_bound (trace_chans - 1) in
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_op ops))
+    QCheck.Gen.(
+      list_size (int_range 1 16)
+        (frequency
+           [ (4, map (fun i -> Watch i) chan);
+             (1, map (fun i -> Unwatch i) chan);
+             (2, map (fun i -> Update i) chan);
+             (1, map (fun i -> Fraud i) chan);
+             (2, return Poll);
+             (1, return Snap) ]))
+
+(* Run [ops] against a durable tower snapshotting every 3 rounds;
+   returns the live tower's handle and its store. *)
+let run_ops (ops : op list) =
+  let env, chans = build_world ~channels:trace_chans ~updates:1 ~seed:61 in
+  let store = Durable.memory_store () in
+  let d = Durable.create ~snapshot_every:3 ~wid:"fz" store in
+  let post tx = Ledger.post env.ledger tx ~delay:0 in
+  let poll () =
+    I.settle env 1;
+    Durable.end_of_round d ~round:(Ledger.height env.ledger) ~ledger:env.ledger
+      ~post
+  in
+  let frauded = Array.make trace_chans false in
+  let updates = Array.make trace_chans 1 in
+  List.iter
+    (function
+      | Watch i -> (
+          match DS.watch_record chans.(i) with
+          | Some r -> ignore (Durable.watch d r)
+          | None -> Alcotest.fail "no watch record")
+      | Unwatch i -> Durable.unwatch d ~channel_id:(Printf.sprintf "c%d" i)
+      | Update i ->
+          if not frauded.(i) then begin
+            updates.(i) <- updates.(i) + 1;
+            let shift = i + (updates.(i) * 17) in
+            match
+              DS.Scheme.update chans.(i) ~bal_a:(500_000 + shift)
+                ~bal_b:(500_000 - shift)
+            with
+            | Ok () -> ()
+            | Error e -> Alcotest.fail (I.error_to_string e)
+          end
+      | Fraud i ->
+          if not frauded.(i) then begin
+            frauded.(i) <- true;
+            DS.publish_revoked chans.(i);
+            poll ();
+            poll ()
+          end
+      | Poll -> poll ()
+      | Snap -> Durable.snapshot d)
+    ops;
+  (d, store)
+
+(* A snapshot split into its record spans and the bytes around them:
+   record order follows hash-table history, not logical state, so the
+   fixpoint compares the spans as a sorted list. *)
+let split_snapshot (blob : string) =
+  let r = R.create blob in
+  ignore (R.string r (String.length tower_prefix - 2));
+  ignore (R.var_string r);
+  let n = R.varint r in
+  let head = String.sub blob 0 (R.pos r) in
+  let spans =
+    List.init n (fun _ ->
+        let off = R.pos r in
+        ignore (Watchtower.read_record r);
+        String.sub blob off (R.pos r - off))
+  in
+  (head, List.sort String.compare spans, String.sub blob (R.pos r) (R.remaining r))
+
+let fuzz_snapshot_fixpoint =
+  QCheck.Test.make ~count:25 ~name:"encode_tower (restore_tower b) = b"
+    arb_ops (fun ops ->
+      let d, _ = run_ops ops in
+      let b = Persist.encode_tower (Durable.tower d) in
+      match Persist.restore_tower b with
+      | Error e -> QCheck.Test.fail_reportf "restore: %s" (Persist.error_to_string e)
+      | Ok t -> split_snapshot (Persist.encode_tower t) = split_snapshot b)
+
+let blobs_by_id (t : Watchtower.t) =
+  let acc = ref [] in
+  Watchtower.iter_record_blobs t (fun b ->
+      match Persist.decode_record b with
+      | Ok r -> acc := (r.Watchtower.channel_id, b) :: !acc
+      | Error e -> Alcotest.fail (Persist.error_to_string e));
+  List.sort compare !acc
+
+let fuzz_replay_installs_payloads =
+  QCheck.Test.make ~count:25 ~name:"WAL replay stores each payload as is"
+    arb_ops (fun ops ->
+      let d, store = run_ops ops in
+      match
+        ( Durable.recover ~snapshot_every:3 ~wid:"fz" store,
+          Wal.decode (Wal.Sink.contents store.Durable.wal_sink) )
+      with
+      | Error e, _ -> QCheck.Test.fail_reportf "recover: %s" (Persist.error_to_string e)
+      | _, Error e -> QCheck.Test.fail_reportf "wal: %s" (Wal.error_to_string e)
+      | Ok rc, Ok (wal, _) ->
+          let stored = blobs_by_id (Durable.tower rc.Durable.t) in
+          (* kind 1 is a journaled watch; keep each channel's last *)
+          let last_watch = Hashtbl.create 8 in
+          List.iter
+            (fun (w : Wal.record) ->
+              if w.Wal.kind = 1 then
+                match Persist.decode_record w.Wal.payload with
+                | Ok r -> Hashtbl.replace last_watch r.Watchtower.channel_id w.Wal.payload
+                | Error e -> Alcotest.fail (Persist.error_to_string e))
+            wal;
+          stored = blobs_by_id (Durable.tower d)
+          && Hashtbl.fold
+               (fun cid payload ok ->
+                 ok
+                 &&
+                 match List.assoc_opt cid stored with
+                 | Some b -> String.equal b payload
+                 | None -> true (* unwatched or punished after the watch *))
+               last_watch true)
+
 let () =
   Alcotest.run "daric-durable"
     [ ( "durable",
@@ -372,4 +630,14 @@ let () =
       ( "wal-fuzz",
         List.map QCheck_alcotest.to_alcotest
           [ fuzz_roundtrip; fuzz_corruption; fuzz_truncation;
-            fuzz_attach_truncates ] ) ]
+            fuzz_attach_truncates ] );
+      ( "decode",
+        [ Alcotest.test_case "negative lengths are errors" `Quick
+            test_negative_lengths;
+          Alcotest.test_case "canonical encodings only" `Quick
+            test_canonical_only ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ fuzz_arbitrary_bytes; fuzz_mutated_blobs ] );
+      ( "install",
+        List.map QCheck_alcotest.to_alcotest
+          [ fuzz_snapshot_fixpoint; fuzz_replay_installs_payloads ] ) ]

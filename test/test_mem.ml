@@ -42,12 +42,13 @@ let test_arena () =
   check_b "read back long" true (Arena.read a s2 = String.make 100 'x');
   check_i "live bytes" 105 (Arena.live_bytes a);
   check_i "live slots" 2 (Arena.live_slots a);
-  (* in-place replace within the slot's size class *)
-  let s1' = Arena.replace a s1 "world!!" in
+  (* in-place replace within the slot's size class, from the middle of
+     a larger source string *)
+  let s1' = Arena.replace_sub a s1 "<<world!!>>" ~off:2 ~len:7 in
   check_b "replace reuses slot" true
     (Arena.read a s1' = "world!!" && Arena.live_slots a = 2);
   (* replace that outgrows the class frees and restores *)
-  let s1'' = Arena.replace a s1' (String.make 40 'y') in
+  let s1'' = Arena.replace_sub a s1' (String.make 40 'y') ~off:0 ~len:40 in
   check_b "grown replace" true (Arena.read a s1'' = String.make 40 'y');
   Arena.free a s1'';
   Arena.free a s1'';
@@ -65,7 +66,9 @@ let test_arena () =
   check_i "free-list reuse keeps capacity flat" !cap0 (Arena.capacity_bytes a);
   (* blobs larger than a chunk get their own chunk *)
   let big = Arena.store a (String.make 1000 'b') in
-  check_b "oversized blob" true (Arena.read a big = String.make 1000 'b')
+  check_b "oversized blob" true (Arena.read a big = String.make 1000 'b');
+  let sub = Arena.store_sub a "..span.." ~off:2 ~len:4 in
+  check_b "store from an offset" true (Arena.read a sub = "span")
 
 let test_intern () =
   let a = Intern.string (String.concat "-" [ "intern"; "me" ]) in

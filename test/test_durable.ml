@@ -24,6 +24,8 @@ module Towerset = Daric_core.Towerset
 module Wal = Daric_util.Wal
 module R = Daric_util.Byteio.Reader
 module Wire = Daric_core.Wire
+module Party = Daric_core.Party
+module Driver = Daric_core.Driver
 module I = Daric_schemes.Scheme_intf
 module DS = Daric_schemes.Daric_scheme
 
@@ -443,6 +445,40 @@ let test_canonical_only () =
   check_b "non-minimal varint rejected" true
     (Result.is_error (Persist.decode_record long_len))
 
+(* A quiescent Daric channel blob after one update: the seed the
+   channel-restore fuzzers corrupt. *)
+let chan_blob =
+  lazy
+    (let d = Driver.create ~delta:1 ~seed:61 () in
+     let alice = Party.create ~pid:"alice" ~seed:62 () in
+     let bob = Party.create ~pid:"bob" ~seed:63 () in
+     Driver.add_party d alice;
+     Driver.add_party d bob;
+     Driver.open_channel d ~id:"c" ~alice ~bob ~bal_a:60_000 ~bal_b:40_000 ();
+     assert (Driver.run_until_operational d ~id:"c" ~alice ~bob);
+     let pk_a, pk_b = Party.main_pks (Party.chan_exn alice "c") in
+     let theta =
+       Daric_core.Txs.balance_state ~pk_a ~pk_b ~bal_a:55_000 ~bal_b:45_000
+     in
+     assert (Driver.update_channel d ~id:"c" ~initiator:alice ~responder:bob ~theta);
+     match Persist.encode_chan (Party.chan_exn alice "c") with
+     | Ok blob -> blob
+     | Error e -> failwith (Persist.error_to_string e))
+
+(* Restore [blob] into an empty party. Like [decode_record], the
+   channel decoder accepts only canonical bytes: a restored channel
+   re-encodes to exactly [blob]. *)
+let restores_canonically (blob : string) : bool =
+  let p = Party.create ~pid:"fz" ~seed:1 () in
+  match Persist.restore_chan p blob with
+  | Error _ -> true
+  | Ok () -> (
+      match p.Party.chans with
+      | [ (_, c) ] -> Persist.encode_chan c = Ok blob
+      | _ -> false)
+  | exception e ->
+      QCheck.Test.fail_reportf "restore_chan raised %s" (Printexc.to_string e)
+
 let mutate (blob : string) (pos_seed : int) (delta_seed : int) : string =
   let pos = pos_seed mod String.length blob in
   let b = Bytes.of_string blob in
@@ -455,9 +491,13 @@ let fuzz_arbitrary_bytes =
     QCheck.(pair string bool)
     (fun (junk, headed) ->
       let snap = if headed then tower_prefix ^ junk else junk in
+      let chan =
+        if headed then String.sub (Lazy.force chan_blob) 0 8 ^ junk else junk
+      in
       no_raise "decode_record" (fun () -> Persist.decode_record junk)
       && no_raise "restore_tower" (fun () -> Persist.restore_tower snap)
-      && no_raise "Wire.decode" (fun () -> Wire.decode junk))
+      && no_raise "Wire.decode" (fun () -> Wire.decode junk)
+      && restores_canonically chan)
 
 (* A single-byte mutation either fails to decode or decodes a record
    whose encoding is the mutated blob itself: the decoder accepts only
@@ -470,8 +510,10 @@ let fuzz_mutated_blobs =
       let record = mutate (List.nth records (which mod List.length records)) pos_seed delta_seed in
       let snap = mutate snap pos_seed delta_seed in
       let wire = mutate (List.nth wires (which mod List.length wires)) pos_seed delta_seed in
+      let chan = mutate (Lazy.force chan_blob) pos_seed delta_seed in
       no_raise "restore_tower" (fun () -> Persist.restore_tower snap)
       && no_raise "Wire.decode" (fun () -> Wire.decode wire)
+      && restores_canonically chan
       &&
       match Persist.decode_record record with
       | Error _ -> true

@@ -27,6 +27,37 @@ let outcome_exn name (r : Harness.report) : I.outcome =
    dispute window + reaction + confirmation. *)
 let round_bound = (4 * I.default_config.rel_lock) + 12
 
+(* Exact closure outcomes after 3 updates on a fresh default
+   environment, pinned so that a change to the shared closure frames
+   cannot shift a round, a flag or a trace event unnoticed. *)
+let expected_outcome name (close : Harness.close) : I.outcome =
+  let o ?(punished = false) rounds trace =
+    { I.punished; resolved = true; rounds; trace }
+  in
+  match (close, name) with
+  | `Collaborative, "Daric" -> o 3 [ I.Settled ]
+  | `Collaborative, _ -> o 1 [ I.Settled ]
+  | `Dishonest, "eltoo" ->
+      o 6
+        [ I.Old_state_published 0; I.Latest_published; I.Overridden;
+          I.Settled ]
+  | `Dishonest, _ -> o ~punished:true 2 [ I.Old_state_published 0; I.Punished ]
+  | `Force, "Sleepy" -> o 1 [ I.Latest_published ]
+  | `Force, _ -> o 5 [ I.Latest_published; I.Settled ]
+  | `None, _ -> invalid_arg "expected_outcome"
+
+let outcome_t : I.outcome Alcotest.testable =
+  Alcotest.testable
+    (fun ppf (o : I.outcome) ->
+      Format.fprintf ppf "punished=%b resolved=%b rounds=%d [%s]" o.I.punished
+        o.I.resolved o.I.rounds
+        (String.concat "; " (List.map I.event_to_string o.I.trace)))
+    ( = )
+
+let check_exact name close o =
+  Alcotest.check outcome_t (name ^ ": exact outcome")
+    (expected_outcome name close) o
+
 (* ------------------------------------------------------------------ *)
 
 let test_registry_matches_costmodel () =
@@ -42,7 +73,8 @@ let test_collaborative (module S : I.SCHEME) () =
   in
   let o = outcome_exn S.name r in
   Alcotest.(check bool) (S.name ^ ": resolved") true o.I.resolved;
-  Alcotest.(check bool) (S.name ^ ": nobody punished") false o.I.punished
+  Alcotest.(check bool) (S.name ^ ": nobody punished") false o.I.punished;
+  check_exact S.name `Collaborative o
 
 let test_force (module S : I.SCHEME) () =
   let row = row_exn (module S) in
@@ -58,7 +90,8 @@ let test_force (module S : I.SCHEME) () =
       (Printf.sprintf "%s: closure within %d rounds (took %d)" S.name
          round_bound o.I.rounds)
       true
-      (o.I.rounds <= round_bound)
+      (o.I.rounds <= round_bound);
+  check_exact S.name `Force o
 
 let test_dishonest (module S : I.SCHEME) () =
   let row = row_exn (module S) in
@@ -77,7 +110,18 @@ let test_dishonest (module S : I.SCHEME) () =
     Alcotest.(check bool)
       (S.name ^ ": old state overridden instead")
       true
-      (List.mem I.Overridden o.I.trace)
+      (List.mem I.Overridden o.I.trace);
+  check_exact S.name `Dishonest o
+
+(* With no update there is no revoked state to publish: every scheme
+   refuses with a typed error naming itself and the stage. *)
+let test_dishonest_needs_update (module S : I.SCHEME) () =
+  match Harness.run_fresh (module S) { updates = 0; close = `Dishonest } with
+  | Ok _ -> Alcotest.failf "%s: dishonest close without an update succeeded" S.name
+  | Error e ->
+      Alcotest.(check string) (S.name ^ ": error scheme") S.name e.I.scheme;
+      Alcotest.(check string) (S.name ^ ": error stage") "dishonest_close"
+        e.I.stage
 
 let test_storage_slope (module S : I.SCHEME) () =
   let row = row_exn (module S) in
@@ -152,5 +196,6 @@ let () =
       ("collaborative-close", per_scheme test_collaborative);
       ("force-close", per_scheme test_force);
       ("dishonest-close", per_scheme test_dishonest);
+      ("dishonest-close-no-update", per_scheme test_dishonest_needs_update);
       ("storage-slope", per_scheme test_storage_slope);
       ("ops-per-update", per_scheme test_ops_match_table3) ]

@@ -67,14 +67,8 @@ let gen_commit (t : t) ~(owner : [ `A | `B ]) ~(bal_own : int)
   in
   Tx.make ~inputs:[ Tx.input_of_outpoint ~sequence:t.sn (Tx.outpoint_of t.fund 0) ] ~outputs:[ out own bal_own; out other bal_other ] ()
 
-let sign_commit (t : t) (body : Tx.t) : Tx.t =
-  let msg = Sighash.message All body ~input_index:0 in
-  let sig_a = Sighash.sign_message t.a.main.Keys.sk All msg in
-  let sig_b = Sighash.sign_message t.b.main.Keys.sk All msg in
-  let script =
-    Script.multisig_2 (Keys.enc t.a.main.Keys.pk) (Keys.enc t.b.main.Keys.pk)
-  in
-  Tx.with_witnesses body [ [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Wscript script ] ]
+let sign_commit (t : t) : Tx.t -> Tx.t =
+  Scheme_intf.cosign_2of2 t.a.main t.b.main
 
 let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
     ~(bal_a : int) ~(bal_b : int) () : t =
@@ -84,16 +78,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   in
   let a = mk_side () and b = mk_side () in
   let cash = bal_a + bal_b in
-  let fund_src = Ledger.mint ledger ~value:cash ~spk:Tx.Op_return in
-  let fund =
-    Tx.make ~witnesses:[ [] ] ~inputs:[ Tx.input_of_outpoint fund_src ] ~outputs:[ { Tx.value = cash;
-            spk =
-              Tx.P2wsh
-                (Script.hash
-                   (Script.multisig_2 (Keys.enc a.main.Keys.pk)
-                      (Keys.enc b.main.Keys.pk))) } ] ()
-  in
-  Ledger.record ledger fund;
+  let fund = Scheme_intf.fund_2of2 ledger ~value:cash a.main b.main in
   let empty = Tx.make ~inputs:[] ~outputs:[] () in
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; rel_lock; fund;
@@ -128,7 +113,7 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.t * Tx.t =
 let punish (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t) : Tx.t option =
   let side = match victim with `A -> t.a | `B -> t.b in
   let cheater = match victim with `A -> t.b | `B -> t.a in
-  let revoked = match published.Tx.inputs with [ i ] -> i.sequence | _ -> -1 in
+  let revoked = Scheme_intf.revoked_index published in
   match
     (List.assoc_opt revoked side.received_rev, List.assoc_opt revoked t.wt_rev)
   with
@@ -166,7 +151,6 @@ let punish (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t) : Tx.t option =
   | _ -> None
 
 let commit_of (t : t) (who : [ `A | `B ]) : Tx.t =
-  (match who with `A -> t.a | `B -> t.b) |> fun _ ->
   match who with `A -> t.commit_a | `B -> t.commit_b
 
 let funding_outpoint (t : t) : Tx.outpoint = Tx.outpoint_of t.fund 0
@@ -232,83 +216,39 @@ module Scheme : Scheme_intf.SCHEME = struct
      :: List.map (fun (_, kp) -> Keys.enc kp.Keys.pk) s.ch.wt_rev)
     @ side_keys s.ch.a @ side_keys s.ch.b
 
-  let key_contexts s = I.contexts_of_pubkeys (known_pubkeys s)
-
   let collaborative_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let latest = commit_of s.ch `A in
     let outputs =
       List.map2
         (fun (o : Tx.output) pk -> I.pay_to_pk ~value:o.Tx.value pk)
-        latest.Tx.outputs
+        (commit_of s.ch `A).Tx.outputs
         [ s.ch.a.main.Keys.pk; s.ch.b.main.Keys.pk ]
     in
-    let tx =
-      I.coop_close_tx ~outpoint:(funding s) ~outputs
-        ~sk_a:s.ch.a.main.Keys.sk ~sk_b:s.ch.b.main.Keys.sk
-        ~wscript:
-          (Some
-             (Script.multisig_2 (Keys.enc s.ch.a.main.Keys.pk)
-                (Keys.enc s.ch.b.main.Keys.pk)))
-    in
-    match I.post_confirmed s.env ~scheme:name ~stage:"collaborative_close" tx with
-    | Error e -> Error e
-    | Ok () ->
-        Ok { I.punished = false; resolved = I.spent s.env (funding s);
-             rounds = Ledger.height s.env.ledger - h0; trace = [ I.Settled ] }
+    I.coop_close_2of2 s.env ~scheme:name ~outpoint:(funding s) ~outputs
+      s.ch.a.main s.ch.b.main
 
   let dishonest_close s =
     match s.revoked with
-    | None ->
-        I.fail ~scheme:name ~stage:"dishonest_close"
-          "no revoked state (needs at least one update)"
+    | None -> I.no_revoked_state ~scheme:name
     | Some old_commit ->
-        let h0 = Ledger.height s.env.ledger in
-        let ( let* ) = Result.bind in
-        let revoked_i =
-          match old_commit.Tx.inputs with [ i ] -> i.Tx.sequence | _ -> -1
-        in
-        let* () =
-          I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" old_commit
-        in
-        (match punish s.ch ~victim:`B ~published:old_commit with
-        | None ->
-            Ok { I.punished = false; resolved = false;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published revoked_i; I.Cheater_escaped ] }
-        | Some pen ->
-            let* () =
-              I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" pen
-            in
-            let ok = I.spent s.env (Tx.outpoint_of old_commit 0) in
-            Ok { I.punished = ok; resolved = ok;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published revoked_i; I.Punished ] })
+        I.dispute s.env ~scheme:name ~revoked_i:(I.revoked_index old_commit)
+          ~published:old_commit
+          ~punish:(fun () -> punish s.ch ~victim:`B ~published:old_commit)
 
   (* A publishes its latest commit and, after the CSV delay, sweeps
      its own to_local output via the delayed branch. *)
   let force_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let ( let* ) = Result.bind in
     let commit = commit_of s.ch `A in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" commit in
-    I.settle s.env s.ch.rel_lock;
-    let script =
-      output_script s.ch ~rev_pk1:s.ch.a.rev_current.Keys.pk
-        ~rev_pk2:(List.assoc s.ch.sn s.ch.wt_rev).Keys.pk
-        ~delayed_pk:s.ch.a.delayed.Keys.pk
-    in
-    let value = (List.hd commit.Tx.outputs).Tx.value in
-    let body =
-      Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of commit 0) ] ~outputs:[ I.pay_to_pk ~value s.ch.a.main.Keys.pk ] ()
-    in
-    let sg = Sighash.sign s.ch.a.delayed.Keys.sk All body ~input_index:0 in
-    let sweep =
-      Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ]
-    in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" sweep in
-    let ok = I.spent s.env (Tx.outpoint_of commit 0) in
-    Ok { I.punished = false; resolved = ok;
-         rounds = Ledger.height s.env.ledger - h0;
-         trace = [ I.Latest_published; I.Settled ] }
+    I.unilateral s.env ~scheme:name ~commit ~wait:s.ch.rel_lock
+      ~sweep:(fun () ->
+        let script =
+          output_script s.ch ~rev_pk1:s.ch.a.rev_current.Keys.pk
+            ~rev_pk2:(List.assoc s.ch.sn s.ch.wt_rev).Keys.pk
+            ~delayed_pk:s.ch.a.delayed.Keys.pk
+        in
+        let value = (List.hd commit.Tx.outputs).Tx.value in
+        let body =
+          Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of commit 0) ] ~outputs:[ I.pay_to_pk ~value s.ch.a.main.Keys.pk ] ()
+        in
+        let sg = Sighash.sign s.ch.a.delayed.Keys.sk All body ~input_index:0 in
+        Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ])
 end

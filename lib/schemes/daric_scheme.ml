@@ -103,8 +103,6 @@ module Scheme : Scheme_intf.SCHEME with type t = state = struct
     in
     bundle ka @ bundle kb
 
-  let key_contexts s = I.contexts_of_pubkeys (known_pubkeys s)
-
   let saw s ev = Driver.saw_event s.alice ev
 
   (* Step the driver until [done_ ()] or [max] rounds elapse. *)
@@ -124,8 +122,7 @@ module Scheme : Scheme_intf.SCHEME with type t = state = struct
       ~id:s.chan_id;
     let closed () = saw s (function Party.Closed _ -> true | _ -> false) in
     if run_until s ~max:20 closed then
-      Ok { I.punished = false; resolved = true;
-           rounds = Ledger.height s.env.ledger - h0; trace = [ I.Settled ] }
+      I.outcome s.env ~h0 ~resolved:true [ I.Settled ]
     else
       I.fail ~scheme:name ~stage:"collaborative_close"
         "close did not confirm in time"
@@ -133,9 +130,7 @@ module Scheme : Scheme_intf.SCHEME with type t = state = struct
   (* Corrupted Bob replays his state-0 commit; Alice's Punish daemon
      reacts with the floating revocation transaction. *)
   let dishonest_close s =
-    if sn s = 0 then
-      I.fail ~scheme:name ~stage:"dishonest_close"
-        "no revoked state (needs at least one update)"
+    if sn s = 0 then I.no_revoked_state ~scheme:name
     else begin
       let h0 = Ledger.height s.env.ledger in
       Driver.corrupt s.d s.bob.Party.pid;
@@ -144,11 +139,9 @@ module Scheme : Scheme_intf.SCHEME with type t = state = struct
         saw s (function Party.Punished _ -> true | _ -> false)
       in
       let ok = run_until s ~max:((4 * rel_lock s) + 12) punished in
-      Ok { I.punished = ok; resolved = ok;
-           rounds = Ledger.height s.env.ledger - h0;
-           trace =
-             (if ok then [ I.Old_state_published 0; I.Punished ]
-              else [ I.Old_state_published 0; I.Cheater_escaped ]) }
+      I.outcome s.env ~h0 ~punished:ok ~resolved:ok
+        [ I.Old_state_published 0;
+          (if ok then I.Punished else I.Cheater_escaped) ]
     end
 
   (* Alice posts her newest enforceable commit against an unresponsive
@@ -162,9 +155,7 @@ module Scheme : Scheme_intf.SCHEME with type t = state = struct
     let closed () = saw s (function Party.Closed _ -> true | _ -> false) in
     let ok = run_until s ~max:((4 * rel_lock s) + 12) closed in
     if ok then
-      Ok { I.punished = false; resolved = true;
-           rounds = Ledger.height s.env.ledger - h0;
-           trace = [ I.Latest_published; I.Settled ] }
+      I.outcome s.env ~h0 ~resolved:true [ I.Latest_published; I.Settled ]
     else
       I.fail ~scheme:name ~stage:"force_close" "split did not confirm in time"
 end

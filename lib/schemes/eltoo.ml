@@ -114,9 +114,7 @@ let create ?(s0 = 500_000_000) ?(rel_lock = 3) ~(ledger : Ledger.t)
   let fund =
     Tx.make ~witnesses:[ [] ] ~inputs:[ Tx.input_of_outpoint fund_src ] ~outputs:[ { Tx.value = cash;
             spk =
-              Tx.Raw
-                (Script.multisig_2 (Keys.enc ka.upd.Keys.pk)
-                   (Keys.enc kb.upd.Keys.pk)) } ] ()
+              Tx.Raw (Scheme_intf.multisig_2of2 ka.upd kb.upd) } ] ()
   in
   Ledger.record ledger fund;
   let t =
@@ -263,30 +261,18 @@ module Scheme : Scheme_intf.SCHEME = struct
     in
     party_keys s.ch.ka @ party_keys s.ch.kb
 
-  let key_contexts s = I.contexts_of_pubkeys (known_pubkeys s)
-
+  (* The stored settlement already carries the latest balance split;
+     the funding output is a raw 2-of-2 on the update keys. *)
   let collaborative_close s =
-    let h0 = Ledger.height s.env.ledger in
-    (* the stored settlement already carries the latest balance split;
-       the funding output is a raw 2-of-2 on the update keys *)
-    let tx =
-      I.coop_close_tx ~outpoint:(funding s)
-        ~outputs:s.ch.settlement.Tx.outputs ~sk_a:s.ch.ka.upd.Keys.sk
-        ~sk_b:s.ch.kb.upd.Keys.sk ~wscript:None
-    in
-    match I.post_confirmed s.env ~scheme:name ~stage:"collaborative_close" tx with
-    | Error e -> Error e
-    | Ok () ->
-        Ok { I.punished = false; resolved = I.spent s.env (funding s);
-             rounds = Ledger.height s.env.ledger - h0; trace = [ I.Settled ] }
+    I.coop_close s.env ~scheme:name ~outpoint:(funding s)
+      ~outputs:s.ch.settlement.Tx.outputs ~sk_a:s.ch.ka.upd.Keys.sk
+      ~sk_b:s.ch.kb.upd.Keys.sk
 
   (* No punishment in eltoo: the victim overrides the published old
      update with the latest one, then settles after the CSV delay. *)
   let dishonest_close s =
     match s.revoked with
-    | None ->
-        I.fail ~scheme:name ~stage:"dishonest_close"
-          "no revoked state (needs at least one update)"
+    | None -> I.no_revoked_state ~scheme:name
     | Some (i, old_pair) ->
         let h0 = Ledger.height s.env.ledger in
         let ( let* ) = Result.bind in
@@ -310,29 +296,16 @@ module Scheme : Scheme_intf.SCHEME = struct
         let* () =
           I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" settle_tx
         in
-        Ok { I.punished = false;
-             resolved = I.spent s.env (Tx.outpoint_of latest 0);
-             rounds = Ledger.height s.env.ledger - h0;
-             trace =
-               [ I.Old_state_published i; I.Latest_published; I.Overridden;
-                 I.Settled ] }
+        I.outcome s.env ~h0
+          ~resolved:(I.spent s.env (Tx.outpoint_of latest 0))
+          [ I.Old_state_published i; I.Latest_published; I.Overridden;
+            I.Settled ]
 
   let force_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let ( let* ) = Result.bind in
     let latest =
       latest_update_completed s.ch ~from:`Funding ~outpoint:(funding s)
     in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" latest in
-    I.settle s.env s.ch.rel_lock;
-    let settle_tx =
-      latest_settlement_completed s.ch ~outpoint:(Tx.outpoint_of latest 0)
-    in
-    let* () =
-      I.post_confirmed s.env ~scheme:name ~stage:"force_close" settle_tx
-    in
-    Ok { I.punished = false;
-         resolved = I.spent s.env (Tx.outpoint_of latest 0);
-         rounds = Ledger.height s.env.ledger - h0;
-         trace = [ I.Latest_published; I.Settled ] }
+    I.unilateral s.env ~scheme:name ~commit:latest ~wait:s.ch.rel_lock
+      ~sweep:(fun () ->
+        latest_settlement_completed s.ch ~outpoint:(Tx.outpoint_of latest 0))
 end

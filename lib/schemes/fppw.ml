@@ -80,14 +80,8 @@ let gen_commit (t : t) : Tx.t =
             Tx.P2wsh
               (Script.hash (collateral_script t ~rev_a ~rev_b ~rev_w ~y_a ~y_b)) } ] ()
 
-let sign_commit (t : t) (body : Tx.t) : Tx.t =
-  let msg = Sighash.message All body ~input_index:0 in
-  let sig_a = Sighash.sign_message t.a.main.Keys.sk All msg in
-  let sig_b = Sighash.sign_message t.b.main.Keys.sk All msg in
-  let script =
-    Script.multisig_2 (Keys.enc t.a.main.Keys.pk) (Keys.enc t.b.main.Keys.pk)
-  in
-  Tx.with_witnesses body [ [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Wscript script ] ]
+let sign_commit (t : t) : Tx.t -> Tx.t =
+  Scheme_intf.cosign_2of2 t.a.main t.b.main
 
 let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
     ~(bal_a : int) ~(bal_b : int) () : t =
@@ -99,16 +93,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   let wt = Keys.keygen rng in
   let cash = bal_a + bal_b in
   let collateral = cash in
-  let fund_src = Ledger.mint ledger ~value:(cash + collateral) ~spk:Tx.Op_return in
-  let fund =
-    Tx.make ~witnesses:[ [] ] ~inputs:[ Tx.input_of_outpoint fund_src ] ~outputs:[ { Tx.value = cash + collateral;
-            spk =
-              Tx.P2wsh
-                (Script.hash
-                   (Script.multisig_2 (Keys.enc a.main.Keys.pk)
-                      (Keys.enc b.main.Keys.pk))) } ] ()
-  in
-  Ledger.record ledger fund;
+  let fund = Scheme_intf.fund_2of2 ledger ~value:(cash + collateral) a.main b.main in
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; collateral; rel_lock; fund;
       wt; wt_rev = [ (0, Keys.keygen rng) ]; a; b; sn = 0;
@@ -144,7 +129,7 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.t =
     94 non-witness bytes). *)
 let punish (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t) : Tx.t option =
   let side = match victim with `A -> t.a | `B -> t.b in
-  let revoked = match published.Tx.inputs with [ i ] -> i.sequence | _ -> -1 in
+  let revoked = Scheme_intf.revoked_index published in
   match
     (List.assoc_opt revoked side.received_rev, List.assoc_opt revoked t.wt_rev)
   with
@@ -250,84 +235,41 @@ module Scheme : Scheme_intf.SCHEME = struct
 
   (* The oversize funding output also carries the watchtower
      collateral, which a collaborative close returns to the tower. *)
-  let key_contexts s = I.contexts_of_pubkeys (known_pubkeys s)
-
   let collaborative_close s =
-    let h0 = Ledger.height s.env.ledger in
     let bal_a, bal_b = s.bal in
-    let tx =
-      I.coop_close_tx ~outpoint:(funding s)
-        ~outputs:
-          [ I.pay_to_pk ~value:bal_a s.ch.a.main.Keys.pk;
-            I.pay_to_pk ~value:bal_b s.ch.b.main.Keys.pk;
-            I.pay_to_pk ~value:s.ch.collateral s.ch.wt.Keys.pk ]
-        ~sk_a:s.ch.a.main.Keys.sk ~sk_b:s.ch.b.main.Keys.sk
-        ~wscript:
-          (Some
-             (Script.multisig_2 (Keys.enc s.ch.a.main.Keys.pk)
-                (Keys.enc s.ch.b.main.Keys.pk)))
-    in
-    match I.post_confirmed s.env ~scheme:name ~stage:"collaborative_close" tx with
-    | Error e -> Error e
-    | Ok () ->
-        Ok { I.punished = false; resolved = I.spent s.env (funding s);
-             rounds = Ledger.height s.env.ledger - h0; trace = [ I.Settled ] }
+    I.coop_close_2of2 s.env ~scheme:name ~outpoint:(funding s)
+      ~outputs:
+        [ I.pay_to_pk ~value:bal_a s.ch.a.main.Keys.pk;
+          I.pay_to_pk ~value:bal_b s.ch.b.main.Keys.pk;
+          I.pay_to_pk ~value:s.ch.collateral s.ch.wt.Keys.pk ]
+      s.ch.a.main s.ch.b.main
 
   let dishonest_close s =
     match s.revoked with
-    | None ->
-        I.fail ~scheme:name ~stage:"dishonest_close"
-          "no revoked state (needs at least one update)"
+    | None -> I.no_revoked_state ~scheme:name
     | Some old_commit ->
-        let h0 = Ledger.height s.env.ledger in
-        let ( let* ) = Result.bind in
-        let revoked_i =
-          match old_commit.Tx.inputs with [ i ] -> i.Tx.sequence | _ -> -1
-        in
-        let* () =
-          I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" old_commit
-        in
-        (match punish s.ch ~victim:`B ~published:old_commit with
-        | None ->
-            Ok { I.punished = false; resolved = false;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published revoked_i; I.Cheater_escaped ] }
-        | Some pen ->
-            let* () =
-              I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" pen
-            in
-            let ok = I.spent s.env (Tx.outpoint_of old_commit 0) in
-            Ok { I.punished = ok; resolved = ok;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published revoked_i; I.Punished ] })
+        I.dispute s.env ~scheme:name ~revoked_i:(I.revoked_index old_commit)
+          ~published:old_commit
+          ~punish:(fun () -> punish s.ch ~victim:`B ~published:old_commit)
 
   (* Publish the latest commit; after the CSV delay split the main
      output via its 2-of-2 ELSE branch. *)
   let force_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let ( let* ) = Result.bind in
     let commit = commit_latest s.ch in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" commit in
-    I.settle s.env s.ch.rel_lock;
-    let bal_a, bal_b = s.bal in
-    let script =
-      main_script s.ch ~rev_a:s.ch.a.rev_current.Keys.pk
-        ~rev_b:s.ch.b.rev_current.Keys.pk
-        ~rev_w:(List.assoc s.ch.sn s.ch.wt_rev).Keys.pk
-    in
-    let body =
-      Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of commit 0) ] ~outputs:[ I.pay_to_pk ~value:bal_a s.ch.a.main.Keys.pk;
-            I.pay_to_pk ~value:bal_b s.ch.b.main.Keys.pk ] ()
-    in
-    let sig_a = Sighash.sign s.ch.a.main.Keys.sk All body ~input_index:0 in
-    let sig_b = Sighash.sign s.ch.b.main.Keys.sk All body ~input_index:0 in
-    let split =
-      Tx.with_witnesses body [ [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Data "";
-              Tx.Wscript script ] ]
-    in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" split in
-    let ok = I.spent s.env (Tx.outpoint_of commit 0) in
-    Ok { I.punished = false; resolved = ok;
-         rounds = Ledger.height s.env.ledger - h0;
-         trace = [ I.Latest_published; I.Settled ] }
+    I.unilateral s.env ~scheme:name ~commit ~wait:s.ch.rel_lock
+      ~sweep:(fun () ->
+        let bal_a, bal_b = s.bal in
+        let script =
+          main_script s.ch ~rev_a:s.ch.a.rev_current.Keys.pk
+            ~rev_b:s.ch.b.rev_current.Keys.pk
+            ~rev_w:(List.assoc s.ch.sn s.ch.wt_rev).Keys.pk
+        in
+        let body =
+          Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of commit 0) ] ~outputs:[ I.pay_to_pk ~value:bal_a s.ch.a.main.Keys.pk;
+                I.pay_to_pk ~value:bal_b s.ch.b.main.Keys.pk ] ()
+        in
+        let sig_a = Sighash.sign s.ch.a.main.Keys.sk All body ~input_index:0 in
+        let sig_b = Sighash.sign s.ch.b.main.Keys.sk All body ~input_index:0 in
+        Tx.with_witnesses body [ [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Data "";
+                Tx.Wscript script ] ])
 end

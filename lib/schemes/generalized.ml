@@ -132,16 +132,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   in
   let a = mk_side () and b = mk_side () in
   let cash = bal_a + bal_b in
-  let fund_src = Ledger.mint ledger ~value:cash ~spk:Tx.Op_return in
-  let fund =
-    Tx.make ~witnesses:[ [] ] ~inputs:[ Tx.input_of_outpoint fund_src ] ~outputs:[ { Tx.value = cash;
-            spk =
-              Tx.P2wsh
-                (Script.hash
-                   (Script.multisig_2 (Keys.enc a.main.Keys.pk)
-                      (Keys.enc b.main.Keys.pk))) } ] ()
-  in
-  Ledger.record ledger fund;
+  let fund = Scheme_intf.fund_2of2 ledger ~value:cash a.main b.main in
   let empty = Tx.make ~inputs:[] ~outputs:[] () in
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; rel_lock; fund; a; b;
@@ -194,9 +185,7 @@ let publish_commit_as_a (t : t) (o : old_state) : Tx.t =
     Bytes.unsafe_to_string b
   in
   let sig_a = Sighash.sign_message t.a.main.Keys.sk All msg in
-  let script =
-    Script.multisig_2 (Keys.enc t.a.main.Keys.pk) (Keys.enc t.b.main.Keys.pk)
-  in
+  let script = Scheme_intf.multisig_2of2 t.a.main t.b.main in
   Tx.with_witnesses o.o_commit [ [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Wscript script ] ]
 
 (** Victim B: extract A's publishing witness from the on-chain adapted
@@ -301,68 +290,28 @@ module Scheme : Scheme_intf.SCHEME = struct
         s.ch.b.punish.Keys.pk ]
     @ List.map Keys.enc s.ch.stmt_log
 
-  let key_contexts s = I.contexts_of_pubkeys (known_pubkeys s)
-
   let collaborative_close s =
-    let h0 = Ledger.height s.env.ledger in
     let bal_a, bal_b = s.bal in
-    let tx =
-      I.coop_close_tx ~outpoint:(funding s)
-        ~outputs:
-          (Daric_core.Txs.balance_state ~pk_a:s.ch.a.main.Keys.pk
-             ~pk_b:s.ch.b.main.Keys.pk ~bal_a ~bal_b)
-        ~sk_a:s.ch.a.main.Keys.sk ~sk_b:s.ch.b.main.Keys.sk
-        ~wscript:
-          (Some
-             (Script.multisig_2 (Keys.enc s.ch.a.main.Keys.pk)
-                (Keys.enc s.ch.b.main.Keys.pk)))
-    in
-    match I.post_confirmed s.env ~scheme:name ~stage:"collaborative_close" tx with
-    | Error e -> Error e
-    | Ok () ->
-        Ok { I.punished = false; resolved = I.spent s.env (funding s);
-             rounds = Ledger.height s.env.ledger - h0; trace = [ I.Settled ] }
+    I.coop_close_2of2 s.env ~scheme:name ~outpoint:(funding s)
+      ~outputs:
+        (Daric_core.Txs.balance_state ~pk_a:s.ch.a.main.Keys.pk
+           ~pk_b:s.ch.b.main.Keys.pk ~bal_a ~bal_b)
+      s.ch.a.main s.ch.b.main
 
   (* Cheating A adapts B's pre-signature to publish a revoked commit —
      revealing the publishing witness — and B punishes with it plus the
      revoked preimage. *)
   let dishonest_close s =
     match s.revoked with
-    | None ->
-        I.fail ~scheme:name ~stage:"dishonest_close"
-          "no revoked state (needs at least one update)"
+    | None -> I.no_revoked_state ~scheme:name
     | Some old ->
-        let h0 = Ledger.height s.env.ledger in
-        let ( let* ) = Result.bind in
         let published = publish_commit_as_a s.ch old in
-        let* () =
-          I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" published
-        in
-        (match punish_as_b s.ch ~published old with
-        | None ->
-            Ok { I.punished = false; resolved = false;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published old.o_index; I.Cheater_escaped ] }
-        | Some pen ->
-            let* () =
-              I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" pen
-            in
-            let ok = I.spent s.env (Tx.outpoint_of published 0) in
-            Ok { I.punished = ok; resolved = ok;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published old.o_index; I.Punished ] })
+        I.dispute s.env ~scheme:name ~revoked_i:old.o_index ~published
+          ~punish:(fun () -> punish_as_b s.ch ~published old)
 
   (* Publish the latest commit, wait out the CSV delay, then split. *)
   let force_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let ( let* ) = Result.bind in
-    let commit = commit_completed_latest s.ch in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" commit in
-    I.settle s.env s.ch.rel_lock;
-    let split = split_completed s.ch in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" split in
-    let ok = I.spent s.env (Tx.outpoint_of commit 0) in
-    Ok { I.punished = false; resolved = ok;
-         rounds = Ledger.height s.env.ledger - h0;
-         trace = [ I.Latest_published; I.Settled ] }
+    I.unilateral s.env ~scheme:name ~commit:(commit_completed_latest s.ch)
+      ~wait:s.ch.rel_lock
+      ~sweep:(fun () -> split_completed s.ch)
 end

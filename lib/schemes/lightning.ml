@@ -73,14 +73,8 @@ let gen_commit (t : t) ~(owner : [ `A | `B ]) ~(bal_own : int) ~(bal_other : int
   in
   Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of t.fund 0) ] ~outputs:[ to_local; to_remote ] ()
 
-let sign_commit (t : t) (body : Tx.t) : Tx.t =
-  let msg = Sighash.message All body ~input_index:0 in
-  let sig_a = Sighash.sign_message t.a.keys.main.Keys.sk All msg in
-  let sig_b = Sighash.sign_message t.b.keys.main.Keys.sk All msg in
-  let script =
-    Script.multisig_2 (Keys.enc t.a.keys.main.Keys.pk) (Keys.enc t.b.keys.main.Keys.pk)
-  in
-  Tx.with_witnesses body [ [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Wscript script ] ]
+let sign_commit (t : t) : Tx.t -> Tx.t =
+  Scheme_intf.cosign_2of2 t.a.keys.main t.b.keys.main
 
 let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
     ~(bal_a : int) ~(bal_b : int) () : t =
@@ -92,16 +86,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   in
   let a = mk_side () and b = mk_side () in
   let cash = bal_a + bal_b in
-  let fund_src = Ledger.mint ledger ~value:cash ~spk:Tx.Op_return in
-  let fund =
-    Tx.make ~witnesses:[ [] ] ~inputs:[ Tx.input_of_outpoint fund_src ] ~outputs:[ { Tx.value = cash;
-            spk =
-              Tx.P2wsh
-                (Script.hash
-                   (Script.multisig_2 (Keys.enc a.keys.main.Keys.pk)
-                      (Keys.enc b.keys.main.Keys.pk))) } ] ()
-  in
-  Ledger.record ledger fund;
+  let fund = Scheme_intf.fund_2of2 ledger ~value:cash a.keys.main b.keys.main in
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; rel_lock; fund; a; b;
       sn = 0; ops_signs = 0; ops_verifies = 0; ops_exps = 0 }
@@ -264,69 +249,28 @@ module Scheme : Scheme_intf.SCHEME = struct
     in
     side_keys s.ch.a @ side_keys s.ch.b
 
-  let key_contexts s = I.contexts_of_pubkeys (known_pubkeys s)
-
   let collaborative_close s =
-    let h0 = Ledger.height s.env.ledger in
     let bal_a, bal_b = s.bal in
-    let tx =
-      I.coop_close_tx ~outpoint:(funding s)
-        ~outputs:
-          [ I.pay_to_pk ~value:bal_a s.ch.a.keys.main.Keys.pk;
-            I.pay_to_pk ~value:bal_b s.ch.b.keys.main.Keys.pk ]
-        ~sk_a:s.ch.a.keys.main.Keys.sk ~sk_b:s.ch.b.keys.main.Keys.sk
-        ~wscript:
-          (Some
-             (Script.multisig_2
-                (Keys.enc s.ch.a.keys.main.Keys.pk)
-                (Keys.enc s.ch.b.keys.main.Keys.pk)))
-    in
-    match I.post_confirmed s.env ~scheme:name ~stage:"collaborative_close" tx with
-    | Error e -> Error e
-    | Ok () ->
-        Ok { I.punished = false; resolved = I.spent s.env (funding s);
-             rounds = Ledger.height s.env.ledger - h0; trace = [ I.Settled ] }
+    I.coop_close_2of2 s.env ~scheme:name ~outpoint:(funding s)
+      ~outputs:
+        [ I.pay_to_pk ~value:bal_a s.ch.a.keys.main.Keys.pk;
+          I.pay_to_pk ~value:bal_b s.ch.b.keys.main.Keys.pk ]
+      s.ch.a.keys.main s.ch.b.keys.main
 
   (* Cheating A publishes the first revoked commit; victim B reacts
      with the penalty transaction inside the CSV window. *)
   let dishonest_close s =
     match s.revoked with
-    | None ->
-        I.fail ~scheme:name ~stage:"dishonest_close"
-          "no revoked state (needs at least one update)"
+    | None -> I.no_revoked_state ~scheme:name
     | Some (i, old_commit) ->
-        let h0 = Ledger.height s.env.ledger in
-        let ( let* ) = Result.bind in
-        let* () =
-          I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close"
-            old_commit
-        in
-        (match penalty s.ch ~victim:`B ~published:old_commit ~revoked_index:i with
-        | None ->
-            Ok { I.punished = false; resolved = false;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published i; I.Cheater_escaped ] }
-        | Some pen ->
-            let* () =
-              I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" pen
-            in
-            let ok = I.spent s.env (Tx.outpoint_of old_commit 0) in
-            Ok { I.punished = ok; resolved = ok;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published i; I.Punished ] })
+        I.dispute s.env ~scheme:name ~revoked_i:i ~published:old_commit
+          ~punish:(fun () ->
+            penalty s.ch ~victim:`B ~published:old_commit ~revoked_index:i)
 
   (* A closes unilaterally at the latest state, then sweeps her
      to_local output once the CSV delay elapsed. *)
   let force_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let ( let* ) = Result.bind in
     let commit = commit_of s.ch `A in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" commit in
-    I.settle s.env s.ch.rel_lock;
-    let sweep = sweep_to_local s.ch ~who:`A ~published:commit in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" sweep in
-    let ok = I.spent s.env (Tx.outpoint_of commit 0) in
-    Ok { I.punished = false; resolved = ok;
-         rounds = Ledger.height s.env.ledger - h0;
-         trace = [ I.Latest_published; I.Settled ] }
+    I.unilateral s.env ~scheme:name ~commit ~wait:s.ch.rel_lock
+      ~sweep:(fun () -> sweep_to_local s.ch ~who:`A ~published:commit)
 end

@@ -124,14 +124,8 @@ let gen_commit (t : t) ~(owner : [ `A | `B ]) ~(bal_own : int)
             Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc other.main.Keys.pk)) };
         { Tx.value = 1; spk = Tx.Raw (data_script ~value_a ~value_b) } ] ()
 
-let sign_commit (t : t) (body : Tx.t) : Tx.t =
-  let msg = Sighash.message All body ~input_index:0 in
-  let sig_a = Sighash.sign_message t.a.main.Keys.sk All msg in
-  let sig_b = Sighash.sign_message t.b.main.Keys.sk All msg in
-  let script =
-    Script.multisig_2 (Keys.enc t.a.main.Keys.pk) (Keys.enc t.b.main.Keys.pk)
-  in
-  Tx.with_witnesses body [ [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Wscript script ] ]
+let sign_commit (t : t) : Tx.t -> Tx.t =
+  Scheme_intf.cosign_2of2 t.a.main t.b.main
 
 let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
     ~(bal_a : int) ~(bal_b : int) () : t =
@@ -143,16 +137,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   let cash = bal_a + bal_b in
   (* +1 satoshi funds the data-output carrier of whichever commit
      eventually closes the channel *)
-  let fund_src = Ledger.mint ledger ~value:(cash + 1) ~spk:Tx.Op_return in
-  let fund =
-    Tx.make ~witnesses:[ [] ] ~inputs:[ Tx.input_of_outpoint fund_src ] ~outputs:[ { Tx.value = cash + 1;
-            spk =
-              Tx.P2wsh
-                (Script.hash
-                   (Script.multisig_2 (Keys.enc a.main.Keys.pk)
-                      (Keys.enc b.main.Keys.pk))) } ] ()
-  in
-  Ledger.record ledger fund;
+  let fund = Scheme_intf.fund_2of2 ledger ~value:(cash + 1) a.main b.main in
   let empty = Tx.make ~inputs:[] ~outputs:[] () in
   let t =
     { ledger; cash; rel_lock; fund; a; b; sn = 0; commit_a = empty;
@@ -187,7 +172,7 @@ let embedded_values (commit : Tx.t) : (string * string) option =
 let punish (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t) : Tx.t option =
   let side = match victim with `A -> t.a | `B -> t.b in
   let cheater = match victim with `A -> t.b | `B -> t.a in
-  let revoked = match published.Tx.inputs with [ i ] -> i.sequence | _ -> -1 in
+  let revoked = Scheme_intf.revoked_index published in
   if revoked < 0 || revoked >= t.sn then None
   else
     match embedded_values (match victim with `A -> t.commit_a | `B -> t.commit_b) with
@@ -285,86 +270,43 @@ module Scheme : Scheme_intf.SCHEME = struct
     side_keys s.ch.a @ side_keys s.ch.b
 
   (* Latest balances as recorded in A's latest commit outputs. *)
-  let key_contexts s = I.contexts_of_pubkeys (known_pubkeys s)
-
   let bal s =
     match (commit_of s.ch `A).Tx.outputs with
     | own :: other :: _ -> (own.Tx.value, other.Tx.value)
     | _ -> (0, 0)
 
   let collaborative_close s =
-    let h0 = Ledger.height s.env.ledger in
     let bal_a, bal_b = bal s in
-    let tx =
-      I.coop_close_tx ~outpoint:(funding s)
-        ~outputs:
-          [ I.pay_to_pk ~value:bal_a s.ch.a.main.Keys.pk;
-            I.pay_to_pk ~value:bal_b s.ch.b.main.Keys.pk;
-            (* the 1-satoshi data-output carrier is burned *)
-            { Tx.value = 1; spk = Tx.Op_return } ]
-        ~sk_a:s.ch.a.main.Keys.sk ~sk_b:s.ch.b.main.Keys.sk
-        ~wscript:
-          (Some
-             (Script.multisig_2 (Keys.enc s.ch.a.main.Keys.pk)
-                (Keys.enc s.ch.b.main.Keys.pk)))
-    in
-    match I.post_confirmed s.env ~scheme:name ~stage:"collaborative_close" tx with
-    | Error e -> Error e
-    | Ok () ->
-        Ok { I.punished = false; resolved = I.spent s.env (funding s);
-             rounds = Ledger.height s.env.ledger - h0; trace = [ I.Settled ] }
+    I.coop_close_2of2 s.env ~scheme:name ~outpoint:(funding s)
+      ~outputs:
+        [ I.pay_to_pk ~value:bal_a s.ch.a.main.Keys.pk;
+          I.pay_to_pk ~value:bal_b s.ch.b.main.Keys.pk;
+          (* the 1-satoshi data-output carrier is burned *)
+          { Tx.value = 1; spk = Tx.Op_return } ]
+      s.ch.a.main s.ch.b.main
 
   let dishonest_close s =
     match s.revoked with
-    | None ->
-        I.fail ~scheme:name ~stage:"dishonest_close"
-          "no revoked state (needs at least one update)"
+    | None -> I.no_revoked_state ~scheme:name
     | Some old_commit ->
-        let h0 = Ledger.height s.env.ledger in
-        let ( let* ) = Result.bind in
-        let revoked_i =
-          match old_commit.Tx.inputs with [ i ] -> i.Tx.sequence | _ -> -1
-        in
-        let* () =
-          I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" old_commit
-        in
-        (match punish s.ch ~victim:`B ~published:old_commit with
-        | None ->
-            Ok { I.punished = false; resolved = false;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published revoked_i; I.Cheater_escaped ] }
-        | Some pen ->
-            let* () =
-              I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" pen
-            in
-            let ok = I.spent s.env (Tx.outpoint_of old_commit 0) in
-            Ok { I.punished = ok; resolved = ok;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published revoked_i; I.Punished ] })
+        I.dispute s.env ~scheme:name ~revoked_i:(I.revoked_index old_commit)
+          ~published:old_commit
+          ~punish:(fun () -> punish s.ch ~victim:`B ~published:old_commit)
 
   (* A publishes its latest commit and, after the CSV delay, sweeps
      its own balance output via the delayed owner branch. *)
   let force_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let ( let* ) = Result.bind in
     let commit = commit_of s.ch `A in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" commit in
-    I.settle s.env s.ch.rel_lock;
-    let script =
-      balance_script s.ch ~rev_pk:(rev_pk s.ch.a ~j:s.ch.sn)
-        ~penalty_pk:s.ch.b.penalty.Keys.pk ~owner_pk:s.ch.a.main.Keys.pk
-    in
-    let value = (List.hd commit.Tx.outputs).Tx.value in
-    let body =
-      Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of commit 0) ] ~outputs:[ I.pay_to_pk ~value s.ch.a.main.Keys.pk ] ()
-    in
-    let sg = Sighash.sign s.ch.a.main.Keys.sk All body ~input_index:0 in
-    let sweep =
-      Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ]
-    in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" sweep in
-    let ok = I.spent s.env (Tx.outpoint_of commit 0) in
-    Ok { I.punished = false; resolved = ok;
-         rounds = Ledger.height s.env.ledger - h0;
-         trace = [ I.Latest_published; I.Settled ] }
+    I.unilateral s.env ~scheme:name ~commit ~wait:s.ch.rel_lock
+      ~sweep:(fun () ->
+        let script =
+          balance_script s.ch ~rev_pk:(rev_pk s.ch.a ~j:s.ch.sn)
+            ~penalty_pk:s.ch.b.penalty.Keys.pk ~owner_pk:s.ch.a.main.Keys.pk
+        in
+        let value = (List.hd commit.Tx.outputs).Tx.value in
+        let body =
+          Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of commit 0) ] ~outputs:[ I.pay_to_pk ~value s.ch.a.main.Keys.pk ] ()
+        in
+        let sg = Sighash.sign s.ch.a.main.Keys.sk All body ~input_index:0 in
+        Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ])
 end

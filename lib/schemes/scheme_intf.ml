@@ -164,14 +164,6 @@ module type SCHEME = sig
       watchtower keys, adaptor statements. The static-analysis DAG
       linter treats any key outside this set as an orphan. *)
 
-  val key_contexts : t -> Daric_crypto.Keyctx.t list
-  (** A {!Daric_crypto.Keyctx.t} per {!known_pubkeys} entry:
-      pool-resident contexts are shared (channel keys pinned at open,
-      window tables and all), other keys get fresh verify-only
-      contexts. Feeds keyed verification ({!Daric_crypto
-      .Schnorr.verify_keyed}/[batch_verify_keyed]) for consumers that
-      check many witnesses against a channel's key inventory. *)
-
   val collaborative_close : t -> (outcome, error) result
   (** Both parties co-sign the final balance split. *)
 
@@ -207,45 +199,124 @@ let post_confirmed (env : env) ~(scheme : string) ~(stage : string)
 let spent (env : env) (op : Tx.outpoint) : bool =
   Ledger.spender_of env.ledger op <> None
 
-(** Co-signed collaborative-close transaction spending the funding
-    output directly to [outputs]. [wscript] is the revealed funding
-    witness script for P2WSH funding outputs; [None] means the funding
-    output carries a raw script (eltoo). *)
-let coop_close_tx ~(outpoint : Tx.outpoint) ~(outputs : Tx.output list)
+(** The 2-of-2 multisig of [a] and [b]: every baseline's funding
+    script — over the parties' main keys, or eltoo's update keys. *)
+let multisig_2of2 (a : Keys.keypair) (b : Keys.keypair) : Script.t =
+  Script.multisig_2 (Keys.enc a.Keys.pk) (Keys.enc b.Keys.pk)
+
+(** Mint [value] and record the funding transaction that locks it in a
+    P2WSH {!multisig_2of2} of [a] and [b]. *)
+let fund_2of2 (ledger : Ledger.t) ~(value : int) (a : Keys.keypair)
+    (b : Keys.keypair) : Tx.t =
+  let src = Ledger.mint ledger ~value ~spk:Tx.Op_return in
+  let fund =
+    Tx.make ~witnesses:[ [] ] ~inputs:[ Tx.input_of_outpoint src ]
+      ~outputs:[ { Tx.value; spk = Tx.P2wsh (Script.hash (multisig_2of2 a b)) } ]
+      ()
+  in
+  Ledger.record ledger fund;
+  fund
+
+(** Co-sign [body]'s single input (SIGHASH_ALL) with [sk_a] and [sk_b],
+    in CHECKMULTISIG witness order. [wscript] is the witness script a
+    P2WSH output reveals; a raw-script output (eltoo's funding) takes
+    none. *)
+let cosign ?(wscript : Script.t option)
     ~(sk_a : Daric_crypto.Schnorr.secret_key)
-    ~(sk_b : Daric_crypto.Schnorr.secret_key) ~(wscript : Script.t option) :
-    Tx.t =
-  let body = Tx.make ~inputs:[ Tx.input_of_outpoint outpoint ] ~outputs () in
+    ~(sk_b : Daric_crypto.Schnorr.secret_key) (body : Tx.t) : Tx.t =
   let msg = Sighash.message All body ~input_index:0 in
   let sig_a = Sighash.sign_message sk_a All msg in
   let sig_b = Sighash.sign_message sk_b All msg in
-  let wit =
-    match wscript with
-    | Some script ->
-        [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Wscript script ]
-    | None -> [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b ]
-  in
-  Tx.with_witnesses body [ wit ]
+  let sigs = [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b ] in
+  Tx.with_witnesses body
+    [ (match wscript with Some s -> sigs @ [ Tx.Wscript s ] | None -> sigs) ]
 
-(** Shared [key_contexts] implementation: one context per decodable
-    [known_pubkeys] entry. Pool-resident contexts are shared — for
-    pinned channel keys that means the very object (and window table)
-    the hot paths use; keys outside the pool get fresh verify-only
-    contexts and nothing is inserted. Malformed encodings are dropped
-    (the DAG linter flags those separately). *)
-let contexts_of_pubkeys (pks : string list) : Daric_crypto.Keyctx.t list =
-  List.filter_map
-    (fun enc ->
-      match Daric_crypto.Schnorr.decode_public_key enc with
-      | None -> None
-      | Some pk -> (
-          match Daric_crypto.Keyctx.peek pk with
-          | Some kc -> Some kc
-          | None -> Some (Daric_crypto.Keyctx.create pk)))
-    pks
+(** {!cosign} for a {!fund_2of2} funding output of [a] and [b]: how
+    every baseline signs its commits. *)
+let cosign_2of2 (a : Keys.keypair) (b : Keys.keypair) (body : Tx.t) : Tx.t =
+  cosign ~wscript:(multisig_2of2 a b) ~sk_a:a.Keys.sk ~sk_b:b.Keys.sk body
 
 (** P2WPKH output paying [value] to [pk]. *)
 let pay_to_pk ~(value : int) (pk : Daric_crypto.Schnorr.public_key) :
     Tx.output =
   { Tx.value;
     spk = Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc pk)) }
+
+(* ------------------------------------------------------------------ *)
+(* Shared closure frames.                                              *)
+
+(** The outcome of a scenario that started at ledger height [h0] and
+    ends now. *)
+let outcome (env : env) ~(h0 : int) ?(punished = false) ~(resolved : bool)
+    (trace : event list) : (outcome, error) result =
+  Ok { punished; resolved; rounds = Ledger.height env.ledger - h0; trace }
+
+(** A dishonest close before the first update: no state is revoked
+    yet, so there is nothing to publish. *)
+let no_revoked_state ~(scheme : string) : ('a, error) result =
+  fail ~scheme ~stage:"dishonest_close"
+    "no revoked state (needs at least one update)"
+
+(** The state number a commit carries in the nSequence of its single
+    funding input; [-1] if it does not spend exactly one input. *)
+let revoked_index (commit : Tx.t) : int =
+  match commit.Tx.inputs with [ i ] -> i.Tx.sequence | _ -> -1
+
+(** Collaborative close: both parties co-sign a transaction spending
+    the funding output [outpoint] straight to [outputs], which then
+    confirms. [wscript] is as for {!cosign}. *)
+let coop_close ?(wscript : Script.t option) (env : env) ~(scheme : string)
+    ~(outpoint : Tx.outpoint) ~(outputs : Tx.output list)
+    ~(sk_a : Daric_crypto.Schnorr.secret_key)
+    ~(sk_b : Daric_crypto.Schnorr.secret_key) : (outcome, error) result =
+  let h0 = Ledger.height env.ledger in
+  let tx =
+    cosign ?wscript ~sk_a ~sk_b
+      (Tx.make ~inputs:[ Tx.input_of_outpoint outpoint ] ~outputs ())
+  in
+  match post_confirmed env ~scheme ~stage:"collaborative_close" tx with
+  | Error e -> Error e
+  | Ok () -> outcome env ~h0 ~resolved:(spent env outpoint) [ Settled ]
+
+(** {!coop_close} of a {!fund_2of2} funding output of [a] and [b]. *)
+let coop_close_2of2 (env : env) ~(scheme : string) ~(outpoint : Tx.outpoint)
+    ~(outputs : Tx.output list) (a : Keys.keypair) (b : Keys.keypair) :
+    (outcome, error) result =
+  coop_close env ~scheme ~outpoint ~outputs ~sk_a:a.Keys.sk ~sk_b:b.Keys.sk
+    ~wscript:(multisig_2of2 a b)
+
+(** Dishonest close: the cheater posts the revoked state [published]
+    (state number [revoked_i]), then the victim reacts with [punish ()]
+    — [None] when it holds nothing to punish with. The cheater is
+    punished once [published]'s first output is spent. *)
+let dispute (env : env) ~(scheme : string) ~(revoked_i : int)
+    ~(published : Tx.t) ~(punish : unit -> Tx.t option) :
+    (outcome, error) result =
+  let ( let* ) = Result.bind in
+  let h0 = Ledger.height env.ledger in
+  let stage = "dishonest_close" in
+  let* () = post_confirmed env ~scheme ~stage published in
+  match punish () with
+  | None ->
+      outcome env ~h0 ~resolved:false
+        [ Old_state_published revoked_i; Cheater_escaped ]
+  | Some pen ->
+      let* () = post_confirmed env ~scheme ~stage pen in
+      let ok = spent env (Tx.outpoint_of published 0) in
+      outcome env ~h0 ~punished:ok ~resolved:ok
+        [ Old_state_published revoked_i; Punished ]
+
+(** Force close: post the latest [commit], let [wait] rounds pass (the
+    dispute window), then post [sweep ()], which claims the commit's
+    first output. *)
+let unilateral (env : env) ~(scheme : string) ~(commit : Tx.t) ~(wait : int)
+    ~(sweep : unit -> Tx.t) : (outcome, error) result =
+  let ( let* ) = Result.bind in
+  let h0 = Ledger.height env.ledger in
+  let stage = "force_close" in
+  let* () = post_confirmed env ~scheme ~stage commit in
+  settle env wait;
+  let* () = post_confirmed env ~scheme ~stage (sweep ()) in
+  outcome env ~h0
+    ~resolved:(spent env (Tx.outpoint_of commit 0))
+    [ Latest_published; Settled ]

@@ -66,14 +66,8 @@ let gen_commit (t : t) ~(owner : [ `A | `B ]) ~(bal_own : int)
         out other.rev_current.Keys.pk own.main.Keys.pk other.main.Keys.pk
           bal_other ] ()
 
-let sign_commit (t : t) (body : Tx.t) : Tx.t =
-  let msg = Sighash.message All body ~input_index:0 in
-  let sig_a = Sighash.sign_message t.a.main.Keys.sk All msg in
-  let sig_b = Sighash.sign_message t.b.main.Keys.sk All msg in
-  let script =
-    Script.multisig_2 (Keys.enc t.a.main.Keys.pk) (Keys.enc t.b.main.Keys.pk)
-  in
-  Tx.with_witnesses body [ [ Tx.Data ""; Tx.Data sig_a; Tx.Data sig_b; Tx.Wscript script ] ]
+let sign_commit (t : t) : Tx.t -> Tx.t =
+  Scheme_intf.cosign_2of2 t.a.main t.b.main
 
 let create ~(t_end : int) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
     ~(bal_a : int) ~(bal_b : int) () : t =
@@ -82,16 +76,7 @@ let create ~(t_end : int) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   in
   let a = mk_side () and b = mk_side () in
   let cash = bal_a + bal_b in
-  let fund_src = Ledger.mint ledger ~value:cash ~spk:Tx.Op_return in
-  let fund =
-    Tx.make ~witnesses:[ [] ] ~inputs:[ Tx.input_of_outpoint fund_src ] ~outputs:[ { Tx.value = cash;
-            spk =
-              Tx.P2wsh
-                (Script.hash
-                   (Script.multisig_2 (Keys.enc a.main.Keys.pk)
-                      (Keys.enc b.main.Keys.pk))) } ] ()
-  in
-  Ledger.record ledger fund;
+  let fund = Scheme_intf.fund_2of2 ledger ~value:cash a.main b.main in
   let empty = Tx.make ~inputs:[] ~outputs:[] () in
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; t_end; fund; a; b; sn = 0;
@@ -123,7 +108,7 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.t * Tx.t =
 let punish (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t) : Tx.t option =
   let side = match victim with `A -> t.a | `B -> t.b in
   let cheater = match victim with `A -> t.b | `B -> t.a in
-  let revoked = match published.Tx.inputs with [ i ] -> i.sequence | _ -> -1 in
+  let revoked = Scheme_intf.revoked_index published in
   match List.assoc_opt revoked side.received_rev with
   | None -> None
   | Some rev_sk ->
@@ -200,8 +185,7 @@ module Scheme : Scheme_intf.SCHEME = struct
   type nonrec t = {
     env : I.env;
     ch : t;
-    mutable revoked : (Tx.t * Schnorr.public_key) option;
-        (** A's first superseded commit + the rev key that state used *)
+    mutable revoked : Tx.t option;  (** A's first superseded commit *)
   }
 
   let open_channel (env : I.env) (cfg : I.config) =
@@ -212,9 +196,8 @@ module Scheme : Scheme_intf.SCHEME = struct
     Ok { env; ch; revoked = None }
 
   let update s ~bal_a ~bal_b =
-    let old_rev_a = s.ch.a.rev_current.Keys.pk in
     let old_a, _old_b = update s.ch ~bal_a ~bal_b in
-    if s.revoked = None then s.revoked <- Some (old_a, old_rev_a);
+    if s.revoked = None then s.revoked <- Some old_a;
     Ok ()
 
   let sn s = s.ch.sn
@@ -236,81 +219,43 @@ module Scheme : Scheme_intf.SCHEME = struct
     in
     side_keys s.ch.a @ side_keys s.ch.b
 
-  let key_contexts s = I.contexts_of_pubkeys (known_pubkeys s)
-
   let collaborative_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let latest = commit_of s.ch `A in
     let outputs =
       List.map2
         (fun (o : Tx.output) pk -> I.pay_to_pk ~value:o.Tx.value pk)
-        latest.Tx.outputs
+        (commit_of s.ch `A).Tx.outputs
         [ s.ch.a.main.Keys.pk; s.ch.b.main.Keys.pk ]
     in
-    let tx =
-      I.coop_close_tx ~outpoint:(funding s) ~outputs
-        ~sk_a:s.ch.a.main.Keys.sk ~sk_b:s.ch.b.main.Keys.sk
-        ~wscript:
-          (Some
-             (Script.multisig_2 (Keys.enc s.ch.a.main.Keys.pk)
-                (Keys.enc s.ch.b.main.Keys.pk)))
-    in
-    match I.post_confirmed s.env ~scheme:name ~stage:"collaborative_close" tx with
-    | Error e -> Error e
-    | Ok () ->
-        Ok { I.punished = false; resolved = I.spent s.env (funding s);
-             rounds = Ledger.height s.env.ledger - h0; trace = [ I.Settled ] }
+    I.coop_close_2of2 s.env ~scheme:name ~outpoint:(funding s) ~outputs
+      s.ch.a.main s.ch.b.main
 
   (* The sleepy victim wakes before T_end and claims the cheater's
      balance with the revealed revocation secret — no relative timer. *)
   let dishonest_close s =
     match s.revoked with
-    | None ->
-        I.fail ~scheme:name ~stage:"dishonest_close"
-          "no revoked state (needs at least one update)"
-    | Some (old_commit, _) ->
-        let h0 = Ledger.height s.env.ledger in
-        let ( let* ) = Result.bind in
-        let revoked_i =
-          match old_commit.Tx.inputs with [ i ] -> i.Tx.sequence | _ -> -1
-        in
-        let* () =
-          I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" old_commit
-        in
-        (match punish s.ch ~victim:`B ~published:old_commit with
-        | None ->
-            Ok { I.punished = false; resolved = false;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published revoked_i; I.Cheater_escaped ] }
-        | Some pen ->
-            let* () =
-              I.post_confirmed s.env ~scheme:name ~stage:"dishonest_close" pen
-            in
-            let ok = I.spent s.env (Tx.outpoint_of old_commit 0) in
-            Ok { I.punished = ok; resolved = ok;
-                 rounds = Ledger.height s.env.ledger - h0;
-                 trace = [ I.Old_state_published revoked_i; I.Punished ] })
+    | None -> I.no_revoked_state ~scheme:name
+    | Some old_commit ->
+        I.dispute s.env ~scheme:name ~revoked_i:(I.revoked_index old_commit)
+          ~published:old_commit
+          ~punish:(fun () -> punish s.ch ~victim:`B ~published:old_commit)
 
   (* The publisher can sweep her balance only after the absolute
      end-time T_end, so the sweep happens only when T_end is near
      enough to reach by ticking; otherwise the commit publication
-     itself resolves the channel (the defining Sleepy trade-off). *)
+     itself resolves the channel (the defining Sleepy trade-off). The
+     wait is counted from the round the commit confirms in, one round
+     from now. *)
   let force_close s =
-    let h0 = Ledger.height s.env.ledger in
-    let ( let* ) = Result.bind in
     let commit = commit_of s.ch `A in
-    let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" commit in
-    let wait = remaining_lifetime s.ch in
-    if wait >= 0 && wait <= 64 then (
-      I.settle s.env wait;
-      let sweep = sweep_own s.ch ~who:`A ~published:commit in
-      let* () = I.post_confirmed s.env ~scheme:name ~stage:"force_close" sweep in
-      let ok = I.spent s.env (Tx.outpoint_of commit 0) in
-      Ok { I.punished = false; resolved = ok;
-           rounds = Ledger.height s.env.ledger - h0;
-           trace = [ I.Latest_published; I.Settled ] })
+    let wait = remaining_lifetime s.ch - 1 in
+    if wait >= 0 && wait <= 64 then
+      I.unilateral s.env ~scheme:name ~commit ~wait ~sweep:(fun () ->
+          sweep_own s.ch ~who:`A ~published:commit)
     else
-      Ok { I.punished = false; resolved = I.spent s.env (funding s);
-           rounds = Ledger.height s.env.ledger - h0;
-           trace = [ I.Latest_published ] }
+      let h0 = Ledger.height s.env.ledger in
+      match I.post_confirmed s.env ~scheme:name ~stage:"force_close" commit with
+      | Error e -> Error e
+      | Ok () ->
+          I.outcome s.env ~h0 ~resolved:(I.spent s.env (funding s))
+            [ I.Latest_published ]
 end

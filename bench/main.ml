@@ -137,11 +137,6 @@ let write_scale_json (samples : Daric_analysis.Scale.sample list) : unit =
         let p name v = (Printf.sprintf "n%06d/%s" s.channels name, v) in
         [ p "updates-per-sec" s.updates_per_sec;
           p "monitor-per-round-s" s.monitor_seconds_per_poll;
-          p "scan-per-round-extrapolated-s" s.scan_seconds_extrapolated;
-          p "speedup-vs-scan"
-            (if s.monitor_seconds_per_poll > 0. then
-               s.scan_seconds_extrapolated /. s.monitor_seconds_per_poll
-             else 0.);
           p "fraud-react-s" s.fraud_react_seconds;
           p "frauds" (float_of_int s.frauds);
           p "punished" (float_of_int s.punished);
@@ -159,10 +154,6 @@ let write_scale_json (samples : Daric_analysis.Scale.sample list) : unit =
   pf "{\n";
   pf "  \"schema\": \"daric-bench-scale/1\",\n";
   pf "  \"unit\": \"seconds unless suffixed otherwise\",\n";
-  pf
-    "  \"scan_note\": \"pre-index monitor cost is measured over a channel \
-     sample and extrapolated linearly to N (a direct full scan at N=100000 \
-     over the whole accepted history is ~1e10 list visits)\",\n";
   pf "  \"entries\": {\n";
   List.iteri
     (fun i (name, v) ->

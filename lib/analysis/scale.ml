@@ -3,15 +3,10 @@
     Drives the real two-party protocol (through the SCHEME registry's
     Daric wrapper) for every channel — open, a sweep of off-chain
     updates, delegation to one watchtower guarding all N channels —
-    then measures what the monitoring loop costs per round:
-
-    - the indexed monitor ({!Daric_core.Watchtower.end_of_round}),
-      driven by the ledger's spent-outpoint log, whose per-round cost
-      is O(newly spent) and should stay flat as N grows;
-    - the pre-index reference ({!end_of_round_scan}), O(N × accepted
-      history) per round, timed over a channel sample and extrapolated
-      linearly to N (a full scan at N = 100k would be ~10^10 list
-      visits — the very behaviour this PR removes).
+    then measures what the monitoring loop costs per round: the
+    monitor ({!Daric_core.Watchtower.end_of_round}) is driven by the
+    ledger's spent-outpoint log, so its per-round cost is O(newly
+    spent) and should stay flat as N grows.
 
     The run ends with a fraud wave: revoked commits are replayed on a
     slice of channels with both parties frozen, and the tower must
@@ -32,12 +27,6 @@ type sample = {
   updates_per_sec : float;
   monitor_polls : int;  (** idle polls timed for the indexed monitor *)
   monitor_seconds_per_poll : float;
-  scan_sample_channels : int;
-  scan_seconds_per_poll : float;
-      (** one {!end_of_round_scan} poll over the sample *)
-  scan_seconds_extrapolated : float;
-      (** sample poll cost × (channels / sample) — the pre-index
-          per-round monitor cost at N channels *)
   frauds : int;
   punished : int;
   fraud_react_seconds : float;
@@ -148,24 +137,6 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(seed = 7)
           eor ()
         done)
   in
-  (* Pre-index reference: a fresh tower guarding a channel sample,
-     polled once with the linear-scan monitor against the same chain. *)
-  let scan_sample_channels = min channels 64 in
-  let scan_tower = Watchtower.create ~wid:"tower-scan" () in
-  for k = 0 to scan_sample_channels - 1 do
-    match DS.watch_record (Option.get chans.(k)) with
-    | Some r -> ignore (Watchtower.watch scan_tower r)
-    | None -> ()
-  done;
-  let (), scan_seconds_per_poll =
-    timed (fun () ->
-        Watchtower.end_of_round_scan scan_tower
-          ~round:(Ledger.height env.ledger) ~ledger:env.ledger ~post)
-  in
-  let scan_seconds_extrapolated =
-    scan_seconds_per_poll *. float_of_int channels
-    /. float_of_int (max scan_sample_channels 1)
-  in
   (* Fraud wave: replay revoked commits on the last [frauds] channels
      with both parties frozen; only the tower can react. *)
   for k = channels - frauds to channels - 1 do
@@ -193,9 +164,6 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(seed = 7)
        else 0.);
     monitor_polls;
     monitor_seconds_per_poll = monitor_total /. float_of_int monitor_polls;
-    scan_sample_channels;
-    scan_seconds_per_poll;
-    scan_seconds_extrapolated;
     frauds;
     punished = List.length (Watchtower.punished tower);
     fraud_react_seconds;
@@ -212,15 +180,13 @@ let pp ppf (s : sample) =
   Fmt.pf ppf
     "@[<v>N=%d channels (%d updates each)@,\
      open: %.2fs   updates: %.2fs (%.0f upd/s)@,\
-     monitor/round (indexed): %.6fs over %d polls@,\
-     monitor/round (scan, %d-channel sample): %.6fs → %.4fs extrapolated at N@,\
+     monitor/round: %.6fs over %d polls@,\
      frauds: %d posted, %d punished (react poll: %.6fs)@,\
      height=%d accepted=%d tower=%dB%s@,\
      gc: top-heap=%dw majors=%d promoted=%.0fw@]"
     s.channels s.updates_per_channel s.open_seconds s.update_seconds
-    s.updates_per_sec s.monitor_seconds_per_poll s.monitor_polls
-    s.scan_sample_channels s.scan_seconds_per_poll s.scan_seconds_extrapolated
-    s.frauds s.punished s.fraud_react_seconds s.ledger_height s.accepted_txs
+    s.updates_per_sec s.monitor_seconds_per_poll s.monitor_polls s.frauds
+    s.punished s.fraud_react_seconds s.ledger_height s.accepted_txs
     s.tower_storage_bytes
     (if s.durable then
        Printf.sprintf " (durable: wal=%dB snapshot=%dB)" s.wal_bytes

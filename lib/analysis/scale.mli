@@ -1,8 +1,8 @@
 (** Scale harness: N Daric channels (real two-party protocol, via the
     SCHEME registry's Daric wrapper) on one shared ledger, guarded by
-    one watchtower — measures per-round monitoring cost of the indexed
-    spent-log monitor vs the pre-index linear scan, and checks the
-    tower punishes a wave of replayed revoked commits. *)
+    one watchtower — measures per-round cost of the spent-log monitor
+    and checks the tower punishes a wave of replayed revoked
+    commits. *)
 
 type sample = {
   channels : int;
@@ -12,9 +12,6 @@ type sample = {
   updates_per_sec : float;
   monitor_polls : int;
   monitor_seconds_per_poll : float;
-  scan_sample_channels : int;
-  scan_seconds_per_poll : float;
-  scan_seconds_extrapolated : float;
   frauds : int;
   punished : int;
   fraud_react_seconds : float;

@@ -169,32 +169,6 @@ let spender_of (t : t) (o : Tx.outpoint) : Tx.t option =
       let _, e = Vec.get t.accepted_log idx in
       Some (entry_tx t e)
 
-(** Reference spender lookup: a linear scan of the full accepted
-    history, reproducing the pre-index cost shape (the seed kept a
-    historical spend list and scanned it per query). Kept runnable as
-    the benchmark baseline and the differential-test oracle. Packed
-    entries are matched on a decode of their inputs prefix alone; only
-    the winning entry is fully materialized. *)
-let spender_of_scan (t : t) (o : Tx.outpoint) : Tx.t option =
-  let found = ref None in
-  Vec.iter t.accepted_log (fun (_, e) ->
-      if !found = None then
-        match e with
-        | Live tx ->
-            List.iter
-              (fun (i : Tx.input) ->
-                if !found = None && Tx.outpoint_equal i.prevout o then
-                  found := Some tx)
-              tx.inputs
-        | Packed slot ->
-            let blob = Arena.read t.pack slot in
-            if
-              List.exists
-                (fun (i : Tx.input) -> Tx.outpoint_equal i.prevout o)
-                (Txcodec.decode_inputs_prefix blob)
-            then found := Some (Txcodec.decode_tx_exn blob));
-  !found
-
 (** Round at which [txid] was recorded, if it was. O(1). *)
 let recorded_round_of (t : t) (txid : string) : int option =
   Hashtbl.find_opt t.txids txid
@@ -220,7 +194,6 @@ let accepted (t : t) : (int * Tx.t) list =
 let compacted_count (t : t) : int = t.compacted
 
 let pack_live_bytes (t : t) : int = Arena.live_bytes t.pack
-let pack_capacity_bytes (t : t) : int = Arena.capacity_bytes t.pack
 
 (* Pack every entry recorded at least [compact_depth] rounds ago. The
    log is in nondecreasing round order, so one watermark cursor makes

@@ -75,11 +75,6 @@ val spender_of : t -> Tx.outpoint -> Tx.t option
 (** Which accepted transaction spent this outpoint, if any. O(1)
     (hashtable maintained on acceptance). *)
 
-val spender_of_scan : t -> Tx.outpoint -> Tx.t option
-(** Reference linear-scan spender lookup over the full accepted
-    history — the pre-index cost shape, kept as the benchmark baseline
-    and the differential-test oracle for {!spender_of}. *)
-
 val recorded_round_of : t -> string -> int option
 (** Round at which the given txid was recorded, if it was. O(1). *)
 
@@ -98,9 +93,6 @@ val compacted_count : t -> int
 val pack_live_bytes : t -> int
 (** Live packed bytes in the compaction arena. *)
 
-val pack_capacity_bytes : t -> int
-(** Heap bytes the compaction arena has allocated in chunks. *)
-
 val spent_log_length : t -> int
 (** Length of the append-only spent-outpoint log. A monitor stores
     this as its cursor and later reads everything after it. *)
@@ -113,14 +105,6 @@ val iter_spent_since : t -> cursor:int -> (Tx.outpoint -> unit) -> int
 val validate : t -> Tx.t -> (unit, reject_reason) result
 (** The five validity checks against the current state, witnesses
     verified inline per input. *)
-
-val validate_deferring :
-  t -> Tx.t -> defer:(Daric_tx.Sighash.deferred -> unit) ->
-  (unit, reject_reason) result
-(** Like {!validate} but every structurally valid signature check is
-    handed to [defer] and assumed true. [Ok] plus an accepting
-    {!discharge} of the deferred triples is equivalent to {!validate}
-    returning [Ok]; [Error] implies {!validate} errors too. *)
 
 val discharge : Daric_tx.Sighash.deferred list -> bool
 (** Discharge deferred signature checks, splitting the batch across
@@ -155,7 +139,11 @@ end
 val validate_deferring_staged :
   Staged.view -> Tx.t -> defer:(Daric_tx.Sighash.deferred -> unit) ->
   (unit, reject_reason) result
-(** {!validate_deferring} against a staged view. *)
+(** Like {!validate} against a staged view, but every structurally
+    valid signature check is handed to [defer] and assumed true. [Ok]
+    plus an accepting {!discharge} of the deferred triples is
+    equivalent to validating with the checks inline; [Error] implies
+    inline validation errors too. *)
 
 type checkpoint
 (** Snapshot of everything {!record}, {!post}, {!mint} and {!tick}

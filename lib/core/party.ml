@@ -87,8 +87,6 @@ let event_to_string = function
     rules. *)
 type ops = { mutable signs : int; mutable verifies : int; mutable exps : int }
 
-let ops_copy (o : ops) = { signs = o.signs; verifies = o.verifies; exps = o.exps }
-
 (* ------------------------------------------------------------------ *)
 
 (** The channel's own signing contexts, one per keypair — built once

@@ -59,8 +59,6 @@ val event_to_string : event -> string
     signatures are counted. *)
 type ops = { mutable signs : int; mutable verifies : int; mutable exps : int }
 
-val ops_copy : ops -> ops
-
 (** The channel's own signing contexts, one per keypair — built once
     at INTRO so deterministic signing's key-dependent setup is paid
     per channel, not per signature. *)

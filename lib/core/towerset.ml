@@ -64,8 +64,6 @@ let create ?(snapshot_every = 16) ?(faults = no_faults) ~(wid : string)
             missed_watches = 0 })
   }
 
-let replica_count (t : t) : int = Array.length t.replicas
-
 let revive (t : t) (r : replica) : Durable.t =
   match r.state with
   | Some d -> d

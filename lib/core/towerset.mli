@@ -23,8 +23,6 @@ val create :
     (default: fresh memory stores; pass [mk_store] for file-backed
     replicas). *)
 
-val replica_count : t -> int
-
 val watch : t -> round:int -> Watchtower.record -> bool
 (** Fan the record to every live replica; [true] iff at least one
     accepted and journaled it. Down replicas miss the watch (scored). *)

@@ -118,12 +118,7 @@ let gen_fund ~(tid_a : Tx.outpoint) ~(tid_b : Tx.outpoint) ~(cash : int)
    hold ONE heap copy of each body instead of two structurally-equal
    ones — and makes an N-update run reuse bodies across channels with
    identical parameters. The [_fresh] generators below are the
-   uncopied originals, kept callable as the differential-test oracle;
-   [set_sharing false] routes the public generators through them. *)
-let sharing = Atomic.make true
-
-let set_sharing (b : bool) : unit = Atomic.set sharing b
-let sharing_enabled () : bool = Atomic.get sharing
+   builders the memos call on a miss. *)
 
 (** GenCommit: the pair of state-i commit transaction bodies.
     A's commit carries the (rv_A, rv_B) revocation branch; B's carries
@@ -156,13 +151,10 @@ let commit_body_memo :
 let gen_commit ~(funding : Tx.outpoint) ~(value : int) ~(keys_a : Keys.pub)
     ~(keys_b : Keys.pub) ~(s0 : int) ~(i : int) ~(rel_lock : int) : Tx.t * Tx.t
     =
-  if not (Atomic.get sharing) then
-    gen_commit_fresh ~funding ~value ~keys_a ~keys_b ~s0 ~i ~rel_lock
-  else
-    commit_body_memo
-      (fun (funding, value, keys_a, keys_b, s0, i, rel_lock) ->
-        gen_commit_fresh ~funding ~value ~keys_a ~keys_b ~s0 ~i ~rel_lock)
-      (funding, value, keys_a, keys_b, s0, i, rel_lock)
+  commit_body_memo
+    (fun (funding, value, keys_a, keys_b, s0, i, rel_lock) ->
+      gen_commit_fresh ~funding ~value ~keys_a ~keys_b ~s0 ~i ~rel_lock)
+    (funding, value, keys_a, keys_b, s0, i, rel_lock)
 
 (** The script of a party's state-i commit output (needed to complete
     floating transactions that spend it). *)
@@ -186,11 +178,9 @@ let split_body_memo :
   memoize ()
 
 let gen_split ~(theta : Tx.output list) ~(s0 : int) ~(i : int) : Tx.t =
-  if not (Atomic.get sharing) then gen_split_fresh ~theta ~s0 ~i
-  else
-    split_body_memo
-      (fun (theta, s0, i) -> gen_split_fresh ~theta ~s0 ~i)
-      (theta, s0, i)
+  split_body_memo
+    (fun (theta, s0, i) -> gen_split_fresh ~theta ~s0 ~i)
+    (theta, s0, i)
 
 (** GenRevoke: the pair of floating revocation transaction bodies
     revoking state [revoked]. nLockTime = S0 + revoked lets them spend
@@ -218,13 +208,10 @@ let revoke_body_memo :
 let gen_revoke ~(pk_a : Daric_crypto.Schnorr.public_key)
     ~(pk_b : Daric_crypto.Schnorr.public_key) ~(cash : int) ~(s0 : int)
     ~(revoked : int) : Tx.t * Tx.t =
-  if not (Atomic.get sharing) then
-    gen_revoke_fresh ~pk_a ~pk_b ~cash ~s0 ~revoked
-  else
-    revoke_body_memo
-      (fun (pk_a, pk_b, cash, s0, revoked) ->
-        gen_revoke_fresh ~pk_a ~pk_b ~cash ~s0 ~revoked)
-      (pk_a, pk_b, cash, s0, revoked)
+  revoke_body_memo
+    (fun (pk_a, pk_b, cash, s0, revoked) ->
+      gen_revoke_fresh ~pk_a ~pk_b ~cash ~s0 ~revoked)
+    (pk_a, pk_b, cash, s0, revoked)
 
 (** GenFinSplit: the modified split transaction of a collaborative
     close — spends the funding output directly. *)

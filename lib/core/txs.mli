@@ -36,23 +36,9 @@ val gen_commit :
     index is also encoded in the input's sequence field so punishers
     can reconstruct the hidden script (Section 8).
 
-    With {!set_sharing} on (the default) the result is memoized on its
-    inputs, so the two parties of an update — both generating this
-    pair from the same data — share one physical body instead of two
-    structurally-equal copies. *)
-
-val set_sharing : bool -> unit
-(** Toggle body sharing for {!gen_commit}, {!gen_split} and
-    {!gen_revoke} (default [true]; [false] routes through the fresh
-    generators — the differential-test configuration). *)
-
-val sharing_enabled : unit -> bool
-
-val gen_commit_fresh :
-  funding:Tx.outpoint -> value:int -> keys_a:Keys.pub -> keys_b:Keys.pub ->
-  s0:int -> i:int -> rel_lock:int -> Tx.t * Tx.t
-(** Unshared {!gen_commit} (always builds fresh bodies) — the
-    shared-vs-copied differential oracle. *)
+    The result is memoized on its inputs, so the two parties of an
+    update — both generating this pair from the same data — share one
+    physical body instead of two structurally-equal copies. *)
 
 val commit_script_of :
   role:Keys.role -> keys_a:Keys.pub -> keys_b:Keys.pub -> s0:int -> i:int ->
@@ -61,9 +47,7 @@ val commit_script_of :
 
 val gen_split : theta:Tx.output list -> s0:int -> i:int -> Tx.t
 (** Floating split body; nLockTime = S0 + i stores the state number.
-    Shared across the two parties of an update (see {!set_sharing}). *)
-
-val gen_split_fresh : theta:Tx.output list -> s0:int -> i:int -> Tx.t
+    Shared across the two parties of an update (see {!gen_commit}). *)
 
 val gen_revoke :
   pk_a:Daric_crypto.Schnorr.public_key ->
@@ -71,12 +55,7 @@ val gen_revoke :
   cash:int -> s0:int -> revoked:int -> Tx.t * Tx.t
 (** Floating revocation pair for states up to [revoked]; the full
     channel funds go to the punishing party. Shared across the two
-    parties of an update (see {!set_sharing}). *)
-
-val gen_revoke_fresh :
-  pk_a:Daric_crypto.Schnorr.public_key ->
-  pk_b:Daric_crypto.Schnorr.public_key ->
-  cash:int -> s0:int -> revoked:int -> Tx.t * Tx.t
+    parties of an update (see {!gen_commit}). *)
 
 val gen_fin_split : funding:Tx.outpoint -> theta:Tx.output list -> Tx.t
 (** Collaborative-close transaction spending the funding directly. *)

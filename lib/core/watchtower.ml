@@ -6,20 +6,18 @@
     both ANYPREVOUT signatures. The record *replaces* the previous one —
     unlike a Lightning watchtower, nothing accumulates.
 
-    Records are retained in packed form by default: each one is
-    encoded with the durable-state codec and stored as a slot in a
-    {!Daric_util.Arena} — a few large unscanned [Bytes] chunks — so a
-    tower guarding 100k channels presents the major GC with a handful
-    of opaque blocks instead of ~20·N boxed words to mark every cycle.
-    [find_record] decodes on demand; snapshots blit the packed bytes
-    directly. The boxed representation is kept behind the [Boxed]
-    backend flag as the differential-test oracle.
+    Records are retained in packed form: each one is encoded with the
+    durable-state codec and stored as a slot in a {!Daric_util.Arena}
+    — a few large unscanned [Bytes] chunks — so a tower guarding 100k
+    channels presents the major GC with a handful of opaque blocks
+    instead of ~20·N boxed words to mark every cycle. [find_record]
+    decodes on demand; snapshots blit the packed bytes directly.
 
     Storage is reclaimed, not merely unindexed: [unwatch] and the
-    punish path free the record's arena slot (or drop the boxed
-    record), so a churned tower's heap tracks its guarded count, not
-    its lifetime watch count. A punished channel needs no record — the
-    revocation transaction is already posted.
+    punish path free the record's arena slot, so a churned tower's
+    heap tracks its guarded count, not its lifetime watch count. A
+    punished channel needs no record — the revocation transaction is
+    already posted.
 
     Monitoring is driven by the ledger's append-only spent-outpoint
     log: each round the tower reads only the outpoints spent since its
@@ -57,23 +55,18 @@ type record = {
   sig_b : string;  (** revocation-branch signature in Bob position *)
 }
 
-type backend = Packed | Boxed
-
 (* One guarded channel. The funding outpoint and serialized size are
    kept unpacked — the monitor reads them on every poll that touches
    the channel, and storage accounting must not decode. *)
 type entry = {
   mutable e_funding : Tx.outpoint;
   mutable e_rbytes : int;  (** {!record_bytes} of the current record *)
-  mutable e_data : data;
+  mutable e_slot : Arena.slot;  (** the record's {!encode_record} bytes *)
 }
-
-and data = Slot of Arena.slot | Boxed_rec of record
 
 type t = {
   wid : string;
-  backend : backend;
-  arena : Arena.t;  (** packed record bytes (unused when [Boxed]) *)
+  arena : Arena.t;  (** packed record bytes *)
   entries : (string, entry) Hashtbl.t;  (** by channel id *)
   by_funding : (Tx.outpoint, string) Hashtbl.t;
       (** guarded funding outpoint → channel id *)
@@ -85,9 +78,8 @@ type t = {
   mutable cursor : int;  (** position in the ledger's spent log *)
 }
 
-let create ?(backend = Packed) ~(wid : string) () : t =
+let create ~(wid : string) () : t =
   { wid;
-    backend;
     arena = Arena.create ();
     entries = Hashtbl.create 64;
     by_funding = Hashtbl.create 64;
@@ -95,8 +87,6 @@ let create ?(backend = Packed) ~(wid : string) () : t =
     punished_set = Hashtbl.create 16;
     punished_list = [];
     cursor = 0 }
-
-let backend (t : t) : backend = t.backend
 
 (* ---- record codec (same byte format as the Persist WAL records) ---- *)
 
@@ -160,16 +150,14 @@ let record_bytes (r : record) : int =
 (* ---- entry plumbing ---- *)
 
 let entry_record (t : t) (e : entry) : record =
-  match e.e_data with
-  | Boxed_rec r -> r
-  | Slot s -> decode_record_exn (Arena.read t.arena s)
+  decode_record_exn (Arena.read t.arena e.e_slot)
 
 (* Install or overwrite the entry for [r.channel_id]. [r]'s
    {!encode_record} bytes are the [len] bytes of [enc] at [off] — the
    caller already holds them (a fresh encoding, a WAL payload, a span
-   of a snapshot), so the packed backend copies them into the arena
-   as they are. The existing slot is reused in place when they fit
-   (record sizes are stable across updates of one channel). *)
+   of a snapshot), so they are copied into the arena as they are. The
+   existing slot is reused in place when they fit (record sizes are
+   stable across updates of one channel). *)
 let put_record (t : t) (r : record) (enc : string) ~(off : int) ~(len : int) :
     unit =
   let rb = record_bytes r in
@@ -181,30 +169,23 @@ let put_record (t : t) (r : record) (enc : string) ~(off : int) ~(len : int) :
         e.e_funding <- r.funding
       end;
       e.e_rbytes <- rb;
-      (match e.e_data with
-      | Slot s -> e.e_data <- Slot (Arena.replace_sub t.arena s enc ~off ~len)
-      | Boxed_rec _ -> e.e_data <- Boxed_rec r)
+      e.e_slot <- Arena.replace_sub t.arena e.e_slot enc ~off ~len
   | None ->
-      let data =
-        match t.backend with
-        | Packed -> Slot (Arena.store_sub t.arena enc ~off ~len)
-        | Boxed -> Boxed_rec r
-      in
       Hashtbl.replace t.entries r.channel_id
-        { e_funding = r.funding; e_rbytes = rb; e_data = data };
+        { e_funding = r.funding;
+          e_rbytes = rb;
+          e_slot = Arena.store_sub t.arena enc ~off ~len };
       Hashtbl.replace t.by_funding r.funding r.channel_id
 
 (* Drop a channel's entry and reclaim its storage: the arena slot goes
-   back on the free list (packed) or the boxed record is unpinned. *)
+   back on the free list. *)
 let drop_record (t : t) (channel_id : string) : unit =
   match Hashtbl.find_opt t.entries channel_id with
   | None -> ()
   | Some e ->
       Hashtbl.remove t.entries channel_id;
       Hashtbl.remove t.by_funding e.e_funding;
-      (match e.e_data with
-      | Slot s -> Arena.free t.arena s
-      | Boxed_rec _ -> ())
+      Arena.free t.arena e.e_slot
 
 (** Check a client record's two revocation-branch signatures in one
     {!Daric_crypto.Schnorr.batch_verify}. The record guards against the
@@ -327,25 +308,19 @@ let fold_records (t : t) (f : record -> 'a -> 'a) (init : 'a) : 'a =
   Hashtbl.fold (fun _ e acc -> f (entry_record t e) acc) t.entries init
 
 (** Iterate the encoded form of every guarded record — exactly the
-    {!encode_record} bytes. The packed backend blits them straight out
-    of the arena (no decode/re-encode round trip); the boxed oracle
-    encodes on the fly. Snapshots ({!Persist.encode_tower}) are built
-    from this, so both backends snapshot byte-identically. *)
+    {!encode_record} bytes, blitted straight out of the arena (no
+    decode/re-encode round trip). Snapshots ({!Persist.encode_tower})
+    are built from this. *)
 let iter_record_blobs (t : t) (f : string -> unit) : unit =
-  Hashtbl.iter
-    (fun _ e ->
-      match e.e_data with
-      | Slot s -> f (Arena.read t.arena s)
-      | Boxed_rec r -> f (encode_record r))
-    t.entries
+  Hashtbl.iter (fun _ e -> f (Arena.read t.arena e.e_slot)) t.entries
 
 let guarded_count (t : t) : int = Hashtbl.length t.entries
 
 let storage_bytes (t : t) : int =
   Hashtbl.fold (fun _ e acc -> acc + e.e_rbytes) t.entries 0
 
-(** Bytes of packed record storage currently live in the arena (0 for
-    the boxed oracle) — the retained-memory metric of the mem bench. *)
+(** Bytes of packed record storage currently live in the arena — the
+    retained-memory metric of the mem bench. *)
 let arena_live_bytes (t : t) : int = Arena.live_bytes t.arena
 
 (** Bytes of arena capacity allocated from the heap (chunks), live or
@@ -403,29 +378,6 @@ let end_of_round (t : t) ~(round : int) ~(ledger : Ledger.t)
         match Hashtbl.find_opt t.by_funding o with
         | None -> ()
         | Some cid -> check_channel t ~ledger ~post cid)
-
-(** Reference monitor reproducing the pre-index cost shape: visit
-    every guarded channel and resolve its funding spender with the
-    ledger's linear history scan — O(channels × accepted history) per
-    round. Reacts identically to {!end_of_round} (the differential
-    tests rely on this); kept runnable as the benchmark baseline. *)
-let end_of_round_scan (t : t) ~(round : int) ~(ledger : Ledger.t)
-    ~(post : Tx.t -> unit) : unit =
-  ignore round;
-  t.fresh <- [];
-  t.cursor <- Ledger.spent_log_length ledger;
-  (* a punish reclaims the record, so snapshot the guarded set before
-     iterating — mutating a hashtable mid-[iter] is unspecified *)
-  let guarded =
-    Hashtbl.fold (fun cid e acc -> (cid, entry_record t e) :: acc) t.entries []
-  in
-  List.iter
-    (fun (cid, r) ->
-      if not (Hashtbl.mem t.punished_set cid) then
-        match Ledger.spender_of_scan ledger r.funding with
-        | None -> ()
-        | Some spender -> react t r spender ~post)
-    guarded
 
 (** Build the current watchtower record for a party's channel. Returns
     [None] until the first update has completed (there is nothing to

@@ -3,12 +3,11 @@
     with both ANYPREVOUT signatures plus script-reconstruction
     parameters — *replaced* on every update, never accumulated.
 
-    Records are retained packed by default: encoded bytes in a
+    Records are retained packed: encoded bytes in a
     {!Daric_util.Arena} slot (a few large unscanned [Bytes] chunks the
-    major GC never walks), decoded on demand. The boxed representation
-    is kept behind the [Boxed] backend as the differential oracle.
-    [unwatch] and the punish path reclaim the slot, so the heap tracks
-    the guarded count, not the lifetime watch count. *)
+    major GC never walks), decoded on demand. [unwatch] and the punish
+    path reclaim the slot, so the heap tracks the guarded count, not
+    the lifetime watch count. *)
 
 module Tx = Daric_tx.Tx
 
@@ -27,20 +26,15 @@ type record = {
   sig_b : string;
 }
 
-type backend =
-  | Packed  (** arena-packed encoded records (default) *)
-  | Boxed  (** plain boxed records — the differential-test oracle *)
-
 type t
 
-val create : ?backend:backend -> wid:string -> unit -> t
+val create : wid:string -> unit -> t
 
 val wid : t -> string
-val backend : t -> backend
 
 val find_record : t -> string -> record option
 (** The record currently guarding this channel, if any. O(1) lookup;
-    the packed backend decodes the record on demand. *)
+    the record is decoded on demand. *)
 
 val record_valid : record -> bool
 (** Batch-verify the record's two revocation-branch signatures against
@@ -54,7 +48,7 @@ val watch : t -> record -> bool
 
 val watch_encoded : t -> record -> string -> bool
 (** {!watch} given the record's {!encode_record} bytes, which the
-    packed backend stores as they are — for a caller that journals the
+    tower stores as they are — for a caller that journals the
     same encoding ({!Durable.watch}). *)
 
 val restore_record :
@@ -65,8 +59,8 @@ val restore_record :
     ({!Persist.restore_tower}, {!Durable.recover}): the record was
     verified when first watched and the store is CRC-framed. The
     decoder accepts only canonical encodings, so those bytes are [r]'s
-    {!encode_record}: the packed backend copies them into the arena
-    as they are, with no re-encode. [fresh] queues the channel for a
+    {!encode_record}: they are copied into the arena as they are, with
+    no re-encode. [fresh] queues the channel for a
     direct funding check at the next poll. *)
 
 val mark_fresh : t -> string -> unit
@@ -76,7 +70,7 @@ val mark_fresh : t -> string -> unit
 
 val unwatch : t -> channel_id:string -> unit
 (** Remove the channel and reclaim its record storage (the arena slot
-    joins the free list; a boxed record is unpinned). *)
+    joins the free list). *)
 
 val punished : t -> string list
 (** Channels on which the tower has reacted, newest first. *)
@@ -111,9 +105,8 @@ val fold_records : t -> (record -> 'a -> 'a) -> 'a -> 'a
 (** Fold over every guarded record (decoded from the packed form). *)
 
 val iter_record_blobs : t -> (string -> unit) -> unit
-(** Iterate the {!encode_record} bytes of every guarded record — the
-    packed backend blits them straight from the arena, so snapshots
-    never decode/re-encode; both backends yield identical bytes. *)
+(** Iterate the {!encode_record} bytes of every guarded record, blitted
+    straight from the arena, so snapshots never decode/re-encode. *)
 
 val guarded_count : t -> int
 (** Number of channels currently watched. O(1). *)
@@ -125,25 +118,23 @@ val record_bytes : record -> int
 val storage_bytes : t -> int
 
 val arena_live_bytes : t -> int
-(** Live packed-record bytes in the arena (0 for the boxed oracle). *)
+(** Live packed-record bytes in the arena. *)
 
 val arena_capacity_bytes : t -> int
 (** Arena chunk bytes allocated from the heap — bounded by peak
     concurrent watches, not lifetime churn. *)
 
-val write_record : Daric_util.Byteio.Writer.t -> record -> unit
-(** Append a record's encoding (the {!Persist} WAL/snapshot format —
-    headerless; the frame carries the version). *)
-
 val read_record : Daric_util.Byteio.Reader.t -> record
-(** Inverse of {!write_record}; raises {!Daric_tx.Txcodec.Bad_blob} or
-    [Reader.Truncated] on malformed input, and accepts only canonical
-    encodings. The record's own strings (channel id, funding txid,
-    signatures) are not interned: a decoded record is transient — the
-    tower retains bytes and decodes on demand. *)
+(** Inverse of {!encode_record}, reading from the reader; raises
+    {!Daric_tx.Txcodec.Bad_blob} or [Reader.Truncated] on malformed
+    input, and accepts only canonical encodings. The record's own
+    strings (channel id, funding txid, signatures) are not interned: a
+    decoded record is transient — the tower retains bytes and decodes
+    on demand. *)
 
 val encode_record : record -> string
-val decode_record_exn : string -> record
+(** A record's encoding (the {!Persist} WAL/snapshot format —
+    headerless; the frame carries the version). *)
 
 val end_of_round :
   t -> round:int -> ledger:Daric_chain.Ledger.t -> post:(Tx.t -> unit) -> unit
@@ -153,13 +144,6 @@ val end_of_round :
     cursor: cost per round is O(newly watched records + newly spent
     outpoints), independent of the number of guarded channels and the
     chain length. *)
-
-val end_of_round_scan :
-  t -> round:int -> ledger:Daric_chain.Ledger.t -> post:(Tx.t -> unit) -> unit
-(** Reference monitor with the pre-index cost shape — every guarded
-    channel resolved through {!Daric_chain.Ledger.spender_of_scan},
-    O(channels × history) per round. Reacts identically to
-    {!end_of_round}; kept as benchmark baseline and test oracle. *)
 
 val record_for : Party.t -> id:string -> record option
 (** Build the current record from a party's channel state; [None]

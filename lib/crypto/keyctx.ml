@@ -44,8 +44,6 @@ let create ?(sk : Group.scalar option) (pk : Group.element) : t =
     sk_enc = (match sk with Some sk -> Group.encode_scalar sk | None -> "");
     table = None }
 
-let of_secret (sk : Group.scalar) : t = create ~sk (Group.pow_g sk)
-
 let pk (t : t) : Group.element = t.pk
 let is_valid (t : t) : bool = t.valid
 let sk (t : t) : Group.scalar option = t.sk

@@ -10,9 +10,6 @@ val create : ?sk:Group.scalar -> Group.element -> t
 (** Standalone (un-pooled) context for a public key; [sk] makes it a
     signing context. Subgroup membership is checked once, here. *)
 
-val of_secret : Group.scalar -> t
-(** Signing context with the public key derived from [sk]. *)
-
 val pk : t -> Group.element
 val is_valid : t -> bool
 (** The context key's subgroup membership, as checked at build time. *)

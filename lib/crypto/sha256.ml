@@ -189,12 +189,6 @@ let st_create () : st =
     st_buflen = 0;
     st_total = 0 }
 
-let st_copy (st : st) : st =
-  { st_h = Array.copy st.st_h;
-    st_buf = Bytes.copy st.st_buf;
-    st_buflen = st.st_buflen;
-    st_total = st.st_total }
-
 (* Compress with a borrowed schedule: a [ctx] sharing the state's
    chaining array and the domain scratch. *)
 let st_ctx (st : st) : ctx = { h = st.st_h; w = Domain.DLS.get st_scratch_w }

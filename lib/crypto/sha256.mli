@@ -23,8 +23,6 @@ val st_feed : st -> string -> int -> int -> unit
     Whole 64-byte blocks are compressed straight from [s] (no copy);
     raises [Invalid_argument] on an out-of-bounds slice. *)
 
-val st_copy : st -> st
-
 val st_digest : st -> (string * int * int) list -> string
 (** [st_digest st parts] is the digest of everything fed to [st] so
     far followed by the given [(string, off, len)] slices. [st] is not

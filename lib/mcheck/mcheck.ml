@@ -191,15 +191,3 @@ let pp_counterexample fmt (c : counterexample) =
   Fmt.pf fmt "@[<v2>%s: %s@,%a@]" c.violation.invariant c.violation.detail
     (Fmt.list ~sep:Fmt.cut (fun fmt (i, a) -> Fmt.pf fmt "%2d. %s" (i + 1) a))
     (List.mapi (fun i a -> (i, a)) c.trace)
-
-let pp_result fmt (r : result) =
-  Fmt.pf fmt "@[<v>%s: %d state(s), %d transition(s), depth %d%s — %s@]"
-    r.model r.visited r.transitions r.depth
-    (if r.truncated then " (budget hit)" else "")
-    (match r.counterexamples with
-    | [] -> "no violations"
-    | cs -> Fmt.str "%d violation(s)" (List.length cs));
-  match r.counterexamples with
-  | [] -> ()
-  | cs ->
-      List.iter (fun c -> Fmt.pf fmt "@,%a" pp_counterexample c) cs

@@ -125,4 +125,3 @@ val digest : Buffer.t -> string
     the visited set stores one shared instance per distinct state. *)
 
 val pp_counterexample : Format.formatter -> counterexample -> unit
-val pp_result : Format.formatter -> result -> unit

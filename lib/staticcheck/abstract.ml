@@ -605,9 +605,6 @@ let satisfiable a =
        (fun p -> match p.verdict with `Unsat _ -> false | _ -> true)
        a.paths
 
-let sat_paths a =
-  List.filter (fun p -> p.verdict = `Sat) a.paths
-
 let locktime_compatible a n =
   List.exists
     (fun p ->

@@ -76,8 +76,6 @@ val satisfiable : t -> bool
 (** Some path is [`Sat] or [`Unknown] — i.e. the analyzer cannot rule
     the script unspendable. *)
 
-val sat_paths : t -> path list
-
 val locktime_compatible : t -> int -> bool
 (** [locktime_compatible a nlocktime] — some not-certainly-unsat path's
     CLTV demands are satisfied by a spender carrying [nlocktime]. *)

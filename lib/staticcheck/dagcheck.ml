@@ -126,6 +126,3 @@ let lint ~scheme ~known_keys (accepted : (int * Tx.t) list) : Diag.t list =
   in
   List.iter lint_tx txs;
   Diag.sort !diags
-
-let lint_ledger ~scheme ~known_keys ledger =
-  lint ~scheme ~known_keys (Daric_chain.Ledger.accepted ledger)

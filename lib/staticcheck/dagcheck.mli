@@ -26,8 +26,3 @@ module Tx = Daric_tx.Tx
 
 val lint :
   scheme:string -> known_keys:string list -> (int * Tx.t) list -> Diag.t list
-
-val lint_ledger :
-  scheme:string -> known_keys:string list -> Daric_chain.Ledger.t ->
-  Diag.t list
-(** {!lint} over {!Daric_chain.Ledger.accepted}. *)

@@ -206,9 +206,3 @@ let decode_tx_exn (blob : string) : Tx.t =
   let tx = read_tx r in
   if not (R.at_end r) then raise (Bad_blob "trailing bytes");
   tx
-
-(** Read only the inputs prefix of an {!encode_tx} blob — the
-    compacted accepted-log scan oracle needs each entry's prevouts,
-    not the whole transaction. *)
-let decode_inputs_prefix (blob : string) : Tx.input list =
-  read_list (R.create blob) read_input

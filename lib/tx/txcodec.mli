@@ -45,7 +45,3 @@ val packable : Tx.t -> bool
 
 val encode_tx : Tx.t -> string
 val decode_tx_exn : string -> Tx.t
-
-val decode_inputs_prefix : string -> Tx.input list
-(** Only the inputs of an {!encode_tx} blob (the compacted scan oracle
-    needs prevouts, not the whole transaction). *)

@@ -18,8 +18,6 @@ type slot = {
   mutable s_len : int;  (** live bytes ([-1] once freed) *)
 }
 
-let slot_length (s : slot) : int = max 0 s.s_len
-
 (* Size classes are powers of two from 2^4 up; class k holds slots of
    capacity 2^(k+min_class_bits). *)
 let min_class_bits = 4

@@ -33,9 +33,6 @@ val free : t -> slot -> unit
 val read : t -> slot -> string
 (** Copy the slot's bytes back out. *)
 
-val slot_length : slot -> int
-(** Stored bytes in this slot (0 once freed). *)
-
 val live_bytes : t -> int
 (** Total bytes across live slots. *)
 

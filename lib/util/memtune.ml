@@ -15,8 +15,7 @@
       O(frauds) reaction poll can read ~8x slower at N=100k unless the
       outstanding cycle is finished first.
 
-    Every call is counted, so the benches can report how often the
-    policy fired alongside the {!quick_stats} heap trajectory. *)
+    {!quick_stats} snapshots the heap trajectory the benches report. *)
 
 type stats = {
   top_heap_words : int;  (** largest major heap so far *)
@@ -36,32 +35,18 @@ let quick_stats () : stats =
     promoted_words = q.Gc.promoted_words;
     minor_words = q.Gc.minor_words }
 
-let pace_calls = Atomic.make 0
-let quiesce_calls = Atomic.make 0
+(** Pacing: a 1M-word minor heap, never shrunk below a larger explicit
+    setting. *)
+let minor_heap_words = 1_048_576
 
-let paces () : int = Atomic.get pace_calls
-let quiesces () : int = Atomic.get quiesce_calls
-
-(** Default pacing: 1M-word minor heap (never shrunk below a larger
-    explicit setting), stock space_overhead unless asked. *)
-let default_minor_heap_words = 1_048_576
-
-let pace ?(minor_heap_words = default_minor_heap_words) ?space_overhead () :
-    unit =
-  Atomic.incr pace_calls;
+let pace () : unit =
   let g = Gc.get () in
-  let minor = max g.Gc.minor_heap_size minor_heap_words in
-  let overhead =
-    match space_overhead with Some o -> o | None -> g.Gc.space_overhead
-  in
-  if minor <> g.Gc.minor_heap_size || overhead <> g.Gc.space_overhead then
-    Gc.set { g with Gc.minor_heap_size = minor; space_overhead = overhead }
+  if g.Gc.minor_heap_size < minor_heap_words then
+    Gc.set { g with Gc.minor_heap_size = minor_heap_words }
 
 (** Finish the outstanding major cycle (and collect) so the next timed
     section measures its own work, not the collector's backlog. *)
-let quiesce () : unit =
-  Atomic.incr quiesce_calls;
-  Gc.full_major ()
+let quiesce () : unit = Gc.full_major ()
 
 (** [timed_quiesce ()] is {!quiesce} returning the wall-clock seconds
     one full major cycle costs right now — the per-cycle marking price

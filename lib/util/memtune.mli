@@ -1,7 +1,7 @@
-(** GC pacing policy: one owner for the [Gc.set] knobs the harnesses
-    need (minor-heap sizing, space overhead) and for draining major-GC
-    debt before one-shot timings, with call counters and a
-    [Gc.quick_stat] snapshot type for heap-trajectory reporting. *)
+(** GC pacing policy: one owner for the minor-heap sizing the
+    harnesses need and for draining major-GC debt before one-shot
+    timings, with a [Gc.quick_stat] snapshot type for heap-trajectory
+    reporting. *)
 
 type stats = {
   top_heap_words : int;  (** largest major heap so far *)
@@ -15,11 +15,10 @@ type stats = {
 val quick_stats : unit -> stats
 (** Cheap counters from [Gc.quick_stat] (no heap walk). *)
 
-val pace : ?minor_heap_words:int -> ?space_overhead:int -> unit -> unit
-(** Apply the pacing policy: raise the minor heap to at least
-    [minor_heap_words] (default 1M words / 8 MB; an explicitly larger
-    current setting is kept) and optionally set [space_overhead].
-    Idempotent; no-op when nothing would change. *)
+val pace : unit -> unit
+(** Apply the pacing policy: raise the minor heap to at least 1M words
+    (8 MB; an explicitly larger current setting is kept). Idempotent;
+    no-op when nothing would change. *)
 
 val quiesce : unit -> unit
 (** Finish the outstanding major cycle and collect, so a following
@@ -29,11 +28,3 @@ val quiesce : unit -> unit
 val timed_quiesce : unit -> float
 (** {!quiesce}, returning its CPU seconds — the current per-cycle
     cost of marking the live heap. *)
-
-val default_minor_heap_words : int
-
-val paces : unit -> int
-(** Lifetime {!pace} calls (telemetry). *)
-
-val quiesces : unit -> int
-(** Lifetime {!quiesce}/{!timed_quiesce} calls (telemetry). *)

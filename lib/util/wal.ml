@@ -117,10 +117,6 @@ let error_to_string = function
   | Corrupt { offset } ->
       Printf.sprintf "WAL frame CRC mismatch at offset %d" offset
 
-let status_to_string = function
-  | Complete -> "complete"
-  | Torn n -> Printf.sprintf "torn tail (%d bytes dropped)" n
-
 let version = 1
 let header_len = 6 (* u32 payload length + version byte + kind byte *)
 let frame_overhead = header_len + 4 (* + trailing CRC *)

@@ -51,7 +51,6 @@ type error =
       (** complete frame whose CRC does not match *)
 
 val error_to_string : error -> string
-val status_to_string : status -> string
 
 val version : int
 (** Frame format version written by {!append}. *)

@@ -339,7 +339,7 @@ let test_checkpoint_stress () =
     List.iter
       (fun op ->
         let via_index = Ledger.spender_of l op
-        and via_scan = Ledger.spender_of_scan l op in
+        and via_scan = Daric_oracle.Ref_tower.spender_of_scan l op in
         check_b
           (label ^ ": spender index matches scan")
           true

@@ -1,20 +1,22 @@
 (* Memory-engine differentials.
 
-   The packed watchtower (records as encoded bytes in an arena) is an
-   alternative REPRESENTATION of the boxed tower, not an alternative
-   behaviour: a random trace of watch / unwatch / fraud / recovery
-   operations applied to both backends must leave them observably
-   identical — guarded set, punished set, storage bytes, record blobs
-   and byte-identical durable snapshots — with the packed side
-   additionally surviving a snapshot-recovery in the middle of the
-   trace. Body sharing (one commit/split/revocation body per update
-   shared by both parties) gets the same treatment against the
-   fresh-copy generators. Plus: the arena reclaims churned slots (a
-   tower's heap tracks its guarded count, not its lifetime watch
-   count), the interner actually shares payloads, and the
+   The watchtower keeps records as encoded bytes in an arena and polls
+   through the ledger's spent log. A random trace of watch / unwatch /
+   fraud / recovery operations is applied to it, to a twin that never
+   crashes, and to the boxed, scanning reference tower
+   ({!Daric_oracle.Ref_tower}); all three must stay observably
+   identical — guarded set, punished set, storage bytes and record
+   blobs — and at every recovery the restored tower's durable
+   snapshot must equal the twin's byte for byte. Body sharing gets a
+   memo-key check: equal generator arguments return one physical
+   body, and changing any one argument changes the txid. Plus: the
+   arena reclaims churned slots (a tower's heap tracks its guarded
+   count, not its lifetime watch count), decoding a packed ledger
+   entry shares its payload strings through the interner, and the
    retained-words-per-channel figure at N=1k stays under a regression
    bound. The suite is run under DPOOL_DOMAINS 1/2/4 and once under
-   OCAMLRUNPARAM=s=64k (tiny minor heap) via the dune alias. *)
+   OCAMLRUNPARAM=s=64k (tiny minor heap) via the dune alias; the
+   retained-words case also runs alone, in its own process. *)
 
 module Tx = Daric_tx.Tx
 module Ledger = Daric_chain.Ledger
@@ -27,6 +29,7 @@ module Intern = Daric_util.Intern
 module Rng = Daric_util.Rng
 module I = Daric_schemes.Scheme_intf
 module DS = Daric_schemes.Daric_scheme
+module Ref_tower = Daric_oracle.Ref_tower
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -105,7 +108,7 @@ let build_world ?(channels = 4) ?(updates = 1) ~seed () =
     chans;
   (env, chans)
 
-(* ---------------- arena-vs-boxed trace differential ---------------- *)
+(* ---------------- tower-vs-reference trace differential ---------------- *)
 
 type op = Watch of int | Unwatch of int | Fraud of int | Recover
 
@@ -117,48 +120,54 @@ let show_op = function
 
 let chan_id k = Printf.sprintf "mm%d" k
 
-(* Observables that must agree between the two backends after every
-   operation. Record blobs are compared as sorted encode_record bytes,
-   so the packed arena contents are checked against re-encoded boxed
-   records, not just counted. *)
+(* Observables the reference tower also has. Record blobs are
+   compared as sorted encode_record bytes, so the arena contents are
+   checked against re-encoded boxed records, not just counted. *)
 let observe (t : Watchtower.t) =
   let blobs = ref [] in
   Watchtower.iter_record_blobs t (fun b -> blobs := b :: !blobs);
   ( Watchtower.guarded_count t,
     Watchtower.storage_bytes t,
     List.sort String.compare (Watchtower.punished t),
-    Watchtower.cursor t,
     List.sort String.compare !blobs )
+
+let observe_ref (t : Ref_tower.t) =
+  ( Ref_tower.guarded_count t,
+    Ref_tower.storage_bytes t,
+    List.sort String.compare (Ref_tower.punished t),
+    Ref_tower.record_blobs t )
 
 let run_pair_trace (ops : op list) : unit =
   let nchans = 4 in
   let env, chans = build_world ~channels:nchans ~seed:5 () in
-  let packed = ref (Watchtower.create ~backend:Watchtower.Packed ~wid:"m" ()) in
-  let boxed = Watchtower.create ~backend:Watchtower.Boxed ~wid:"m" () in
-  check_b "backends differ" true
-    (Watchtower.backend !packed = Watchtower.Packed
-    && Watchtower.backend boxed = Watchtower.Boxed);
+  (* [tower] loses its RAM at every [Recover]; [twin] never does *)
+  let tower = ref (Watchtower.create ~wid:"m" ()) in
+  let twin = Watchtower.create ~wid:"m" () in
+  let oracle = Ref_tower.create () in
   let post tx = Ledger.post env.I.ledger tx ~delay:0 in
   let poll () =
     let round = Ledger.height env.I.ledger in
-    (* packed reacts first; the boxed oracle's identical revocation
-       post is then a duplicate the ledger rejects — on-chain effect
-       identical either way *)
-    Watchtower.end_of_round !packed ~round ~ledger:env.I.ledger ~post;
-    Watchtower.end_of_round boxed ~round ~ledger:env.I.ledger ~post
+    (* the first tower to react posts the revocation; the identical
+       posts after it are duplicates the ledger rejects — on-chain
+       effect identical either way *)
+    Watchtower.end_of_round !tower ~round ~ledger:env.I.ledger ~post;
+    Watchtower.end_of_round twin ~round ~ledger:env.I.ledger ~post;
+    Ref_tower.end_of_round oracle ~ledger:env.I.ledger ~post
   in
   let frauded = Array.make nchans false in
   let apply = function
     | Watch i -> (
         match DS.watch_record chans.(i) with
         | Some r ->
-            let a = Watchtower.watch !packed r in
-            let b = Watchtower.watch boxed r in
-            check_b "watch verdicts agree" true (a = b)
+            let a = Watchtower.watch !tower r in
+            let b = Watchtower.watch twin r in
+            let c = Ref_tower.watch oracle r in
+            check_b "watch verdicts agree" true (a = b && b = c)
         | None -> Alcotest.fail "no watch record")
     | Unwatch i ->
-        Watchtower.unwatch !packed ~channel_id:(chan_id i);
-        Watchtower.unwatch boxed ~channel_id:(chan_id i)
+        Watchtower.unwatch !tower ~channel_id:(chan_id i);
+        Watchtower.unwatch twin ~channel_id:(chan_id i);
+        Ref_tower.unwatch oracle ~channel_id:(chan_id i)
     | Fraud i ->
         if not frauded.(i) then begin
           frauded.(i) <- true;
@@ -169,32 +178,36 @@ let run_pair_trace (ops : op list) : unit =
           poll ()
         end
     | Recover ->
-        (* the durable snapshot is representation-independent... *)
-        let sp = Persist.encode_tower !packed in
-        let sb = Persist.encode_tower boxed in
-        check_b "snapshots byte-identical across backends" true
-          (String.equal sp sb);
-        (* ...and the packed side must survive losing its RAM *)
-        (match Persist.restore_tower sp with
-        | Ok t -> packed := t
-        | Error e -> Alcotest.fail (Persist.error_to_string e))
+        let twin_snap = Persist.encode_tower twin in
+        let snap = Persist.encode_tower !tower in
+        check_b "snapshot before the crash = twin's" true
+          (String.equal snap twin_snap);
+        (match Persist.restore_tower snap with
+        | Ok t -> tower := t
+        | Error e -> Alcotest.fail (Persist.error_to_string e));
+        check_b "restored tower's snapshot = twin's" true
+          (String.equal (Persist.encode_tower !tower) twin_snap)
   in
   List.iteri
     (fun step op ->
       apply op;
-      let op_name = show_op op in
-      let gp, sp, pp, cp, bp = observe !packed in
-      let gb, sb, pb, cb, bb = observe boxed in
-      check_i (Printf.sprintf "step %d %s: guarded" step op_name) gb gp;
-      check_i (Printf.sprintf "step %d %s: storage bytes" step op_name) sb sp;
-      check_sl (Printf.sprintf "step %d %s: punished" step op_name) pb pp;
-      check_i (Printf.sprintf "step %d %s: cursor" step op_name) cb cp;
-      check_b (Printf.sprintf "step %d %s: record blobs" step op_name) true
-        (bp = bb))
+      let label what = Printf.sprintf "step %d %s: %s" step (show_op op) what in
+      let gt, st, pt, bt = observe !tower in
+      let gw, sw, pw, bw = observe twin in
+      let gr, sr, pr, br = observe_ref oracle in
+      List.iter
+        (fun (who, g, s, p, b) ->
+          check_i (label (who ^ " guarded")) gr g;
+          check_i (label (who ^ " storage bytes")) sr s;
+          check_sl (label (who ^ " punished")) pr p;
+          check_b (label (who ^ " record blobs")) true (b = br))
+        [ ("tower", gt, st, pt, bt); ("twin", gw, sw, pw, bw) ];
+      check_i (label "cursor") (Watchtower.cursor twin)
+        (Watchtower.cursor !tower))
     ops;
   (* every fraud on a still-watched channel must have been punished by
-     both towers, and the revocations really confirmed *)
-  let _, _, punished, _, _ = observe boxed in
+     all three towers, and the revocations really confirmed *)
+  let punished = Ref_tower.punished oracle in
   Array.iteri
     (fun i s ->
       if frauded.(i) && List.mem (chan_id i) punished then
@@ -211,8 +224,9 @@ let gen_ops =
            map (fun i -> Fraud i) (int_range 0 3);
            return Recover ]))
 
-let fuzz_arena_vs_boxed =
-  QCheck.Test.make ~count:15 ~name:"arena tower = boxed tower (random traces)"
+let fuzz_tower_vs_ref =
+  QCheck.Test.make ~count:15
+    ~name:"tower = crash-free twin = reference tower (random traces)"
     (QCheck.make gen_ops
        ~print:(fun ops -> String.concat " " (List.map show_op ops)))
     (fun ops ->
@@ -224,17 +238,21 @@ let fuzz_arena_vs_boxed =
      fraud after recovery;
    - a channel unwatched while still queued for the next poll's direct
      check, between recoveries: the restored tower no longer queues it,
-     so the snapshots of both towers must not depend on the queue's
-     stale entries;
+     so neither its snapshot nor its crash-free twin's may depend on the
+     queue's stale entries;
    - a channel re-watched after such an unwatch, which the live queue
-     holds twice and the restored one once. *)
+     holds twice and the restored one once;
+   - a fraud while the channel is unwatched, then a re-watch: the spend
+     is behind the spent-log cursor, so only the direct check of newly
+     watched channels can catch it. *)
 let test_directed_trace () =
   List.iter run_pair_trace
     [ [ Watch 0; Watch 1; Watch 2; Watch 3; Fraud 1; Watch 1; Unwatch 2;
         Recover; Fraud 0; Watch 2; Recover; Fraud 3 ];
       [ Watch 0; Watch 1; Unwatch 2; Recover; Unwatch 1; Recover; Watch 2;
         Recover ];
-      [ Watch 1; Unwatch 1; Recover; Watch 1; Recover ] ]
+      [ Watch 1; Unwatch 1; Recover; Watch 1; Recover ];
+      [ Watch 0; Unwatch 0; Fraud 0; Watch 0; Fraud 1 ] ]
 
 (* ---------------- churn: heap tracks guarded count (S1) ---------------- *)
 
@@ -272,67 +290,101 @@ let test_churn_reclaims () =
 
 (* ---------------- body sharing differential ---------------- *)
 
-let test_body_sharing_differential () =
-  (* the same scale trace with body sharing on and off must be
-     observably identical everywhere the system can be probed *)
-  let probe sharing =
-    Txs.set_sharing sharing;
-    Fun.protect
-      ~finally:(fun () -> Txs.set_sharing true)
-      (fun () ->
-        let s =
-          Daric_analysis.Scale.run ~channels:8 ~updates:2 ~frauds:3 ~seed:21 ()
-        in
-        ( s.Daric_analysis.Scale.punished,
-          s.Daric_analysis.Scale.frauds,
-          s.Daric_analysis.Scale.ledger_height,
-          s.Daric_analysis.Scale.accepted_txs,
-          s.Daric_analysis.Scale.tower_storage_bytes ))
-  in
-  check_b "shared trace = copied trace" true (probe true = probe false)
-
-let test_body_sharing_physical () =
+(* Both parties of an update generate the same bodies; the memos make
+   them one physical body. Equal arguments must hit the memo, and a
+   change to any single argument must miss it — a memo key that
+   dropped or conflated an argument would hand one channel another
+   state's transaction. *)
+let test_body_sharing_memo_keys () =
   let rng = Rng.create ~seed:77 in
-  let ka = Keys.generate rng and kb = Keys.generate rng in
-  let keys_a = Keys.pub ka and keys_b = Keys.pub kb in
+  let ka = Keys.pub (Keys.generate rng) and kb = Keys.pub (Keys.generate rng) in
+  let kc = Keys.pub (Keys.generate rng) in
+  let txids2 (a, b) = (Tx.txid a, Tx.txid b) in
+  let s0 = 500_000_000 in
   let funding = { Tx.txid = String.make 32 'f'; vout = 0 } in
-  let args () =
-    Txs.gen_commit ~funding ~value:1_000 ~keys_a ~keys_b ~s0:500_000_000 ~i:3
-      ~rel_lock:6
+  let commit ?(funding = funding) ?(value = 1_000) ?(keys_a = ka)
+      ?(keys_b = kb) ?(s0 = s0) ?(i = 3) ?(rel_lock = 6) () =
+    Txs.gen_commit ~funding ~value ~keys_a ~keys_b ~s0 ~i ~rel_lock
   in
-  let c1, c1' = args () in
-  let c2, c2' = args () in
-  check_b "both parties share one commit body" true (c1 == c2 && c1' == c2');
-  let f1, f1' =
-    Txs.gen_commit_fresh ~funding ~value:1_000 ~keys_a ~keys_b ~s0:500_000_000
-      ~i:3 ~rel_lock:6
-  in
-  check_b "fresh copies are distinct" true (not (f1 == c1));
-  check_b "shared and fresh are byte-identical" true
-    (Tx.txid f1 = Tx.txid c1 && Tx.txid f1' = Tx.txid c1');
+  let c1, c1' = commit () and c2, c2' = commit () in
+  check_b "equal commit arguments share one body" true (c1 == c2 && c1' == c2');
+  List.iter
+    (fun (arg, pair) ->
+      check_b ("commit txids change with " ^ arg) true
+        (let a, b = txids2 pair in
+         a <> Tx.txid c1 && b <> Tx.txid c1'))
+    [ ( "funding txid",
+        commit ~funding:{ funding with Tx.txid = String.make 32 'g' } () );
+      ("funding vout", commit ~funding:{ funding with Tx.vout = 1 } ());
+      ("value", commit ~value:1_001 ());
+      ("keys_a", commit ~keys_a:kc ());
+      ("keys_b", commit ~keys_b:kc ());
+      ("s0", commit ~s0:(s0 + 1) ());
+      ("i", commit ~i:4 ());
+      ("rel_lock", commit ~rel_lock:7 ()) ];
   let theta =
     [ { Tx.value = 600; spk = Tx.P2wpkh (String.make 20 'a') };
       { Tx.value = 400; spk = Tx.P2wpkh (String.make 20 'b') } ]
   in
-  check_b "split body shared" true
-    (Txs.gen_split ~theta ~s0:500_000_000 ~i:2
-    == Txs.gen_split ~theta ~s0:500_000_000 ~i:2);
-  check_b "split fresh distinct but equal" true
-    (let a = Txs.gen_split_fresh ~theta ~s0:500_000_000 ~i:2 in
-     let b = Txs.gen_split ~theta ~s0:500_000_000 ~i:2 in
-     (not (a == b)) && Tx.txid a = Tx.txid b);
-  let rv () =
-    Txs.gen_revoke ~pk_a:keys_a.Keys.main_pk ~pk_b:keys_b.Keys.main_pk
-      ~cash:1_000 ~s0:500_000_000 ~revoked:2
+  let split ?(theta = theta) ?(s0 = s0) ?(i = 2) () =
+    Txs.gen_split ~theta ~s0 ~i
   in
-  let r1, r1' = rv () and r2, r2' = rv () in
-  check_b "revocation pair shared" true (r1 == r2 && r1' == r2');
-  let rf, rf' =
-    Txs.gen_revoke_fresh ~pk_a:keys_a.Keys.main_pk ~pk_b:keys_b.Keys.main_pk
-      ~cash:1_000 ~s0:500_000_000 ~revoked:2
+  check_b "equal split arguments share one body" true (split () == split ());
+  List.iter
+    (fun (arg, tx) ->
+      check_b ("split txid changes with " ^ arg) true
+        (Tx.txid tx <> Tx.txid (split ())))
+    [ ("theta", split ~theta:(List.rev theta) ());
+      ("s0", split ~s0:(s0 + 1) ());
+      ("i", split ~i:3 ()) ];
+  let revoke ?(pk_a = ka.Keys.main_pk) ?(pk_b = kb.Keys.main_pk) ?(cash = 1_000)
+      ?(s0 = s0) ?(revoked = 2) () =
+    Txs.gen_revoke ~pk_a ~pk_b ~cash ~s0 ~revoked
   in
-  check_b "fresh revocations equal the shared ones" true
-    (Tx.txid rf = Tx.txid r1 && Tx.txid rf' = Tx.txid r1')
+  let r1, r1' = revoke () and r2, r2' = revoke () in
+  check_b "equal revocation arguments share one pair" true
+    (r1 == r2 && r1' == r2');
+  List.iter
+    (fun (arg, pair) ->
+      check_b ("revocation txids change with " ^ arg) true
+        (txids2 pair <> txids2 (r1, r1')))
+    [ ("pk_a", revoke ~pk_a:kc.Keys.main_pk ());
+      ("pk_b", revoke ~pk_b:kc.Keys.main_pk ());
+      ("cash", revoke ~cash:1_001 ());
+      ("s0", revoke ~s0:(s0 + 1) ());
+      ("revoked", revoke ~revoked:3 ()) ]
+
+(* Decoding interns payload strings ({!Daric_tx.Txcodec}): two reads of
+   one packed accepted-log entry are two decodes, and they must share
+   the txid and script-hash strings. Self-contained — it does not rely
+   on what earlier tests left in the domain's intern table. *)
+let test_decode_interns () =
+  let l = Ledger.create ~delta:1 ~compact_depth:1 () in
+  let funded =
+    Ledger.mint l ~value:1_000 ~spk:(Tx.P2wpkh (String.make 20 'k'))
+  in
+  Ledger.record l
+    (Tx.make
+       ~inputs:[ Tx.input_of_outpoint funded ]
+       ~outputs:[ { Tx.value = 900; spk = Tx.P2wsh (String.make 32 's') } ]
+       ());
+  for _ = 1 to 3 do
+    ignore (Ledger.tick l)
+  done;
+  check_b "entry packed" true (Ledger.compacted_count l > 0);
+  match (Ledger.spender_of l funded, Ledger.spender_of l funded) with
+  | Some a, Some b -> (
+      check_b "two separate decodes" true (not (a == b));
+      match (a.Tx.inputs, b.Tx.inputs, a.Tx.outputs, b.Tx.outputs) with
+      | ( [ ia ],
+          [ ib ],
+          [ { Tx.spk = Tx.P2wsh ha; _ } ],
+          [ { Tx.spk = Tx.P2wsh hb; _ } ] ) ->
+          check_b "decodes share the prevout txid" true
+            (ia.Tx.prevout.Tx.txid == ib.Tx.prevout.Tx.txid);
+          check_b "decodes share the script hash" true (ha == hb)
+      | _ -> Alcotest.fail "decoded spender has the wrong shape")
+  | _ -> Alcotest.fail "no spender for the funded outpoint"
 
 (* ---------------- retained-words regression bound ---------------- *)
 
@@ -356,24 +408,24 @@ let test_retained_words_per_channel () =
   check_b "tower arena carries the records" true
     (s.Daric_analysis.Memprobe.tower_arena_bytes > 0);
   check_b "accepted log compacted" true
-    (s.Daric_analysis.Memprobe.ledger_compacted > 0);
-  check_b "interner shared payloads" true
-    (s.Daric_analysis.Memprobe.intern_saved_bytes > 0)
+    (s.Daric_analysis.Memprobe.ledger_compacted > 0)
 
 let () =
   Alcotest.run "daric-mem"
     [ ( "engine",
         [ Alcotest.test_case "arena store/replace/free/reuse" `Quick test_arena;
           Alcotest.test_case "interning" `Quick test_intern;
-          Alcotest.test_case "directed arena-vs-boxed trace" `Quick
+          Alcotest.test_case "packed-entry decodes share strings" `Quick
+            test_decode_interns;
+          Alcotest.test_case "directed tower-vs-reference trace" `Quick
             test_directed_trace;
           Alcotest.test_case "churn reclaims arena slots" `Quick
             test_churn_reclaims;
-          Alcotest.test_case "body sharing differential" `Slow
-            test_body_sharing_differential;
-          Alcotest.test_case "body sharing is physical" `Quick
-            test_body_sharing_physical;
-          Alcotest.test_case "retained words per channel at N=1k" `Slow
+          Alcotest.test_case "body sharing memo keys" `Quick
+            test_body_sharing_memo_keys ] );
+      (* a group of its own so @memdiff can also run it alone *)
+      ( "retained",
+        [ Alcotest.test_case "retained words per channel at N=1k" `Slow
             test_retained_words_per_channel ] );
       ( "fuzz",
-        [ QCheck_alcotest.to_alcotest fuzz_arena_vs_boxed ] ) ]
+        [ QCheck_alcotest.to_alcotest fuzz_tower_vs_ref ] ) ]

@@ -15,8 +15,8 @@
    On the final chain, every indexed read (spender_of,
    recorded_round_of, accepted_count, the spent log) is checked
    against its linear-scan oracle. The watchtower's cursor monitor is
-   diffed against the pre-index scan monitor on a real multi-channel
-   fraud scenario. *)
+   diffed against the scanning reference tower (test/oracle) on a real
+   multi-channel fraud scenario. *)
 
 module Tx = Daric_tx.Tx
 module Ledger = Daric_chain.Ledger
@@ -26,6 +26,7 @@ module Rng = Daric_util.Rng
 module Dpool = Daric_util.Dpool
 module Vec = Daric_util.Vec
 module Watchtower = Daric_core.Watchtower
+module Ref_tower = Daric_oracle.Ref_tower
 module I = Daric_schemes.Scheme_intf
 module DS = Daric_schemes.Daric_scheme
 
@@ -261,7 +262,7 @@ let test_indexed_reads_vs_scan () =
   List.iter
     (fun (op, _, _) ->
       let a = Ledger.spender_of l op in
-      let b = Ledger.spender_of_scan l op in
+      let b = Ref_tower.spender_of_scan l op in
       check_b "spender_of = spender_of_scan" true
         (match (a, b) with
         | None, None -> true
@@ -365,8 +366,8 @@ let test_pending_buckets () =
 (* ---------------- watchtower differential ---------------- *)
 
 (* Four real Daric channels on one shared environment; frauds on two.
-   The cursor monitor and the pre-index scan monitor must punish the
-   same channels. *)
+   The cursor monitor and the reference tower's history scan must
+   punish the same channels. *)
 let test_watchtower_differential () =
   let env = I.make_env ~delta:1 ~seed:5 () in
   let chans =
@@ -387,13 +388,13 @@ let test_watchtower_differential () =
       | Error e -> Alcotest.fail (I.error_to_string e))
     chans;
   let indexed = Watchtower.create ~wid:"indexed" () in
-  let scan = Watchtower.create ~wid:"scan" () in
+  let scan = Ref_tower.create () in
   List.iter
     (fun s ->
       match DS.watch_record s with
       | Some r ->
           check_b "indexed tower takes record" true (Watchtower.watch indexed r);
-          check_b "scan tower takes record" true (Watchtower.watch scan r)
+          check_b "scan tower takes record" true (Ref_tower.watch scan r)
       | None -> Alcotest.fail "no watch record after update")
     chans;
   check_i "indexed guards all" 4 (Watchtower.guarded_count indexed);
@@ -401,11 +402,11 @@ let test_watchtower_differential () =
   let poll_both () =
     let round = Daric_chain.Ledger.height env.I.ledger in
     Watchtower.end_of_round indexed ~round ~ledger:env.I.ledger ~post;
-    Watchtower.end_of_round_scan scan ~round ~ledger:env.I.ledger ~post
+    Ref_tower.end_of_round scan ~ledger:env.I.ledger ~post
   in
   poll_both ();
   check_sl "no punishments yet (indexed)" [] (Watchtower.punished indexed);
-  check_sl "no punishments yet (scan)" [] (Watchtower.punished scan);
+  check_sl "no punishments yet (scan)" [] (Ref_tower.punished scan);
   (* frauds on channels 1 and 3, both parties frozen *)
   DS.publish_revoked (List.nth chans 1);
   DS.publish_revoked (List.nth chans 3);
@@ -413,10 +414,12 @@ let test_watchtower_differential () =
   poll_both ();
   I.settle env 1;
   poll_both ();
-  let sorted t = List.sort String.compare (Watchtower.punished t) in
+  let sorted = List.sort String.compare in
   check_sl "both towers punished the same channels" [ "wt1"; "wt3" ]
-    (sorted indexed);
-  check_sl "scan tower agrees" (sorted indexed) (sorted scan);
+    (sorted (Watchtower.punished indexed));
+  check_sl "scan tower agrees"
+    (sorted (Watchtower.punished indexed))
+    (sorted (Ref_tower.punished scan));
   (* the revocation transactions actually confirmed on chain *)
   List.iter
     (fun k ->

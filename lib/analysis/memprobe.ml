@@ -23,7 +23,6 @@
     enough to run at N = 100k. *)
 
 module I = Daric_schemes.Scheme_intf
-module DS = Daric_schemes.Daric_scheme
 module Ledger = Daric_chain.Ledger
 module Watchtower = Daric_core.Watchtower
 module Memtune = Daric_util.Memtune
@@ -46,11 +45,6 @@ type sample = {
   intern_saved_bytes : int;  (** duplicate payload bytes deduplicated *)
 }
 
-let timed (f : unit -> 'a) : 'a * float =
-  let t0 = Sys.time () in
-  let x = f () in
-  (x, Sys.time () -. t0)
-
 (** [run ~channels ~updates ~seed ()] builds the system, measures, and
     returns the sample. All roots (channels, tower, ledger) stay live
     until the final statistics are read. *)
@@ -61,46 +55,14 @@ let run ?(channels = 1_000) ?(updates = 2) ?(seed = 7) () : sample =
   let intern0 = Intern.stats () in
   let env = I.make_env ~delta:1 ~seed () in
   let updates = max 1 updates in
-  let chans = Array.make channels None in
-  for k = 0 to channels - 1 do
-    let cfg =
-      { I.default_config with
-        chan_id = Printf.sprintf "m%d" k;
-        party_seed = 1000 + (2 * k);
-        bal_a = 500_000 + (k mod 997);
-        bal_b = 500_000 - (k mod 997) }
-    in
-    match DS.Scheme.open_channel env cfg with
-    | Ok s -> chans.(k) <- Some s
-    | Error e -> failwith (I.error_to_string e)
-  done;
+  let chans = Fleet.open_all env ~prefix:"m" ~channels in
   let before = Memtune.quick_stats () in
-  let (), update_seconds =
-    timed (fun () ->
-        Array.iteri
-          (fun k s ->
-            let s = Option.get s in
-            for u = 1 to updates do
-              let shift = (k mod 997) + (u * 13) in
-              match
-                DS.Scheme.update s ~bal_a:(500_000 + shift)
-                  ~bal_b:(500_000 - shift)
-              with
-              | Ok () -> ()
-              | Error e -> failwith (I.error_to_string e)
-            done)
-          chans)
-  in
+  let (), update_seconds = Fleet.timed (fun () -> Fleet.update_all chans ~updates) in
   let after = Memtune.quick_stats () in
   let tower = Watchtower.create ~wid:"mem-tower" () in
-  Array.iter
-    (fun s ->
-      match DS.watch_record (Option.get s) with
-      | Some r ->
-          if not (Watchtower.watch tower r) then
-            failwith "memprobe: tower rejected a valid record"
-      | None -> failwith "memprobe: no record after update")
-    chans;
+  Fleet.watch_all chans ~who:"memprobe" (fun r ->
+      if not (Watchtower.watch tower r) then
+        failwith "memprobe: tower rejected a valid record");
   (* One snapshot/recovery roundtrip: decodes every packed record,
      which routes ids, txids and signatures through the interner —
      recovered copies share bytes with the live ones. The restored

@@ -40,11 +40,6 @@ type sample = {
   gc : Memtune.stats;  (** collector quick-stats at end of run *)
 }
 
-let timed (f : unit -> 'a) : 'a * float =
-  let t0 = Sys.time () in
-  let x = f () in
-  (x, Sys.time () -. t0)
-
 (** [run ~channels ~updates ~frauds ~seed ()] builds the N-channel
     system and returns the measured sample. [frauds] is clamped to
     [channels]; every channel gets [updates] off-chain updates (at
@@ -61,38 +56,10 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(seed = 7)
   let env = I.make_env ~delta:1 ~seed () in
   let updates = max 1 updates in
   let frauds = min (max frauds 0) channels in
-  let chans = Array.make channels None in
-  let (), open_seconds =
-    timed (fun () ->
-        for k = 0 to channels - 1 do
-          let cfg =
-            { I.default_config with
-              chan_id = Printf.sprintf "c%d" k;
-              party_seed = 1000 + (2 * k);
-              bal_a = 500_000 + (k mod 997);
-              bal_b = 500_000 - (k mod 997) }
-          in
-          match DS.Scheme.open_channel env cfg with
-          | Ok s -> chans.(k) <- Some s
-          | Error e -> failwith (I.error_to_string e)
-        done)
+  let chans, open_seconds =
+    Fleet.timed (fun () -> Fleet.open_all env ~prefix:"c" ~channels)
   in
-  let (), update_seconds =
-    timed (fun () ->
-        Array.iteri
-          (fun k s ->
-            let s = Option.get s in
-            for u = 1 to updates do
-              let shift = (k mod 997) + (u * 13) in
-              match
-                DS.Scheme.update s ~bal_a:(500_000 + shift)
-                  ~bal_b:(500_000 - shift)
-              with
-              | Ok () -> ()
-              | Error e -> failwith (I.error_to_string e)
-            done)
-          chans)
-  in
+  let (), update_seconds = Fleet.timed (fun () -> Fleet.update_all chans ~updates) in
   (* Delegate every channel to one tower — behind the snapshot+WAL
      layer when [durable], so the sweep also prices the journal. *)
   let dtower =
@@ -110,14 +77,8 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(seed = 7)
     | Some d -> Durable.watch d r
     | None -> Watchtower.watch tower r
   in
-  Array.iter
-    (fun s ->
-      match DS.watch_record (Option.get s) with
-      | Some r ->
-          if not (do_watch r) then
-            failwith "scale: tower rejected a valid record"
-      | None -> failwith "scale: no record after update")
-    chans;
+  Fleet.watch_all chans ~who:"scale" (fun r ->
+      if not (do_watch r) then failwith "scale: tower rejected a valid record");
   let post tx = Ledger.post env.ledger tx ~delay:0 in
   let eor () =
     let round = Ledger.height env.ledger in
@@ -131,7 +92,7 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(seed = 7)
   eor ();
   let monitor_polls = 8 in
   let (), monitor_total =
-    timed (fun () ->
+    Fleet.timed (fun () ->
         for _ = 1 to monitor_polls do
           I.settle env 1;
           eor ()
@@ -140,7 +101,7 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(seed = 7)
   (* Fraud wave: replay revoked commits on the last [frauds] channels
      with both parties frozen; only the tower can react. *)
   for k = channels - frauds to channels - 1 do
-    DS.publish_revoked (Option.get chans.(k))
+    DS.publish_revoked chans.(k)
   done;
   I.settle env 1;
   (* The reaction poll is O(frauds) — microseconds — but at large N the
@@ -150,7 +111,7 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(seed = 7)
      timing ~8× at N=100k. Finish the outstanding cycle first so the
      timing measures the punish path, not the collector's backlog. *)
   Memtune.quiesce ();
-  let (), fraud_react_seconds = timed eor in
+  let (), fraud_react_seconds = Fleet.timed eor in
   I.settle env 1;
   (* let the revocations confirm, then settle the punished list *)
   eor ();

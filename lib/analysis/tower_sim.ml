@@ -40,11 +40,6 @@ type sample = {
   scores : Towerset.score list;
 }
 
-let timed (f : unit -> 'a) : 'a * float =
-  let t0 = Sys.time () in
-  let x = f () in
-  (x, Sys.time () -. t0)
-
 let staggered_faults ~(replicas : int) ~(period : int) ~(round : int)
     ~(replica : int) : Towerset.fault =
   if replicas <= 1 then `Up
@@ -65,52 +60,19 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(rounds = 24)
     | Some f -> f
     | None -> fun ~round ~replica -> staggered_faults ~replicas ~period:4 ~round ~replica
   in
-  let chans = Array.make channels None in
-  let (), open_seconds =
-    timed (fun () ->
-        for k = 0 to channels - 1 do
-          let cfg =
-            { I.default_config with
-              chan_id = Printf.sprintf "c%d" k;
-              party_seed = 1000 + (2 * k);
-              bal_a = 500_000 + (k mod 997);
-              bal_b = 500_000 - (k mod 997) }
-          in
-          match DS.Scheme.open_channel env cfg with
-          | Ok s -> chans.(k) <- Some s
-          | Error e -> failwith (I.error_to_string e)
-        done)
+  let chans, open_seconds =
+    Fleet.timed (fun () -> Fleet.open_all env ~prefix:"c" ~channels)
   in
-  let (), update_seconds =
-    timed (fun () ->
-        Array.iteri
-          (fun k s ->
-            let s = Option.get s in
-            for u = 1 to updates do
-              let shift = (k mod 997) + (u * 13) in
-              match
-                DS.Scheme.update s ~bal_a:(500_000 + shift)
-                  ~bal_b:(500_000 - shift)
-              with
-              | Ok () -> ()
-              | Error e -> failwith (I.error_to_string e)
-            done)
-          chans)
-  in
+  let (), update_seconds = Fleet.timed (fun () -> Fleet.update_all chans ~updates) in
   (* Delegate every channel to the probe and to the replica set. *)
   let probe = Durable.create ~snapshot_every ~wid:"probe" probe_store in
   let ts = Towerset.create ~snapshot_every ~faults ~wid:"tower" ~mk_store replicas in
   let round0 = Ledger.height env.ledger in
-  Array.iter
-    (fun s ->
-      match DS.watch_record (Option.get s) with
-      | Some r ->
-          if not (Durable.watch probe r) then
-            failwith "tower_sim: probe rejected a valid record";
-          if not (Towerset.watch ts ~round:round0 r) then
-            failwith "tower_sim: every replica rejected a valid record"
-      | None -> failwith "tower_sim: no record after update")
-    chans;
+  Fleet.watch_all chans ~who:"tower_sim" (fun r ->
+      if not (Durable.watch probe r) then
+        failwith "tower_sim: probe rejected a valid record";
+      if not (Towerset.watch ts ~round:round0 r) then
+        failwith "tower_sim: every replica rejected a valid record");
   let post tx = Ledger.post env.ledger tx ~delay:0 in
   let eor_both () =
     let round = Ledger.height env.ledger in
@@ -126,11 +88,11 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(rounds = 24)
   let frauds_a = frauds - (frauds / 2) in
   let fraud_round = max 1 (rounds / 2) in
   let (), monitor_seconds =
-    timed (fun () ->
+    Fleet.timed (fun () ->
         for i = 1 to rounds do
           if i = fraud_round then
             for k = channels - frauds to channels - frauds + frauds_a - 1 do
-              DS.publish_revoked (Option.get chans.(k))
+              DS.publish_revoked chans.(k)
             done;
           I.settle env 1;
           eor_both ()
@@ -139,7 +101,7 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(rounds = 24)
   (* Wave B, then let the revocations confirm and the punished lists
      settle. *)
   for k = channels - frauds + frauds_a to channels - 1 do
-    DS.publish_revoked (Option.get chans.(k))
+    DS.publish_revoked chans.(k)
   done;
   I.settle env 1;
   eor_both ();
@@ -164,7 +126,7 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(rounds = 24)
      the catch-up poll, the recovered tower must hold exactly the live
      probe's record bytes (checked outside the timed spans). *)
   let recovery, recover_seconds =
-    timed (fun () ->
+    Fleet.timed (fun () ->
         match Durable.recover ~snapshot_every ~wid:"probe" probe_store with
         | Ok r -> r
         | Error e ->
@@ -181,7 +143,7 @@ let run ?(channels = 100) ?(updates = 1) ?(frauds = 4) ?(rounds = 24)
   if Watchtower.storage_bytes tw <> tower_storage_bytes then
     failwith "tower_sim: recovered storage bytes differ from the live probe";
   let (), catch_up_seconds =
-    timed (fun () ->
+    Fleet.timed (fun () ->
         Durable.end_of_round recovery.Durable.t ~round:final_round
           ~ledger:env.ledger ~post)
   in

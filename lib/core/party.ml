@@ -120,12 +120,11 @@ type update_ctx = {
   u_split_body : Tx.t;
       (** state-(sn+1) split body, generated once per update so later
           steps reuse its encoding memo instead of re-deriving it *)
-  u_my_split_sig : string option;
+  u_my_split_sig : string;
       (** our own split signature, produced when the update began;
           deterministic signing makes any re-sign of the same body
           bit-identical, so later steps reuse these bytes *)
   mutable u_split : split_data option;
-  u_initiator : bool;
 }
 
 type phase =
@@ -240,53 +239,28 @@ let chan_exn (t : t) (id : string) : chan =
 
 (* ---- key/role helpers -------------------------------------------- *)
 
-let keys_ab (c : chan) : Keys.pub * Keys.pub =
-  let mine = Keys.pub c.keys in
-  let theirs = Option.get c.their_keys in
+(** [ab c mine theirs] puts our value and the peer's in (Alice, Bob)
+    order. It is its own inverse: applied to an (Alice, Bob) pair it
+    returns (ours, the peer's). Every role-dependent choice of the
+    protocol goes through it. *)
+let ab (c : chan) (mine : 'a) (theirs : 'a) : 'a * 'a =
   match c.cfg.role with Keys.Alice -> (mine, theirs) | Keys.Bob -> (theirs, mine)
+
+let keys_ab (c : chan) : Keys.pub * Keys.pub =
+  ab c (Keys.pub c.keys) (Option.get c.their_keys)
 
 let main_pks (c : chan) : Daric_crypto.Schnorr.public_key * Daric_crypto.Schnorr.public_key =
   let a, b = keys_ab c in
   (a.Keys.main_pk, b.Keys.main_pk)
 
-(** Context signing the counter-party's revocation transaction
-    (update steps 9/11): rv when we are Alice, rv' when we are Bob. *)
-let rev_sign_ctx_for_theirs (c : chan) : Daric_crypto.Keyctx.t =
-  match c.cfg.role with Keys.Alice -> c.sctx.x_rv | Keys.Bob -> c.sctx.x_rv'
-
-(** Their public key verifying their signature on OUR revocation tx. *)
-let rev_verify_key_for_mine (c : chan) : Daric_crypto.Schnorr.public_key =
-  let theirs = Option.get c.their_keys in
-  match c.cfg.role with Keys.Alice -> theirs.Keys.rv'_pk | Keys.Bob -> theirs.Keys.rv_pk
-
-(** Context completing OUR OWN revocation transaction at punish time
-    (and pre-signing it for the watchtower): rv' when we are Alice, rv
-    when we are Bob. *)
-let rev_complete_ctx_mine (c : chan) : Daric_crypto.Keyctx.t =
-  match c.cfg.role with Keys.Alice -> c.sctx.x_rv' | Keys.Bob -> c.sctx.x_rv
-
-(** My revocation transaction body for revoked state [revoked]. *)
-let my_rev_body (c : chan) ~(revoked : int) : Tx.t =
+(** (our, the peer's) floating revocation bodies for revoked state
+    [revoked]. *)
+let rev_bodies (c : chan) ~(revoked : int) : Tx.t * Tx.t =
   let pk_a, pk_b = main_pks c in
   let rv_a, rv_b =
     Txs.gen_revoke ~pk_a ~pk_b ~cash:(cash c.cfg) ~s0:c.cfg.s0 ~revoked
   in
-  match c.cfg.role with Keys.Alice -> rv_a | Keys.Bob -> rv_b
-
-(** Their revocation transaction body for revoked state [revoked]. *)
-let their_rev_body (c : chan) ~(revoked : int) : Tx.t =
-  let pk_a, pk_b = main_pks c in
-  let rv_a, rv_b =
-    Txs.gen_revoke ~pk_a ~pk_b ~cash:(cash c.cfg) ~s0:c.cfg.s0 ~revoked
-  in
-  match c.cfg.role with Keys.Alice -> rv_b | Keys.Bob -> rv_a
-
-(** Witness order inside the revocation branch is (Alice key, Bob key). *)
-let rev_witness_sigs (c : chan) ~(sig_mine : string) ~(sig_theirs : string) :
-    string * string =
-  match c.cfg.role with
-  | Keys.Alice -> (sig_mine, sig_theirs)
-  | Keys.Bob -> (sig_theirs, sig_mine)
+  ab c rv_a rv_b
 
 (* ---- counted crypto operations ----------------------------------- *)
 
@@ -343,20 +317,57 @@ let repin_keys (c : chan) : unit =
 let funding_outpoint (c : chan) : Tx.outpoint =
   Tx.outpoint_of (Option.get c.fund) 0
 
-let gen_commits (c : chan) ~(i : int) : Tx.t * Tx.t =
+(** (our, the peer's) commit bodies for state [i]. *)
+let commits (c : chan) ~(i : int) : Tx.t * Tx.t =
   let keys_a, keys_b = keys_ab c in
-  Txs.gen_commit ~funding:(funding_outpoint c) ~value:(cash c.cfg) ~keys_a
-    ~keys_b ~s0:c.cfg.s0 ~i ~rel_lock:c.cfg.rel_lock
-
-(** (my commit body, their commit body) for state [i]. *)
-let commits_for_roles (c : chan) ~(i : int) : Tx.t * Tx.t =
-  let cm_a, cm_b = gen_commits c ~i in
-  match c.cfg.role with Keys.Alice -> (cm_a, cm_b) | Keys.Bob -> (cm_b, cm_a)
+  let cm_a, cm_b =
+    Txs.gen_commit ~funding:(funding_outpoint c) ~value:(cash c.cfg) ~keys_a
+      ~keys_b ~s0:c.cfg.s0 ~i ~rel_lock:c.cfg.rel_lock
+  in
+  ab c cm_a cm_b
 
 let commit_script_for (c : chan) ~(owner : Keys.role) ~(i : int) : Script.t =
   let keys_a, keys_b = keys_ab c in
   Txs.commit_script_of ~role:owner ~keys_a ~keys_b ~s0:c.cfg.s0 ~i
     ~rel_lock:c.cfg.rel_lock
+
+(** A split body with our signature and the peer's in place. *)
+let split_with (c : chan) (split_body : Tx.t) ~(mine : string) ~(theirs : string)
+    : split_data =
+  let split_sig_a, split_sig_b = ab c mine theirs in
+  { split_body; split_sig_a; split_sig_b }
+
+(** Co-sign a 2-of-2 spend of the funding output — a commit or the fin
+    split: our keyed signature (uncounted, it stays on the device) next
+    to the peer's, then [complete]. *)
+let cosign_funding_spend (c : chan)
+    (complete :
+      Tx.t -> sig_a:string -> sig_b:string ->
+      pk_a:Daric_crypto.Schnorr.public_key ->
+      pk_b:Daric_crypto.Schnorr.public_key -> Tx.t)
+    (message : Tx.t -> string) (body : Tx.t) ~(theirs : string) : Tx.t =
+  let sig_a, sig_b =
+    ab c (Sighash.sign_message_keyed c.sctx.x_main All (message body)) theirs
+  in
+  let pk_a, pk_b = main_pks c in
+  complete body ~sig_a ~sig_b ~pk_a ~pk_b
+
+(* ---- transitions ------------------------------------------------- *)
+
+(** Enter [phase], arm its deadline [wait] rounds out, and send [msg]. *)
+let advance (ctx : ctx) (c : chan) (phase : phase) ~(wait : int)
+    (msg : Wire.msg) : unit =
+  c.phase <- phase;
+  c.deadline <- Some (ctx.round + wait);
+  ctx.send ~recipient:c.cfg.peer msg
+
+(** Finish with the channel: Done, pins released, [ev] reported. *)
+let settle (t : t) (ctx : ctx) (c : chan) (ev : event) : unit =
+  c.phase <- Done;
+  release_chan_keys c;
+  c.deadline <- None;
+  c.outcome <- Some ev;
+  emit t ctx ev
 
 (* ------------------------------------------------------------------ *)
 (* Create phase.                                                       *)
@@ -415,15 +426,11 @@ let on_create_info (t : t) (ctx : ctx) (c : chan) ~(tid : Tx.outpoint)
   c.pinned_pks <- pin_their_keys keys @ c.pinned_pks;
   c.tid_theirs <- Some tid;
   let pk_a, pk_b = main_pks c in
-  let tid_a, tid_b =
-    match c.cfg.role with
-    | Keys.Alice -> (Option.get c.tid_mine, tid)
-    | Keys.Bob -> (tid, Option.get c.tid_mine)
-  in
+  let tid_a, tid_b = ab c (Option.get c.tid_mine) tid in
   let fund = Txs.gen_fund ~tid_a ~tid_b ~cash:(cash c.cfg) ~pk_a ~pk_b in
   c.fund <- Some fund;
   c.st <- initial_state c;
-  let _, commit_theirs = commits_for_roles c ~i:0 in
+  let _, commit_theirs = commits c ~i:0 in
   let split0 = Txs.gen_split ~theta:c.st ~s0:c.cfg.s0 ~i:0 in
   let split_sig =
     sign_counted t c.sctx.x_sp Anyprevout (Txs.split_message split0)
@@ -431,15 +438,13 @@ let on_create_info (t : t) (ctx : ctx) (c : chan) ~(tid : Tx.outpoint)
   let commit_sig =
     sign_counted t c.sctx.x_main All (Txs.commit_message commit_theirs)
   in
-  c.phase <- Await_create_com;
-  c.deadline <- Some (ctx.round + 2);
-  ctx.send ~recipient:c.cfg.peer
+  advance ctx c Await_create_com ~wait:2
     (Wire.Create_com { id = c.cfg.id; split_sig; commit_sig })
 
 let on_create_com (t : t) (ctx : ctx) (c : chan) ~(split_sig : string)
     ~(commit_sig : string) : unit =
   let theirs = Option.get c.their_keys in
-  let commit_mine_body, _ = commits_for_roles c ~i:0 in
+  let commit_mine_body, commit_theirs = commits c ~i:0 in
   let split0 = Txs.gen_split ~theta:c.st ~s0:c.cfg.s0 ~i:0 in
   let split_ok =
     verify_counted t theirs.Keys.sp_pk (Txs.split_message split0) split_sig
@@ -452,28 +457,14 @@ let on_create_com (t : t) (ctx : ctx) (c : chan) ~(split_sig : string)
     emit t ctx (Protocol_error (c.cfg.id, "invalid createCom signatures"))
   else begin
     (* Assemble state-0 data. *)
-    let my_split_sig =
+    let mine =
       Sighash.sign_message_keyed c.sctx.x_sp Anyprevout (Txs.split_message split0)
     in
-    let sig_a, sig_b =
-      match c.cfg.role with
-      | Keys.Alice -> (my_split_sig, split_sig)
-      | Keys.Bob -> (split_sig, my_split_sig)
-    in
-    c.split <- Some { split_body = split0; split_sig_a = sig_a; split_sig_b = sig_b };
-    let my_commit_sig =
-      Sighash.sign_message_keyed c.sctx.x_main All
-        (Txs.commit_message commit_mine_body)
-    in
-    let sig_a, sig_b =
-      match c.cfg.role with
-      | Keys.Alice -> (my_commit_sig, commit_sig)
-      | Keys.Bob -> (commit_sig, my_commit_sig)
-    in
-    let pk_a, pk_b = main_pks c in
+    c.split <- Some (split_with c split0 ~mine ~theirs:split_sig);
     c.commit_mine <-
-      Some (Txs.complete_commit commit_mine_body ~sig_a ~sig_b ~pk_a ~pk_b);
-    let _, commit_theirs = commits_for_roles c ~i:0 in
+      Some
+        (cosign_funding_spend c Txs.complete_commit Txs.commit_message
+           commit_mine_body ~theirs:commit_sig);
     c.commit_theirs_body <- Some commit_theirs;
     (* Sign and send the funding transaction. *)
     let fund = Option.get c.fund in
@@ -481,9 +472,8 @@ let on_create_com (t : t) (ctx : ctx) (c : chan) ~(split_sig : string)
       sign_counted t c.sctx.x_main All (Txs.funding_message fund)
     in
     c.fund_sig_mine <- Some fund_sig;
-    c.phase <- Await_create_fund;
-    c.deadline <- Some (ctx.round + 2);
-    ctx.send ~recipient:c.cfg.peer (Wire.Create_fund { id = c.cfg.id; fund_sig })
+    advance ctx c Await_create_fund ~wait:2
+      (Wire.Create_fund { id = c.cfg.id; fund_sig })
   end
 
 let on_create_fund (t : t) (ctx : ctx) (c : chan) ~(fund_sig : string) : unit =
@@ -494,11 +484,7 @@ let on_create_fund (t : t) (ctx : ctx) (c : chan) ~(fund_sig : string) : unit =
   else begin
     c.fund_sig_theirs <- Some fund_sig;
     let pk_a, pk_b = main_pks c in
-    let sig_a, sig_b =
-      match c.cfg.role with
-      | Keys.Alice -> (Option.get c.fund_sig_mine, fund_sig)
-      | Keys.Bob -> (fund_sig, Option.get c.fund_sig_mine)
-    in
+    let sig_a, sig_b = ab c (Option.get c.fund_sig_mine) fund_sig in
     let completed = Txs.complete_fund fund ~sig_a ~pk_a ~sig_b ~pk_b in
     ctx.post completed;
     c.phase <- Await_funding_confirm;
@@ -528,10 +514,7 @@ let post_refund (t : t) (ctx : ctx) (c : chan) : unit =
       ctx.post refund;
       c.phase <- Refunding;
       c.deadline <- Some (ctx.round + 1 + Ledger.delta ctx.ledger)
-  | _ ->
-      c.phase <- Done;
-      release_chan_keys c;
-      emit t ctx (Aborted c.cfg.id)
+  | _ -> settle t ctx c (Aborted c.cfg.id)
 
 (* ------------------------------------------------------------------ *)
 (* ForceClose.                                                         *)
@@ -550,14 +533,18 @@ let force_close (t : t) (ctx : ctx) (c : chan) : unit =
   match commit with
   | None ->
       (* Nothing enforceable yet (creation never completed). *)
-      c.phase <- Done;
-      release_chan_keys c;
-      emit t ctx (Aborted c.cfg.id)
+      settle t ctx c (Aborted c.cfg.id)
   | Some commit ->
       ctx.post commit;
       c.phase <- Force_closed_waiting;
       c.deadline <- None;
       emit t ctx (Force_closed c.cfg.id)
+
+(** A counter-party signature failed to verify once we were bound to
+    the new state: report it and ForceClose. *)
+let reject (t : t) (ctx : ctx) (c : chan) (error : string) : unit =
+  emit t ctx (Protocol_error (c.cfg.id, error));
+  force_close t ctx c
 
 (* ------------------------------------------------------------------ *)
 (* Update phase.                                                       *)
@@ -570,40 +557,40 @@ let request_update (t : t) (ctx : ctx) ~(id : string) ~(theta : Tx.output list)
   if
     List.fold_left (fun a (o : Tx.output) -> a + o.value) 0 theta <> cash c.cfg
   then invalid_arg "request_update: state must redistribute exactly the cash";
-  ctx.send ~recipient:c.cfg.peer (Wire.Update_req { id; theta; tstp });
   c.requested_theta <- Some theta;
-  c.phase <- Upd_await_info;
-  c.deadline <- Some (ctx.round + 2 + tstp)
+  advance ctx c Upd_await_info ~wait:(2 + tstp) (Wire.Update_req { id; theta; tstp })
+
+(** The state-(sn+1) split body for [theta]. *)
+let next_split (c : chan) ~(theta : Tx.output list) : Tx.t =
+  Txs.gen_split ~theta ~s0:c.cfg.s0 ~i:(c.sn + 1)
+
+(** Begin the in-flight update to [theta]: the state-(sn+1) bodies and
+    our (counted) signature over its split. *)
+let begin_update (t : t) (c : chan) ~(theta : Tx.output list)
+    ~(split_body : Tx.t) : update_ctx =
+  let commit_mine_body, commit_theirs_body = commits c ~i:(c.sn + 1) in
+  { u_theta = theta;
+    u_commit_mine = None;
+    u_commit_mine_body = commit_mine_body;
+    u_commit_theirs_body = commit_theirs_body;
+    u_split_body = split_body;
+    u_my_split_sig =
+      sign_counted t c.sctx.x_sp Anyprevout (Txs.split_message split_body);
+    u_split = None }
 
 (** Update steps 2-3 (responder): consult the environment; on approval,
     sign the new split transaction. *)
-let on_update_req (t : t) (ctx : ctx) (c : chan) ~(theta : Tx.output list)
-    ~(tstp : int) : unit =
-  ignore tstp;
+let on_update_req (t : t) (ctx : ctx) (c : chan) ~(theta : Tx.output list) :
+    unit =
   emit t ctx (Update_requested c.cfg.id);
   if c.phase <> Operational then ()
   else if not (t.env.approve_update ~id:c.cfg.id ~theta) then
     emit t ctx (Update_rejected c.cfg.id)
   else begin
-    let i' = c.sn + 1 in
-    let commit_mine_body, commit_theirs_body = commits_for_roles c ~i:i' in
-    let split_body = Txs.gen_split ~theta ~s0:c.cfg.s0 ~i:i' in
-    let split_sig =
-      sign_counted t c.sctx.x_sp Anyprevout (Txs.split_message split_body)
-    in
-    c.pending <-
-      Some
-        { u_theta = theta;
-          u_commit_mine = None;
-          u_commit_mine_body = commit_mine_body;
-          u_commit_theirs_body = commit_theirs_body;
-          u_split_body = split_body;
-          u_my_split_sig = Some split_sig;
-          u_split = None;
-          u_initiator = false };
-    c.phase <- Upd_await_com_initiator;
-    c.deadline <- Some (ctx.round + 2);
-    ctx.send ~recipient:c.cfg.peer (Wire.Update_info { id = c.cfg.id; split_sig })
+    let u = begin_update t c ~theta ~split_body:(next_split c ~theta) in
+    c.pending <- Some u;
+    advance ctx c Upd_await_com_initiator ~wait:2
+      (Wire.Update_info { id = c.cfg.id; split_sig = u.u_my_split_sig })
   end
 
 (** Update steps 4-5 (initiator): verify the responder's split
@@ -613,9 +600,7 @@ let on_update_req (t : t) (ctx : ctx) (c : chan) ~(theta : Tx.output list)
 let on_update_info (t : t) (ctx : ctx) (c : chan) ~(split_sig : string)
     ~(theta : Tx.output list) : unit =
   let theirs = Option.get c.their_keys in
-  let i' = c.sn + 1 in
-  let commit_mine_body, commit_theirs_body = commits_for_roles c ~i:i' in
-  let split_body = Txs.gen_split ~theta ~s0:c.cfg.s0 ~i:i' in
+  let split_body = next_split c ~theta in
   if not (verify_counted t theirs.Keys.sp_pk (Txs.split_message split_body) split_sig)
   then begin
     emit t ctx (Protocol_error (c.cfg.id, "invalid updateInfo signature"));
@@ -623,40 +608,30 @@ let on_update_info (t : t) (ctx : ctx) (c : chan) ~(split_sig : string)
     c.deadline <- None
   end
   else begin
-    let my_split_sig =
-      sign_counted t c.sctx.x_sp Anyprevout (Txs.split_message split_body)
-    in
-    let sig_a, sig_b =
-      match c.cfg.role with
-      | Keys.Alice -> (my_split_sig, split_sig)
-      | Keys.Bob -> (split_sig, my_split_sig)
-    in
-    c.pending <-
-      Some
-        { u_theta = theta;
-          u_commit_mine = None;
-          u_commit_mine_body = commit_mine_body;
-          u_commit_theirs_body = commit_theirs_body;
-          u_split_body = split_body;
-          u_my_split_sig = Some my_split_sig;
-          u_split =
-            Some { split_body; split_sig_a = sig_a; split_sig_b = sig_b };
-          u_initiator = true };
+    let u = begin_update t c ~theta ~split_body in
+    u.u_split <- Some (split_with c split_body ~mine:u.u_my_split_sig ~theirs:split_sig);
+    c.pending <- Some u;
     c.flag <- 2;
     c.st' <- Some theta;
     if not (t.env.approve_setup ~id:c.cfg.id) then force_close t ctx c
     else begin
       let commit_sig =
         sign_counted t c.sctx.x_main All
-          (Txs.commit_message commit_theirs_body)
+          (Txs.commit_message u.u_commit_theirs_body)
       in
-      c.phase <- Upd_await_com_responder;
-      c.deadline <- Some (ctx.round + 2);
-      ctx.send ~recipient:c.cfg.peer
+      advance ctx c Upd_await_com_responder ~wait:2
         (Wire.Update_com_initiator
-           { id = c.cfg.id; split_sig = my_split_sig; commit_sig })
+           { id = c.cfg.id; split_sig = u.u_my_split_sig; commit_sig })
     end
   end
+
+(** Our state-(sn+1) commit becomes enforceable: complete it with the
+    peer's signature (update steps 6 and 8). *)
+let complete_pending (c : chan) (u : update_ctx) ~(commit_sig : string) : unit =
+  u.u_commit_mine <-
+    Some
+      (cosign_funding_spend c Txs.complete_commit Txs.commit_message
+         u.u_commit_mine_body ~theirs:commit_sig)
 
 (** Update steps 6-7 (responder): verify the initiator's split and
     commit signatures; our new commit is now enforceable (flag = 2);
@@ -667,9 +642,8 @@ let on_update_com_initiator (t : t) (ctx : ctx) (c : chan)
   | None -> ()
   | Some u ->
       let theirs = Option.get c.their_keys in
-      let split_body = u.u_split_body in
       let split_ok =
-        verify_counted t theirs.Keys.sp_pk (Txs.split_message split_body)
+        verify_counted t theirs.Keys.sp_pk (Txs.split_message u.u_split_body)
           split_sig
       in
       let commit_ok =
@@ -677,45 +651,17 @@ let on_update_com_initiator (t : t) (ctx : ctx) (c : chan)
           (Txs.commit_message u.u_commit_mine_body)
           commit_sig
       in
-      if not (split_ok && commit_ok) then begin
-        emit t ctx (Protocol_error (c.cfg.id, "invalid updateComP signatures"));
-        force_close t ctx c
-      end
+      if not (split_ok && commit_ok) then
+        reject t ctx c "invalid updateComP signatures"
       else begin
-        let my_split_sig =
-          match u.u_my_split_sig with
-          | Some s ->
-              (* Deterministic signing: our updateInfo signature over
-                 this very body is bit-identical, so reuse the bytes.
-                 Still counted — the ops counters report the protocol's
-                 Table-3 cost model, not the memoization. *)
-              t.ops.signs <- t.ops.signs + 1;
-              s
-          | None ->
-              sign_counted t c.sctx.x_sp Anyprevout
-                (Txs.split_message split_body)
-        in
-        let sig_a, sig_b =
-          match c.cfg.role with
-          | Keys.Alice -> (my_split_sig, split_sig)
-          | Keys.Bob -> (split_sig, my_split_sig)
-        in
+        (* Deterministic signing: our updateInfo signature over this
+           very body is bit-identical, so reuse the bytes. Still
+           counted — the ops counters report the protocol's Table-3
+           cost model, not the memoization. *)
+        t.ops.signs <- t.ops.signs + 1;
         u.u_split <-
-          Some { split_body; split_sig_a = sig_a; split_sig_b = sig_b };
-        let my_commit_sig =
-          Sighash.sign_message_keyed c.sctx.x_main All
-            (Txs.commit_message u.u_commit_mine_body)
-        in
-        let csig_a, csig_b =
-          match c.cfg.role with
-          | Keys.Alice -> (my_commit_sig, commit_sig)
-          | Keys.Bob -> (commit_sig, my_commit_sig)
-        in
-        let pk_a, pk_b = main_pks c in
-        u.u_commit_mine <-
-          Some
-            (Txs.complete_commit u.u_commit_mine_body ~sig_a:csig_a
-               ~sig_b:csig_b ~pk_a ~pk_b);
+          Some (split_with c u.u_split_body ~mine:u.u_my_split_sig ~theirs:split_sig);
+        complete_pending c u ~commit_sig;
         c.flag <- 2;
         c.st' <- Some u.u_theta;
         if not (t.env.approve_setup' ~id:c.cfg.id) then force_close t ctx c
@@ -724,12 +670,24 @@ let on_update_com_initiator (t : t) (ctx : ctx) (c : chan)
             sign_counted t c.sctx.x_main All
               (Txs.commit_message u.u_commit_theirs_body)
           in
-          c.phase <- Upd_await_revoke_initiator;
-          c.deadline <- Some (ctx.round + 2);
-          ctx.send ~recipient:c.cfg.peer
+          advance ctx c Upd_await_revoke_initiator ~wait:2
             (Wire.Update_com_responder { id = c.cfg.id; commit_sig })
         end
       end
+
+(* Revocation keys: Alice's commits carry the rv keys in their
+   revocation branch, Bob's the rv' keys, so [ab c rv rv'] of any key
+   bundle is (its key in our commit's branch, its key in the peer's).
+   Our key in our own branch signs the peer's revocation transaction,
+   which spends our commit; our key in the peer's branch completes our
+   own revocation transaction. *)
+
+(** Revoke state sn: sign the peer's floating revocation transaction
+    (update steps 9 and 11). *)
+let revoke_sig (t : t) (c : chan) : string =
+  let kc, _ = ab c c.sctx.x_rv c.sctx.x_rv' in
+  sign_counted t kc Anyprevout
+    (Txs.revoke_message (snd (rev_bodies c ~revoked:c.sn)))
 
 (** Update steps 8-9 (initiator): our new commit is enforceable; with
     the environment's REVOKE, revoke state sn by signing the
@@ -745,43 +703,23 @@ let on_update_com_responder (t : t) (ctx : ctx) (c : chan)
           (verify_counted t theirs.Keys.main_pk
              (Txs.commit_message u.u_commit_mine_body)
              commit_sig)
-      then begin
-        emit t ctx (Protocol_error (c.cfg.id, "invalid updateComQ signature"));
-        force_close t ctx c
-      end
+      then reject t ctx c "invalid updateComQ signature"
       else begin
-        let my_commit_sig =
-          Sighash.sign_message_keyed c.sctx.x_main All
-            (Txs.commit_message u.u_commit_mine_body)
-        in
-        let sig_a, sig_b =
-          match c.cfg.role with
-          | Keys.Alice -> (my_commit_sig, commit_sig)
-          | Keys.Bob -> (commit_sig, my_commit_sig)
-        in
-        let pk_a, pk_b = main_pks c in
-        u.u_commit_mine <-
-          Some
-            (Txs.complete_commit u.u_commit_mine_body ~sig_a ~sig_b ~pk_a ~pk_b);
+        complete_pending c u ~commit_sig;
         if not (t.env.approve_revoke ~id:c.cfg.id) then force_close t ctx c
-        else begin
-          let rev_theirs = their_rev_body c ~revoked:c.sn in
-          let rev_sig =
-            sign_counted t (rev_sign_ctx_for_theirs c) Anyprevout
-              (Txs.revoke_message rev_theirs)
-          in
-          c.phase <- Upd_await_revoke_responder;
-          c.deadline <- Some (ctx.round + 2);
-          ctx.send ~recipient:c.cfg.peer
-            (Wire.Revoke_initiator { id = c.cfg.id; rev_sig })
-        end
+        else
+          advance ctx c Upd_await_revoke_responder ~wait:2
+            (Wire.Revoke_initiator { id = c.cfg.id; rev_sig = revoke_sig t c })
       end
 
-(** Their public key under which we verify the revocation signature we
-    receive (it covers OUR revocation tx): their rv' when we are Alice,
-    their rv when we are Bob. *)
-let rev_verify_pk (c : chan) : Daric_crypto.Schnorr.public_key =
-  rev_verify_key_for_mine c
+(** Does [rev_sig] verify as the peer's signature on our floating
+    revocation transaction for state sn (update steps 10 and 12)? *)
+let valid_rev_sig (t : t) (c : chan) ~(rev_sig : string) : bool =
+  let theirs = Option.get c.their_keys in
+  let _, pk = ab c theirs.Keys.rv_pk theirs.Keys.rv'_pk in
+  verify_counted t pk
+    (Txs.revoke_message (fst (rev_bodies c ~revoked:c.sn)))
+    rev_sig
 
 (** Commit the pending state: the paper's step-10/12 bookkeeping common
     to both parties, including pre-signing our own revocation
@@ -801,11 +739,11 @@ let finalize_update (t : t) (ctx : ctx) (c : chan) (u : update_ctx)
   c.deadline <- None;
   (* Pre-sign our own revocation transaction for the watchtower
      (counted: it is sent off-device). *)
-  let my_rev = my_rev_body c ~revoked:(c.sn - 1) in
+  let _, kc = ab c c.sctx.x_rv c.sctx.x_rv' in
   c.rev_sig_mine <-
     Some
-      (sign_counted t (rev_complete_ctx_mine c) Anyprevout
-         (Txs.revoke_message my_rev));
+      (sign_counted t kc Anyprevout
+         (Txs.revoke_message (fst (rev_bodies c ~revoked:(c.sn - 1)))));
   emit t ctx (Updated (c.cfg.id, c.sn))
 
 (** Update steps 10-11 (responder): verify the revocation signature,
@@ -816,22 +754,11 @@ let on_revoke_initiator (t : t) (ctx : ctx) (c : chan) ~(rev_sig : string) :
   match c.pending with
   | None -> ()
   | Some u ->
-      let my_rev = my_rev_body c ~revoked:c.sn in
-      if
-        not
-          (verify_counted t (rev_verify_pk c) (Txs.revoke_message my_rev)
-             rev_sig)
-      then begin
-        emit t ctx (Protocol_error (c.cfg.id, "invalid revokeP signature"));
-        force_close t ctx c
-      end
+      if not (valid_rev_sig t c ~rev_sig) then
+        reject t ctx c "invalid revokeP signature"
       else if not (t.env.approve_revoke' ~id:c.cfg.id) then force_close t ctx c
       else begin
-        let rev_theirs = their_rev_body c ~revoked:c.sn in
-        let their_rev_sig =
-          sign_counted t (rev_sign_ctx_for_theirs c) Anyprevout
-            (Txs.revoke_message rev_theirs)
-        in
+        let their_rev_sig = revoke_sig t c in
         finalize_update t ctx c u ~rev_sig;
         ctx.send ~recipient:c.cfg.peer
           (Wire.Revoke_responder { id = c.cfg.id; rev_sig = their_rev_sig })
@@ -844,15 +771,8 @@ let on_revoke_responder (t : t) (ctx : ctx) (c : chan) ~(rev_sig : string) :
   match c.pending with
   | None -> ()
   | Some u ->
-      let my_rev = my_rev_body c ~revoked:c.sn in
-      if
-        not
-          (verify_counted t (rev_verify_pk c) (Txs.revoke_message my_rev)
-             rev_sig)
-      then begin
-        emit t ctx (Protocol_error (c.cfg.id, "invalid revokeQ signature"));
-        force_close t ctx c
-      end
+      if not (valid_rev_sig t c ~rev_sig) then
+        reject t ctx c "invalid revokeQ signature"
       else finalize_update t ctx c u ~rev_sig
 
 (* ------------------------------------------------------------------ *)
@@ -868,9 +788,7 @@ let request_close (t : t) (ctx : ctx) ~(id : string) : unit =
     sign_counted t c.sctx.x_main All (Txs.fin_split_message fin)
   in
   c.fin_split <- Some fin;
-  c.phase <- Close_await_ack;
-  c.deadline <- Some (ctx.round + 2);
-  ctx.send ~recipient:c.cfg.peer (Wire.Close_req { id; fin_sig })
+  advance ctx c Close_await_ack ~wait:2 (Wire.Close_req { id; fin_sig })
 
 let on_close_req (t : t) (ctx : ctx) (c : chan) ~(fin_sig : string) : unit =
   if c.phase <> Operational then ()
@@ -890,9 +808,7 @@ let on_close_req (t : t) (ctx : ctx) (c : chan) ~(fin_sig : string) : unit =
         sign_counted t c.sctx.x_main All (Txs.fin_split_message fin)
       in
       c.fin_split <- Some fin;
-      c.phase <- Close_await_confirm;
-      c.deadline <- Some (ctx.round + 2 + Ledger.delta ctx.ledger);
-      ctx.send ~recipient:c.cfg.peer
+      advance ctx c Close_await_confirm ~wait:(2 + Ledger.delta ctx.ledger)
         (Wire.Close_ack { id = c.cfg.id; fin_sig = my_sig })
     end
   end
@@ -905,22 +821,11 @@ let on_close_ack (t : t) (ctx : ctx) (c : chan) ~(fin_sig : string) : unit =
         not
           (verify_counted t theirs.Keys.main_pk (Txs.fin_split_message fin)
              fin_sig)
-      then begin
-        emit t ctx (Protocol_error (c.cfg.id, "invalid closeQ signature"));
-        force_close t ctx c
-      end
+      then reject t ctx c "invalid closeQ signature"
       else begin
-        let my_sig =
-          Sighash.sign_message_keyed c.sctx.x_main All
-            (Txs.fin_split_message fin)
-        in
-        let sig_a, sig_b =
-          match c.cfg.role with
-          | Keys.Alice -> (my_sig, fin_sig)
-          | Keys.Bob -> (fin_sig, my_sig)
-        in
-        let pk_a, pk_b = main_pks c in
-        ctx.post (Txs.complete_fin_split fin ~sig_a ~sig_b ~pk_a ~pk_b);
+        ctx.post
+          (cosign_funding_spend c Txs.complete_fin_split Txs.fin_split_message
+             fin ~theirs:fin_sig);
         c.phase <- Close_await_confirm;
         c.deadline <- Some (ctx.round + 1 + Ledger.delta ctx.ledger)
       end
@@ -944,6 +849,11 @@ let outputs_equal (a : Tx.output list) (b : Tx.output list) : bool =
          | _ -> false)
        a b
 
+(** Do [outputs] pay the latest state or the one in flight? *)
+let expected_state (c : chan) (outputs : Tx.output list) : bool =
+  outputs_equal outputs c.st
+  || match c.st' with Some st' -> outputs_equal outputs st' | None -> false
+
 (** Bodies of the currently-enforceable commit transactions — the
     paper's set I. *)
 let enforceable_commit_txids (c : chan) : (string * int * Keys.role) list =
@@ -961,49 +871,39 @@ let enforceable_commit_txids (c : chan) : (string * int * Keys.role) list =
           (Tx.txid u.u_commit_theirs_body, c.sn + 1, Keys.other_role c.cfg.role) ]
   | _ -> base
 
-(** Punish a revoked commit: complete the latest floating revocation
-    transaction with the published commit's output as input and post it
-    instantly (Section 4.4). The revoked commit's state index is read
-    from its sequence field to reconstruct the hidden P2WSH script. *)
+(** The latest revocation this party holds: the revoked index (sn - 1),
+    our floating revocation body for it, and the two revocation-branch
+    signatures in (Alice, Bob) witness order. [None] before the first
+    update — state 0 has nothing to revoke. *)
+let latest_revocation (c : chan) : (int * Tx.t * string * string) option =
+  match (c.rev_sig_mine, c.rev_sig_theirs) with
+  | Some mine, Some theirs ->
+      let revoked = c.sn - 1 in
+      let sig_a, sig_b = ab c mine theirs in
+      Some (revoked, fst (rev_bodies c ~revoked), sig_a, sig_b)
+  | _ -> None
+
+(** Punish a revoked commit with {!Txs.punish_revoked} — the step the
+    watchtower takes too — and post the revocation instantly
+    (Section 4.4). *)
 let punish (t : t) (ctx : ctx) (c : chan) (published : Tx.t) : unit =
-  match c.rev_sig_theirs with
+  match latest_revocation c with
   | None ->
       emit t ctx
         (Protocol_error (c.cfg.id, "foreign spend of funding output (forgery?)"))
-  | Some sig_theirs ->
-      let revoked_index =
-        match published.Tx.inputs with
-        | [ input ] -> input.sequence
-        | _ -> -1
-      in
-      let owner = Keys.other_role c.cfg.role in
-      let script = commit_script_for c ~owner ~i:revoked_index in
-      let spk_matches =
-        match published.Tx.outputs with
-        | [ { Tx.spk = Tx.P2wsh h; _ } ] -> String.equal h (Script.hash script)
-        | _ -> false
-      in
-      if not spk_matches then
-        emit t ctx
-          (Protocol_error (c.cfg.id, "unrecognized spend of funding output"))
-      else begin
-        let my_rev = my_rev_body c ~revoked:(c.sn - 1) in
-        let sig_mine =
-          match c.rev_sig_mine with
-          | Some s -> s
-          | None ->
-              Sighash.sign_message_keyed (rev_complete_ctx_mine c) Anyprevout
-                (Txs.revoke_message my_rev)
-        in
-        let sig1, sig2 = rev_witness_sigs c ~sig_mine ~sig_theirs in
-        let rv =
-          Txs.complete_revocation my_rev
-            ~commit_outpoint:(Tx.outpoint_of published 0)
-            ~commit_script:script ~sig1 ~sig2
-        in
-        ctx.post rv;
-        c.punish_posted <- Some rv
-      end
+  | Some (revoked, rev_body, sig_a, sig_b) -> (
+      let keys_a, keys_b = keys_ab c in
+      match
+        Txs.punish_revoked ~keys_a ~keys_b ~s0:c.cfg.s0 ~rel_lock:c.cfg.rel_lock
+          ~owner:(Keys.other_role c.cfg.role) ~revoked ~rev_body ~sig_a ~sig_b
+          published
+      with
+      | None ->
+          emit t ctx
+            (Protocol_error (c.cfg.id, "unrecognized spend of funding output"))
+      | Some rv ->
+          ctx.post rv;
+          c.punish_posted <- Some rv)
 
 (** Post the split transaction matching the on-chain commit, once T
     rounds have elapsed since the commit was recorded. *)
@@ -1030,13 +930,6 @@ let try_post_split (t : t) (ctx : ctx) (c : chan) : unit =
             c.split_posted <- true
       end
   | _ -> ()
-
-let settle (t : t) (ctx : ctx) (c : chan) (ev : event) : unit =
-  c.phase <- Done;
-  release_chan_keys c;
-  c.deadline <- None;
-  c.outcome <- Some ev;
-  emit t ctx ev
 
 (** The Punish phase, executed at the end of every round: watch the
     funding output and react to whatever spent it. *)
@@ -1078,31 +971,18 @@ let punish_daemon (t : t) (ctx : ctx) (c : chan) : unit =
               match Ledger.spender_of ctx.ledger commit_op with
               | None -> ()
               | Some settlement ->
-                  let expected_st =
-                    outputs_equal settlement.Tx.outputs c.st
-                    ||
-                    match c.st' with
-                    | Some st' -> outputs_equal settlement.Tx.outputs st'
-                    | None -> false
-                  in
-                  if expected_st then settle t ctx c (Closed c.cfg.id)
-                  else begin
+                  if expected_state c settlement.Tx.outputs then
+                    settle t ctx c (Closed c.cfg.id)
+                  else
                     (* Our old commit was punished (we must have been
                        acting dishonestly) — or a forgery occurred. *)
                     settle t ctx c
-                      (Protocol_error (c.cfg.id, "commit output claimed by revocation"))
-                  end)
-          | None ->
+                      (Protocol_error (c.cfg.id, "commit output claimed by revocation")))
+          | None -> (
               (* Not an enforceable commit: expected closure or fraud. *)
-              let expected_st =
-                outputs_equal spender.Tx.outputs c.st
-                ||
-                match c.st' with
-                | Some st' -> outputs_equal spender.Tx.outputs st'
-                | None -> false
-              in
-              if expected_st then settle t ctx c (Closed c.cfg.id)
-              else (
+              if expected_state c spender.Tx.outputs then
+                settle t ctx c (Closed c.cfg.id)
+              else
                 match c.punish_posted with
                 | Some rv ->
                     (* Already reacting: settle once the revocation lands. *)
@@ -1114,11 +994,12 @@ let punish_daemon (t : t) (ctx : ctx) (c : chan) : unit =
 
 (** Create step 6: once the funding transaction is recorded, the
     channel becomes operational. Also resolves the refund race — if the
-    funding lands despite a posted refund, the channel proceeds (all
+    funding lands despite a posted refund, or the peer posted it while
+    we still wait for its funding signature, the channel proceeds (all
     state-0 data is already in hand). *)
 let check_funding_confirmed (t : t) (ctx : ctx) (c : chan) : unit =
   match (c.phase, c.fund) with
-  | (Await_funding_confirm | Refunding), Some fund ->
+  | (Await_create_fund | Await_funding_confirm | Refunding), Some fund ->
       if Ledger.is_unspent ctx.ledger (Tx.outpoint_of fund 0) then begin
         c.phase <- Operational;
         c.deadline <- None;
@@ -1132,13 +1013,11 @@ let check_deadline (t : t) (ctx : ctx) (c : chan) : unit =
   | Some d when ctx.round >= d -> (
       c.deadline <- None;
       match c.phase with
-      | Await_create_info | Await_create_com -> post_refund t ctx c
-      | Await_create_fund -> post_refund t ctx c
+      | Await_create_info | Await_create_com | Await_create_fund ->
+          post_refund t ctx c
       | Await_funding_confirm | Refunding ->
           (* Neither the funding nor the refund made it: report and stop. *)
-          c.phase <- Done;
-          release_chan_keys c;
-          emit t ctx (Aborted c.cfg.id)
+          settle t ctx c (Aborted c.cfg.id)
       | Upd_await_info ->
           (* Responder declined or vanished before revealing anything:
              the update simply does not happen (consensus on update). *)
@@ -1146,9 +1025,9 @@ let check_deadline (t : t) (ctx : ctx) (c : chan) : unit =
           c.phase <- Operational;
           emit t ctx (Update_rejected c.cfg.id)
       | Upd_await_com_initiator | Upd_await_com_responder
-      | Upd_await_revoke_initiator | Upd_await_revoke_responder ->
+      | Upd_await_revoke_initiator | Upd_await_revoke_responder
+      | Close_await_ack ->
           force_close t ctx c
-      | Close_await_ack -> force_close t ctx c
       | Close_await_confirm ->
           if c.outcome = None then
             emit t ctx (Protocol_error (c.cfg.id, "close did not confirm in time"))
@@ -1175,17 +1054,13 @@ let handle_msg (t : t) (ctx : ctx) (env : Wire.msg Daric_chain.Network.envelope)
             on_create_com t ctx c ~split_sig ~commit_sig
         | Wire.Create_fund { fund_sig; _ }, Await_create_fund ->
             on_create_fund t ctx c ~fund_sig
-        | Wire.Update_req { theta; tstp; _ }, Operational ->
-            on_update_req t ctx c ~theta ~tstp
+        | Wire.Update_req { theta; _ }, Operational ->
+            on_update_req t ctx c ~theta
         | Wire.Update_info { split_sig; _ }, Upd_await_info -> (
-            match c.pending with
-            | Some _ -> ()
-            | None -> (
-                (* theta travelled in our own Update_req; we keep it in
-                   the deadline closure — reconstruct from the request *)
-                match c.requested_theta with
-                | Some theta -> on_update_info t ctx c ~split_sig ~theta
-                | None -> ()))
+            (* theta travelled in our own updateReq *)
+            match (c.pending, c.requested_theta) with
+            | None, Some theta -> on_update_info t ctx c ~split_sig ~theta
+            | _ -> ())
         | Wire.Update_com_initiator { split_sig; commit_sig; _ },
           Upd_await_com_initiator ->
             on_update_com_initiator t ctx c ~split_sig ~commit_sig

@@ -78,11 +78,10 @@ type update_ctx = {
   u_commit_mine_body : Tx.t;
   u_commit_theirs_body : Tx.t;
   u_split_body : Tx.t;  (** state-(sn+1) split body, generated once *)
-  u_my_split_sig : string option;
+  u_my_split_sig : string;
       (** our split signature from the update's first step; later
           steps reuse it (deterministic signing — bit-identical) *)
   mutable u_split : split_data option;
-  u_initiator : bool;
 }
 
 type phase =
@@ -179,21 +178,13 @@ val keys_ab : chan -> Keys.pub * Keys.pub
 val main_pks :
   chan -> Daric_crypto.Schnorr.public_key * Daric_crypto.Schnorr.public_key
 
-val my_rev_body : chan -> revoked:int -> Tx.t
-(** This party's floating revocation transaction body for a revoked
-    state index. *)
-
-val their_rev_body : chan -> revoked:int -> Tx.t
-
-val rev_witness_sigs :
-  chan -> sig_mine:string -> sig_theirs:string -> string * string
-(** Order the two revocation-branch signatures into the (Alice, Bob)
-    witness positions. *)
+val latest_revocation : chan -> (int * Tx.t * string * string) option
+(** The latest revocation the party holds: the revoked state index
+    (sn - 1), its own floating revocation body for it, and the two
+    revocation-branch signatures in (Alice, Bob) witness order. [None]
+    before the first update. *)
 
 val funding_outpoint : chan -> Tx.outpoint
-
-val commit_script_for : chan -> owner:Keys.role -> i:int -> Script.t
-(** Reconstruct the commit output script of either party for state [i]. *)
 
 val outputs_equal : Tx.output list -> Tx.output list -> bool
 

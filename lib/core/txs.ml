@@ -280,6 +280,31 @@ let complete_revocation (rv : Tx.t) ~(commit_outpoint : Tx.outpoint)
           Tx.Wscript commit_script ] ]
     ()
 
+(** Punish a revoked commit (Section 4.4): read the spender's state
+    index from its nSequence, rebuild [owner]'s hidden commit script
+    for it and, when that script is the spender's one P2WSH output and
+    the index is at most [revoked], bind the floating revocation
+    [rev_body] to it with the (Alice, Bob) signatures. [None] for
+    anything else: the latest state, the other owner's commit, a
+    multi-input spend, an output that is not the commit script. *)
+let punish_revoked ~(keys_a : Keys.pub) ~(keys_b : Keys.pub) ~(s0 : int)
+    ~(rel_lock : int) ~(owner : Keys.role) ~(revoked : int) ~(rev_body : Tx.t)
+    ~(sig_a : string) ~(sig_b : string) (spender : Tx.t) : Tx.t option =
+  match (spender.Tx.inputs, spender.Tx.outputs) with
+  | [ input ], [ { Tx.spk = Tx.P2wsh h; _ } ]
+    when input.Tx.sequence >= 0 && input.Tx.sequence <= revoked ->
+      let script =
+        commit_script_of ~role:owner ~keys_a ~keys_b ~s0 ~i:input.Tx.sequence
+          ~rel_lock
+      in
+      if String.equal h (Script.hash script) then
+        Some
+          (complete_revocation rev_body
+             ~commit_outpoint:(Tx.outpoint_of spender 0)
+             ~commit_script:script ~sig1:sig_a ~sig2:sig_b)
+      else None
+  | _ -> None
+
 (** Complete the collaborative-close split with both signatures. *)
 let complete_fin_split (body : Tx.t) ~(sig_a : string) ~(sig_b : string)
     ~(pk_a : Daric_crypto.Schnorr.public_key)

@@ -91,6 +91,17 @@ val complete_revocation :
   sig1:string -> sig2:string -> Tx.t
 (** Bind a floating revocation to a revoked commit's output (IF branch). *)
 
+val punish_revoked :
+  keys_a:Keys.pub -> keys_b:Keys.pub -> s0:int -> rel_lock:int ->
+  owner:Keys.role -> revoked:int -> rev_body:Tx.t -> sig_a:string ->
+  sig_b:string -> Tx.t -> Tx.t option
+(** The revoked-commit punishment the channel party and the watchtower
+    both take (Section 4.4): if the spender is [owner]'s commit for a
+    state index in 0..[revoked] — the index is read from its nSequence
+    and the rebuilt commit script must be its one P2WSH output — bind
+    the floating revocation [rev_body] to its output with the
+    (Alice, Bob) revocation-branch signatures. [None] otherwise. *)
+
 val complete_fin_split :
   Tx.t -> sig_a:string -> sig_b:string ->
   pk_a:Daric_crypto.Schnorr.public_key ->

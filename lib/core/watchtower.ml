@@ -33,7 +33,6 @@
 
 module Tx = Daric_tx.Tx
 module Txcodec = Daric_tx.Txcodec
-module Script = Daric_script.Script
 module Ledger = Daric_chain.Ledger
 module Arena = Daric_util.Arena
 module Intern = Daric_util.Intern
@@ -328,30 +327,23 @@ let arena_live_bytes (t : t) : int = Arena.live_bytes t.arena
 let arena_capacity_bytes (t : t) : int = Arena.capacity_bytes t.arena
 
 (* React to a spend of a guarded funding output: if it is a revoked
-   counter-party commit, complete and post the revocation tx. The
-   punished channel's record is reclaimed — nothing is left to guard
-   once the revocation transaction is on its way. *)
+   counter-party commit, complete and post the revocation tx — the
+   step the channel party takes too. The punished channel's record is
+   reclaimed — nothing is left to guard once the revocation
+   transaction is on its way. *)
 let react (t : t) (r : record) (spender : Tx.t) ~(post : Tx.t -> unit) : unit =
-  let seq = match spender.Tx.inputs with [ i ] -> i.sequence | _ -> -1 in
-  if seq >= 0 && seq <= r.revoked then
-    (* reconstruct the counter-party's state-seq commit script *)
-    let owner = Keys.other_role r.client_role in
-    let script =
-      Txs.commit_script_of ~role:owner ~keys_a:r.keys_a ~keys_b:r.keys_b
-        ~s0:r.s0 ~i:seq ~rel_lock:r.rel_lock
-    in
-    match spender.Tx.outputs with
-    | [ { Tx.spk = Tx.P2wsh h; _ } ] when String.equal h (Script.hash script) ->
-        let rv =
-          Txs.complete_revocation r.rev_body
-            ~commit_outpoint:(Tx.outpoint_of spender 0)
-            ~commit_script:script ~sig1:r.sig_a ~sig2:r.sig_b
-        in
-        post rv;
-        t.punished_list <- r.channel_id :: t.punished_list;
-        Hashtbl.replace t.punished_set r.channel_id ();
-        drop_record t r.channel_id
-    | _ -> ()
+  match
+    Txs.punish_revoked ~keys_a:r.keys_a ~keys_b:r.keys_b ~s0:r.s0
+      ~rel_lock:r.rel_lock ~owner:(Keys.other_role r.client_role)
+      ~revoked:r.revoked ~rev_body:r.rev_body ~sig_a:r.sig_a ~sig_b:r.sig_b
+      spender
+  with
+  | None -> ()
+  | Some rv ->
+      post rv;
+      t.punished_list <- r.channel_id :: t.punished_list;
+      Hashtbl.replace t.punished_set r.channel_id ();
+      drop_record t r.channel_id
 
 let check_channel (t : t) ~(ledger : Ledger.t) ~(post : Tx.t -> unit)
     (cid : string) : unit =
@@ -381,19 +373,16 @@ let end_of_round (t : t) ~(round : int) ~(ledger : Ledger.t)
 
 (** Build the current watchtower record for a party's channel. Returns
     [None] until the first update has completed (there is nothing to
-    revoke in state 0). Signature and txid strings are interned — the
-    same bytes are also held by the parties, and at N channels the
+    revoke in state 0). The channel id and the signatures are interned —
+    the same bytes are also held by the parties, and at N channels the
     duplicates add up. *)
 let record_for (p : Party.t) ~(id : string) : record option =
   match Party.find_chan p id with
   | None -> None
   | Some c -> (
-      match (c.Party.rev_sig_theirs, c.Party.rev_sig_mine, c.Party.fund) with
-      | Some sig_theirs, Some sig_mine, Some fund ->
+      match (Party.latest_revocation c, c.Party.fund) with
+      | Some (revoked, rev_body, sig_a, sig_b), Some fund ->
           let keys_a, keys_b = Party.keys_ab c in
-          let revoked = c.Party.sn - 1 in
-          let rev_body = Party.my_rev_body c ~revoked in
-          let sig_a, sig_b = Party.rev_witness_sigs c ~sig_mine ~sig_theirs in
           Some
             { channel_id = Intern.string id;
               funding = Tx.outpoint_of fund 0;

@@ -24,6 +24,7 @@ module Towerset = Daric_core.Towerset
 module Wal = Daric_util.Wal
 module R = Daric_util.Byteio.Reader
 module Wire = Daric_core.Wire
+module Txcodec = Daric_tx.Txcodec
 module Party = Daric_core.Party
 module Driver = Daric_core.Driver
 module I = Daric_schemes.Scheme_intf
@@ -521,6 +522,64 @@ let fuzz_mutated_blobs =
       | exception e ->
           QCheck.Test.fail_reportf "decode_record raised %s" (Printexc.to_string e))
 
+(* Every transaction a punished Daric channel put on chain — funding,
+   the revoked commit (2-of-2 funding-script witness) and the
+   revocation (commit-script witness) — encoded standalone: the seeds
+   the tx-blob fuzzers corrupt. *)
+let tx_blobs =
+  lazy
+    (let d = Driver.create ~delta:1 ~seed:67 () in
+     let alice = Party.create ~pid:"alice" ~seed:68 () in
+     let bob = Party.create ~pid:"bob" ~seed:69 () in
+     Driver.add_party d alice;
+     Driver.add_party d bob;
+     Driver.open_channel d ~id:"c" ~alice ~bob ~bal_a:60_000 ~bal_b:40_000 ();
+     assert (Driver.run_until_operational d ~id:"c" ~alice ~bob);
+     let old_commit = Option.get (Party.chan_exn bob "c").Party.commit_mine in
+     let pk_a, pk_b = Party.main_pks (Party.chan_exn alice "c") in
+     let theta =
+       Daric_core.Txs.balance_state ~pk_a ~pk_b ~bal_a:55_000 ~bal_b:45_000
+     in
+     assert (Driver.update_channel d ~id:"c" ~initiator:alice ~responder:bob ~theta);
+     Driver.corrupt d "bob";
+     Driver.adversary_post d old_commit;
+     Driver.run d 6;
+     assert (Driver.saw_event alice (function Party.Punished _ -> true | _ -> false));
+     List.map (fun (_, tx) -> Txcodec.encode_tx tx) (Ledger.accepted (Driver.ledger d)))
+
+(* [decode_tx_exn] may only raise the codec's malformed-input
+   exceptions, and accepts only canonical bytes: whatever decodes
+   re-encodes to the blob itself. *)
+let tx_decodes_canonically (blob : string) : bool =
+  match Txcodec.decode_tx_exn blob with
+  | tx -> String.equal (Txcodec.encode_tx tx) blob
+  | exception (Txcodec.Bad_blob _ | R.Truncated) -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "decode_tx_exn raised %s" (Printexc.to_string e)
+
+let fuzz_tx_arbitrary =
+  QCheck.Test.make ~count:1000 ~name:"tx blobs: arbitrary bytes never raise"
+    QCheck.string tx_decodes_canonically
+
+let fuzz_tx_mutated =
+  QCheck.Test.make ~count:1000 ~name:"tx blobs: single-byte mutations"
+    QCheck.(triple small_nat (int_bound 10_000) small_nat)
+    (fun (which, pos_seed, delta_seed) ->
+      let blobs = Lazy.force tx_blobs in
+      List.for_all tx_decodes_canonically blobs
+      && tx_decodes_canonically
+           (mutate (List.nth blobs (which mod List.length blobs)) pos_seed delta_seed))
+
+let test_tx_fixtures () =
+  let txs = List.map Txcodec.decode_tx_exn (Lazy.force tx_blobs) in
+  check_b "funding, commit and revocation on chain" true (List.length txs >= 3);
+  check_b "script witnesses among the seeds" true
+    (List.exists
+       (fun (tx : Tx.t) ->
+         List.exists (List.exists (function Tx.Wscript _ -> true | _ -> false))
+           tx.Tx.witnesses)
+       txs)
+
 (* ---- restore and replay install bytes, not re-encodings ---- *)
 
 type op = Watch of int | Unwatch of int | Update of int | Fraud of int | Poll | Snap
@@ -677,9 +736,11 @@ let () =
         [ Alcotest.test_case "negative lengths are errors" `Quick
             test_negative_lengths;
           Alcotest.test_case "canonical encodings only" `Quick
-            test_canonical_only ]
+            test_canonical_only;
+          Alcotest.test_case "tx blob fuzz seeds" `Quick test_tx_fixtures ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ fuzz_arbitrary_bytes; fuzz_mutated_blobs ] );
+            [ fuzz_arbitrary_bytes; fuzz_mutated_blobs; fuzz_tx_arbitrary;
+              fuzz_tx_mutated ] );
       ( "install",
         List.map QCheck_alcotest.to_alcotest
           [ fuzz_snapshot_fixpoint; fuzz_replay_installs_payloads ] ) ]

@@ -510,9 +510,331 @@ let test_update_initiated_by_bob () =
   check "punish works after bob-initiated updates" true
     (Driver.saw_event s.alice (function Party.Punished _ -> true | _ -> false))
 
+(* ------------------------------------------------------------------ *)
+(* The revoked-commit punisher the party and the tower share. *)
+
+(* Alice's punisher against Bob's commits of states 0..3 (state 4 is
+   the latest): each revoked one is bound and validates on chain;
+   the latest state, Alice's own commit, Bob's commit under the wrong
+   owner, a two-input spend and a foreign P2WSH output are refused. *)
+let test_punish_revoked () =
+  let s = make_session () in
+  open_ok s ~id:"chan1";
+  let bob_commit () = Option.get (Party.chan_exn s.bob "chan1").Party.commit_mine in
+  let ca = Party.chan_exn s.alice "chan1" in
+  let alice_commit0 = Option.get ca.Party.commit_mine in
+  let commits = ref [ bob_commit () ] in
+  for k = 1 to 4 do
+    update_ok s ~id:"chan1" ~bal_a:(60_000 - (1_000 * k)) ~bal_b:(40_000 + (1_000 * k));
+    commits := !commits @ [ bob_commit () ]
+  done;
+  let revoked, rev_body, sig_a, sig_b = Option.get (Party.latest_revocation ca) in
+  check "revoked index is sn - 1" true (revoked = 3);
+  let keys_a, keys_b = Party.keys_ab ca in
+  let punish ?(owner = Keys.Bob) tx =
+    Txs.punish_revoked ~keys_a ~keys_b ~s0:ca.Party.cfg.s0
+      ~rel_lock:ca.Party.cfg.rel_lock ~owner ~revoked ~rev_body ~sig_a ~sig_b tx
+  in
+  let ledger = Driver.ledger s.d in
+  List.iteri
+    (fun i cm ->
+      if i <= revoked then
+        match punish cm with
+        | None -> Alcotest.failf "revoked state %d not punished" i
+        | Some rv ->
+            check "spends the commit output" true
+              (List.map (fun (x : Tx.input) -> x.prevout) rv.Tx.inputs
+              = [ Tx.outpoint_of cm 0 ]);
+            let cp = Ledger.checkpoint ledger in
+            Ledger.record ledger cm;
+            check (Fmt.str "state-%d revocation valid on chain" i) true
+              (Ledger.validate ledger rv = Ok ());
+            Ledger.rollback ledger cp)
+    !commits;
+  let latest = List.nth !commits 4 in
+  let cm0 = List.hd !commits in
+  check "latest state refused" true (punish latest = None);
+  check "own commit refused" true (punish alice_commit0 = None);
+  check "wrong owner refused" true (punish ~owner:Keys.Alice cm0 = None);
+  let two_inputs =
+    Tx.make ~locktime:cm0.Tx.locktime
+      ~inputs:(cm0.Tx.inputs @ [ Tx.input_of_outpoint (Tx.outpoint_of latest 0) ])
+      ~outputs:cm0.Tx.outputs ()
+  in
+  check "two-input spend refused" true (punish two_inputs = None);
+  let foreign =
+    Tx.make ~locktime:cm0.Tx.locktime ~inputs:cm0.Tx.inputs
+      ~outputs:
+        (List.map
+           (fun (o : Tx.output) -> { o with Tx.spk = Tx.P2wsh (String.make 32 '\x07') })
+           cm0.Tx.outputs)
+      ()
+  in
+  check "P2WSH mismatch refused" true (punish foreign = None)
+
+(* The party's own daemon and a tower holding its record post the
+   very same revocation transaction. *)
+let test_party_and_tower_agree () =
+  let s = make_session () in
+  open_ok s ~id:"chan1";
+  let old_commit = Option.get (Party.chan_exn s.bob "chan1").Party.commit_mine in
+  update_ok s ~id:"chan1" ~bal_a:70_000 ~bal_b:30_000;
+  update_ok s ~id:"chan1" ~bal_a:75_000 ~bal_b:25_000;
+  let wt = Watchtower.create ~wid:"wt" () in
+  check "tower accepts alice's record" true
+    (Watchtower.watch wt (Option.get (Watchtower.record_for s.alice ~id:"chan1")));
+  Driver.corrupt s.d "bob";
+  Driver.adversary_post s.d old_commit;
+  Driver.run s.d 10;
+  check "alice punished" true
+    (Driver.saw_event s.alice (function Party.Punished _ -> true | _ -> false));
+  let party_rv = Option.get (Party.chan_exn s.alice "chan1").Party.punish_posted in
+  let tower_rv = ref None in
+  Watchtower.end_of_round wt ~round:(Driver.round s.d) ~ledger:(Driver.ledger s.d)
+    ~post:(fun tx -> tower_rv := Some tx);
+  let tower_rv = Option.get !tower_rv in
+  check "same txid" true (String.equal (Tx.txid party_rv) (Tx.txid tower_rv));
+  check "same bytes, witness included" true
+    (String.equal (Daric_tx.Txcodec.encode_tx party_rv)
+       (Daric_tx.Txcodec.encode_tx tower_rv))
+
+(* ------------------------------------------------------------------ *)
+(* Forged-signature matrix: a session relayed by hand, so one message
+   can be rewritten in transit. Every signature-carrying message gets
+   one flipped signature byte; the receiver must report the exact
+   Protocol_error, take its Appendix-D follow-up (deadline refund,
+   return to Operational, or ForceClose) and end with at least its
+   last co-signed balance. *)
+
+module Wire = Daric_core.Wire
+module Network = Daric_chain.Network
+
+type relay = {
+  r_ledger : Ledger.t;
+  r_alice : Party.t;
+  r_bob : Party.t;
+  mutable r_queue : (string * string * Wire.msg) list;
+      (** (sender, recipient, message), oldest first *)
+  mutable r_forge : sender:string -> Wire.msg -> Wire.msg;
+}
+
+let relay_ctx (r : relay) (pid : string) : Party.ctx =
+  { Party.round = Ledger.height r.r_ledger;
+    ledger = r.r_ledger;
+    send = (fun ~recipient msg -> r.r_queue <- r.r_queue @ [ (pid, recipient, msg) ]);
+    post = (fun tx -> Ledger.post r.r_ledger tx ~delay:(Ledger.delta r.r_ledger)) }
+
+let relay_party (r : relay) (pid : string) : Party.t =
+  if pid = "alice" then r.r_alice else r.r_bob
+
+(* One round, in the order of [Driver.step]: tick, deliver last
+   round's messages (alice's, then bob's), end-of-round. *)
+let relay_step (r : relay) : unit =
+  ignore (Ledger.tick r.r_ledger);
+  let due = r.r_queue in
+  r.r_queue <- [];
+  List.iter
+    (fun pid ->
+      List.iter
+        (fun (sender, recipient, msg) ->
+          if recipient = pid then
+            Party.handle_msg (relay_party r pid) (relay_ctx r pid)
+              { Network.sender; recipient; payload = r.r_forge ~sender msg })
+        due)
+    [ "alice"; "bob" ];
+  Party.end_of_round r.r_alice (relay_ctx r "alice");
+  Party.end_of_round r.r_bob (relay_ctx r "bob")
+
+let flip_byte (s : string) : string =
+  let b = Bytes.of_string s in
+  Bytes.set b 7 (Char.chr (Char.code (Bytes.get b 7) lxor 0x01));
+  Bytes.to_string b
+
+(* Flip one signature byte of [kind] sent by [from]; every other
+   message passes untouched. *)
+let forge_one ~(kind : string) ~(from : string) ~(sender : string)
+    (msg : Wire.msg) : Wire.msg =
+  if sender <> from || Wire.kind msg <> kind then msg
+  else
+    match msg with
+    | Wire.Create_com m -> Wire.Create_com { m with commit_sig = flip_byte m.commit_sig }
+    | Wire.Create_fund m -> Wire.Create_fund { m with fund_sig = flip_byte m.fund_sig }
+    | Wire.Update_info m -> Wire.Update_info { m with split_sig = flip_byte m.split_sig }
+    | Wire.Update_com_initiator m ->
+        Wire.Update_com_initiator { m with split_sig = flip_byte m.split_sig }
+    | Wire.Update_com_responder m ->
+        Wire.Update_com_responder { m with commit_sig = flip_byte m.commit_sig }
+    | Wire.Revoke_initiator m -> Wire.Revoke_initiator { m with rev_sig = flip_byte m.rev_sig }
+    | Wire.Revoke_responder m -> Wire.Revoke_responder { m with rev_sig = flip_byte m.rev_sig }
+    | Wire.Close_req m -> Wire.Close_req { m with fin_sig = flip_byte m.fin_sig }
+    | Wire.Close_ack m -> Wire.Close_ack { m with fin_sig = flip_byte m.fin_sig }
+    | Wire.Create_info _ | Wire.Update_req _ -> msg
+
+(* Where the forged message is sent: while the channel opens, during an
+   update from state 1 to 2 (alice initiates), or during a close at
+   state 1 (alice requests). *)
+type stage = Open | Update | Close
+
+type forgery = {
+  f_kind : string;
+  f_from : string;  (** forger; the receiver is the honest party *)
+  f_stage : stage;
+  f_error : string;
+  f_phases : string list;
+      (** the honest party's phases, one per distinct value, from the
+          round of the error until the channel is done *)
+  f_events : string list;  (** the honest party's events from the error on *)
+  f_floor : int;  (** the honest party's last co-signed balance *)
+}
+
+let matrix_id = "m"
+
+(* Value on chain paying the party's main key. *)
+let owned (l : Ledger.t) (keys : Keys.t) : int =
+  let spk = Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc keys.Keys.main.pk)) in
+  Ledger.fold_utxos l
+    (fun _ (u : Ledger.utxo) acc -> if u.output.Tx.spk = spk then acc + u.output.value else acc)
+    0
+
+let run_forgery (f : forgery) () =
+  let ledger = Ledger.create ~delta:1 () in
+  let r =
+    { r_ledger = ledger;
+      r_alice = Party.create ~pid:"alice" ~seed:1 ();
+      r_bob = Party.create ~pid:"bob" ~seed:2 ();
+      r_queue = [];
+      r_forge = (fun ~sender:_ msg -> msg) }
+  in
+  let honest_pid = if f.f_from = "alice" then "bob" else "alice" in
+  let honest = relay_party r honest_pid in
+  let rng = Daric_util.Rng.create ~seed:99 in
+  let keys_a = Keys.generate rng and keys_b = Keys.generate rng in
+  let mint (k : Keys.t) value =
+    Ledger.mint ledger ~value
+      ~spk:(Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc k.Keys.main.pk)))
+  in
+  let cfg_a =
+    { Party.id = matrix_id; role = Keys.Alice; peer = "bob"; bal_a = 60_000;
+      bal_b = 40_000; rel_lock = 3; s0 = 500_000_000 }
+  in
+  let cfg_b = { cfg_a with Party.role = Keys.Bob; peer = "alice" } in
+  Party.intro r.r_alice (relay_ctx r "alice") ~keys:keys_a ~cfg:cfg_a
+    ~tid:(mint keys_a 60_000) ();
+  Party.intro r.r_bob (relay_ctx r "bob") ~keys:keys_b ~cfg:cfg_b
+    ~tid:(mint keys_b 40_000) ();
+  let phase p = (Party.chan_exn p matrix_id).Party.phase in
+  let run_until pred =
+    let rec go n = if n > 0 && not (pred ()) then (relay_step r; go (n - 1)) in
+    go 30
+  in
+  let operational () =
+    phase r.r_alice = Party.Operational && phase r.r_bob = Party.Operational
+  in
+  let theta ~bal_a ~bal_b =
+    let pk_a, pk_b = Party.main_pks (Party.chan_exn r.r_alice matrix_id) in
+    Txs.balance_state ~pk_a ~pk_b ~bal_a ~bal_b
+  in
+  let ctx_a () = relay_ctx r "alice" in
+  let arm () = r.r_forge <- forge_one ~kind:f.f_kind ~from:f.f_from in
+  if f.f_stage = Open then arm ()
+  else begin
+    run_until operational;
+    Party.request_update r.r_alice (ctx_a ()) ~id:matrix_id
+      ~theta:(theta ~bal_a:50_000 ~bal_b:50_000) ();
+    run_until (fun () ->
+        operational () && (Party.chan_exn r.r_bob matrix_id).Party.sn = 1);
+    check "honest update to state 1" true
+      ((Party.chan_exn r.r_alice matrix_id).Party.sn = 1);
+    arm ();
+    match f.f_stage with
+    | Update ->
+        Party.request_update r.r_alice (ctx_a ()) ~id:matrix_id
+          ~theta:(theta ~bal_a:45_000 ~bal_b:55_000) ()
+    | Close -> Party.request_close r.r_alice (ctx_a ()) ~id:matrix_id
+    | Open -> ()
+  end;
+  let is_error (_, ev) =
+    ev = Party.Protocol_error (matrix_id, f.f_error)
+  in
+  let phases = ref [] in
+  let note () =
+    let p = Party.phase_to_string (phase honest) in
+    match !phases with q :: _ when q = p -> () | _ -> phases := p :: !phases
+  in
+  let run_to_done () =
+    let rounds = ref 0 in
+    while !rounds < 40 && phase honest <> Party.Done do
+      relay_step r;
+      incr rounds;
+      if List.exists is_error (Party.events honest) then note ()
+    done
+  in
+  run_to_done ();
+  (* A channel that survived the forgery is closed by the honest party
+     so that its balance shows on chain. *)
+  if phase honest = Party.Operational then begin
+    Party.force_close honest (relay_ctx r honest_pid)
+      (Party.chan_exn honest matrix_id);
+    note ();
+    run_to_done ()
+  end;
+  let rec from_error = function
+    | [] -> []
+    | ev :: rest as l -> if is_error ev then l else from_error rest
+  in
+  let events =
+    List.map (fun (_, ev) -> Party.event_to_string ev) (from_error (Party.events honest))
+  in
+  let honest_keys = if honest_pid = "alice" then keys_a else keys_b in
+  Alcotest.(check (list string)) "exact error, then follow-up" f.f_events events;
+  Alcotest.(check (list string)) "honest phases" f.f_phases (List.rev !phases);
+  check "honest party settled" true (phase honest = Party.Done);
+  check "no honest loss" true (owned ledger honest_keys >= f.f_floor)
+
+let forgeries : forgery list =
+  let f f_kind f_from f_stage f_error f_phases f_events f_floor =
+    let f_events =
+      ("ERROR m: " ^ f_error) :: List.map (fun e -> e ^ " m") f_events
+    in
+    { f_kind; f_from; f_stage; f_error; f_phases; f_events; f_floor }
+  in
+  let refund = [ "refunding"; "done" ] and fc = [ "force-closed"; "done" ] in
+  [ f "createCom" "bob" Open "invalid createCom signatures"
+      ("await-create-com" :: refund) [ "ABORTED" ] 60_000;
+    (* bob posts the funding with alice's signature before her
+       deadline: she proceeds with the state-0 data she holds *)
+    f "createFund" "bob" Open "invalid createFund signature"
+      ("await-create-fund" :: "operational" :: fc)
+      [ "CREATED"; "FORCE-CLOSE"; "CLOSED" ] 60_000;
+    (* alice stays operational; bob's deadline force-closes state 1 *)
+    f "updateInfo" "bob" Update "invalid updateInfo signature"
+      [ "operational"; "done" ] [ "CLOSED" ] 50_000;
+    f "updateComP" "alice" Update "invalid updateComP signatures" fc
+      [ "FORCE-CLOSE"; "CLOSED" ] 50_000;
+    (* alice signed bob's state-2 commit, so her floor is state 2 *)
+    f "updateComQ" "bob" Update "invalid updateComQ signature" fc
+      [ "FORCE-CLOSE"; "CLOSED" ] 45_000;
+    f "revokeP" "alice" Update "invalid revokeP signature" fc
+      [ "FORCE-CLOSE"; "CLOSED" ] 50_000;
+    f "revokeQ" "bob" Update "invalid revokeQ signature" fc
+      [ "FORCE-CLOSE"; "CLOSED" ] 45_000;
+    f "closeP" "alice" Close "invalid closeP signature"
+      [ "operational"; "done" ] [ "CLOSED" ] 50_000;
+    f "closeQ" "bob" Close "invalid closeQ signature" fc
+      [ "FORCE-CLOSE"; "CLOSED" ] 50_000 ]
+
 let () =
   Alcotest.run "daric-protocol"
-    [ ( "lifecycle",
+    [ ( "punisher",
+        [ Alcotest.test_case "punish_revoked accepts and refuses" `Quick
+            test_punish_revoked;
+          Alcotest.test_case "party and tower post the same revocation" `Quick
+            test_party_and_tower_agree ] );
+      ( "forged signatures",
+        List.map
+          (fun f -> Alcotest.test_case f.f_kind `Quick (run_forgery f))
+          forgeries );
+      ( "lifecycle",
         [ Alcotest.test_case "create" `Quick test_create;
           Alcotest.test_case "update" `Quick test_update;
           Alcotest.test_case "many updates" `Quick test_many_updates;

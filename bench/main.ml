@@ -103,16 +103,6 @@ let run_incentives () =
   section "Experiment S6.2: punishment mechanism";
   print_string (Daric_analysis.Tables.incentives_report ())
 
-let run_pcn ~full () =
-  section "Extension: PCN payment-delivery simulation";
-  let cfg =
-    if full then
-      { Daric_analysis.Pcn_sim.default_config with
-        n_nodes = 16; n_channels = 26; n_payments = 80 }
-    else Daric_analysis.Pcn_sim.default_config
-  in
-  print_string (Daric_analysis.Pcn_sim.report ~cfg ())
-
 let run_lifetime () =
   section "Experiment T1-life: channel lifetime (Section 4.1)";
   let module L = Daric_core.Locktime in
@@ -778,17 +768,13 @@ let () =
   if want "attack" then run_attack ~full ();
   if want "bounded" then run_bounded_closure ();
   if want "closure" then run_closure ();
-  if want "pcn" then run_pcn ~full ();
   if want "incentives" then run_incentives ();
   if want "lifetime" then run_lifetime ();
   if List.mem "csv" args then begin
     section "CSV export";
     let ns = if full then [ 1; 10; 100; 1000 ] else [ 1; 10; 100 ] in
     List.iter (Fmt.pr "wrote %s@.")
-      (Daric_analysis.Csv.write_all ~ns ~dir:"results" ()
-      @ [ Daric_analysis.Pcn_sim.to_csv
-            (Daric_analysis.Pcn_sim.run Daric_analysis.Pcn_sim.default_config)
-            ~dir:"results" ])
+      (Daric_analysis.Csv.write_all ~ns ~dir:"results" ())
   end;
   (* explicit-only: the full sweep builds up to 100k channels *)
   if List.mem "scale" args then run_scale ~smoke ~quick ~full ~domains ();

@@ -181,30 +181,6 @@ let demo_cmd =
              scheme.")
     Term.(const run $ log_term $ updates $ dishonest $ force $ scheme)
 
-(* ---- pcn ---- *)
-
-let pcn_cmd =
-  let nodes =
-    Arg.(value & opt int 10 & info [ "nodes" ] ~doc:"Number of network nodes.")
-  in
-  let payments =
-    Arg.(value & opt int 40 & info [ "payments" ] ~doc:"Number of random payments.")
-  in
-  let run logs nodes payments =
-    setup_logs logs;
-    let cfg =
-      { Daric_analysis.Pcn_sim.default_config with
-        n_nodes = nodes;
-        n_channels = nodes * 3 / 2;
-        n_payments = payments }
-    in
-    print_string (Daric_analysis.Pcn_sim.report ~cfg ())
-  in
-  Cmd.v
-    (Cmd.info "pcn"
-       ~doc:"Simulate random payments over a random Daric channel network.")
-    Term.(const run $ log_term $ nodes $ payments)
-
 (* ---- lifetime ---- *)
 
 let lifetime_cmd =
@@ -465,7 +441,7 @@ let main =
   Cmd.group
     (Cmd.info "daric" ~version:"1.0.0"
        ~doc:"Daric payment channel: reproduction of Mirzaei et al., DSN 2022.")
-    [ tables_cmd; attack_cmd; incentives_cmd; flow_cmd; demo_cmd; pcn_cmd;
+    [ tables_cmd; attack_cmd; incentives_cmd; flow_cmd; demo_cmd;
       lifetime_cmd; tower_cmd; lint_cmd; check_cmd ]
 
 let () = exit (Cmd.eval main)

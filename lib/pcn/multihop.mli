@@ -16,8 +16,6 @@ val locked_state :
   hop -> amount:int -> digest:string -> timeout:int -> Tx.output list
 (** The hop's channel state carrying both balances plus the HTLC. *)
 
-val settled_state : hop -> amount:int -> Tx.output list
-
 val pay :
   Driver.t -> route:hop list -> amount:int -> preimage:string -> timeout:int ->
   outcome

@@ -38,9 +38,7 @@ type t = {
   mutable sn : int;
   mutable commit_a : Tx.t;
   mutable commit_b : Tx.t;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;
 }
 
 (** The 115-byte output script of Appendix H.6:
@@ -83,7 +81,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; rel_lock; fund;
       wt = Keys.keygen rng; wt_rev = []; a; b; sn = 0; commit_a = empty;
-      commit_b = empty; ops_signs = 0; ops_verifies = 0; ops_exps = 0 }
+      commit_b = empty; ops = Scheme_intf.ops_zero }
   in
   t.wt_rev <- [ (0, Keys.keygen t.rng) ];
   t.commit_a <- sign_commit t (gen_commit t ~owner:`A ~bal_own:bal_a ~bal_other:bal_b);
@@ -101,10 +99,9 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.t * Tx.t =
   t.commit_b <- sign_commit t (gen_commit t ~owner:`B ~bal_own:bal_b ~bal_other:bal_a);
   t.a.received_rev <- (t.sn - 1, old_rev_b.Keys.sk) :: t.a.received_rev;
   t.b.received_rev <- (t.sn - 1, old_rev_a.Keys.sk) :: t.b.received_rev;
-  t.ops_signs <- t.ops_signs + 3;
-  t.ops_verifies <- t.ops_verifies + 6;
   (* no fresh statements/exponentiations beyond key hashing in this
      simplified model (Table 3: exp = 0) *)
+  t.ops <- Scheme_intf.ops_add ~signs:3 ~verifies:6 t.ops;
   old
 
 (** Punish a revoked commit published by the counter-party: spend both
@@ -129,10 +126,8 @@ let punish (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t) : Tx.t option =
       in
       let body =
         Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0);
-              Tx.input_of_outpoint (Tx.outpoint_of published 1) ] ~outputs:[ { Tx.value = t.cash;
-                spk =
-                  Tx.P2wpkh
-                    (Daric_crypto.Hash.hash160 (Keys.enc side.main.Keys.pk)) } ] ()
+              Tx.input_of_outpoint (Tx.outpoint_of published 1) ]
+          ~outputs:[ Scheme_intf.pay_to_pk ~value:t.cash side.main.Keys.pk ] ()
       in
       let wit i rev_sk delayed_pk =
         let script =
@@ -165,7 +160,6 @@ let storage_bytes (t : t) ~(who : [ `A | `B ]) : int =
   + (List.length side.received_rev * 8)
 
 let watchtower_bytes (t : t) : int = List.length t.wt_rev * (4 + 4 + 33)
-let ops (t : t) : int * int * int = (t.ops_signs, t.ops_verifies, t.ops_exps)
 
 (* ------------------------------------------------------------------ *)
 (* SCHEME instance.                                                    *)
@@ -199,9 +193,7 @@ module Scheme : Scheme_intf.SCHEME = struct
   let party_bytes s = storage_bytes s.ch ~who:`A
   let watchtower_bytes s = Some (watchtower_bytes s.ch)
 
-  let ops s =
-    let signs, verifies, exps = ops s.ch in
-    { I.signs; verifies; exps }
+  let ops s = s.ch.ops
 
   let known_pubkeys s =
     let side_keys sd =
@@ -240,15 +232,10 @@ module Scheme : Scheme_intf.SCHEME = struct
     let commit = commit_of s.ch `A in
     I.unilateral s.env ~scheme:name ~commit ~wait:s.ch.rel_lock
       ~sweep:(fun () ->
-        let script =
-          output_script s.ch ~rev_pk1:s.ch.a.rev_current.Keys.pk
-            ~rev_pk2:(List.assoc s.ch.sn s.ch.wt_rev).Keys.pk
-            ~delayed_pk:s.ch.a.delayed.Keys.pk
-        in
-        let value = (List.hd commit.Tx.outputs).Tx.value in
-        let body =
-          Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of commit 0) ] ~outputs:[ I.pay_to_pk ~value s.ch.a.main.Keys.pk ] ()
-        in
-        let sg = Sighash.sign s.ch.a.delayed.Keys.sk All body ~input_index:0 in
-        Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ])
+        I.sweep_delayed
+          ~script:
+            (output_script s.ch ~rev_pk1:s.ch.a.rev_current.Keys.pk
+               ~rev_pk2:(List.assoc s.ch.sn s.ch.wt_rev).Keys.pk
+               ~delayed_pk:s.ch.a.delayed.Keys.pk)
+          ~sk:s.ch.a.delayed.Keys.sk ~to_pk:s.ch.a.main.Keys.pk commit)
 end

@@ -65,9 +65,7 @@ type t = {
   mutable update_sigs : string * string;
   mutable settlement : Tx.t;  (** floating, bound by per-state keys *)
   mutable settlement_sigs : string * string;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;  (** cumulative, both parties *)
 }
 
 (** Floating update transaction body for state i: single output holding
@@ -88,13 +86,12 @@ let balance_state (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.output list =
     ~bal_a ~bal_b
 
 let sign_update (t : t) (body : Tx.t) : string * string =
-  t.ops_signs <- t.ops_signs + 2;
+  t.ops <- Scheme_intf.ops_add ~signs:2 t.ops;
   ( Sighash.sign t.ka.upd.Keys.sk Anyprevout_single body ~input_index:0,
     Sighash.sign t.kb.upd.Keys.sk Anyprevout_single body ~input_index:0 )
 
 let sign_settlement (t : t) (body : Tx.t) ~(i : int) : string * string =
-  t.ops_signs <- t.ops_signs + 2;
-  t.ops_exps <- t.ops_exps + 2;
+  t.ops <- Scheme_intf.ops_add ~signs:2 ~exps:2 t.ops;
   (* deriving the two per-state settlement keys *)
   let sa = settlement_key t.ka ~i and sb = settlement_key t.kb ~i in
   ( Sighash.sign sa.Keys.sk Anyprevout body ~input_index:0,
@@ -123,7 +120,7 @@ let create ?(s0 = 500_000_000) ?(rel_lock = 3) ~(ledger : Ledger.t)
       update_sigs = ("", "");
       settlement = Tx.make ~inputs:[] ~outputs:[] ();
       settlement_sigs = ("", "");
-      ops_signs = 0; ops_verifies = 0; ops_exps = 0 }
+      ops = Scheme_intf.ops_zero }
   in
   let upd0 = gen_update t ~i:0 in
   t.update_tx <- upd0;
@@ -145,7 +142,7 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) :
   t.update_tx <- upd;
   t.update_sigs <- sign_update t upd;
   (* each party verifies the peer's update and settlement signatures *)
-  t.ops_verifies <- t.ops_verifies + 4;
+  t.ops <- Scheme_intf.ops_add ~verifies:4 t.ops;
   let set = gen_settlement t ~theta:(balance_state t ~bal_a ~bal_b) ~i:t.sn in
   t.settlement <- set;
   t.settlement_sigs <- sign_settlement t set ~i:t.sn;
@@ -210,8 +207,6 @@ let storage_bytes (t : t) : int =
   + Tx.non_witness_size t.settlement
   + (2 * Schnorr.signature_size)
 
-let ops (t : t) : int * int * int = (t.ops_signs, t.ops_verifies, t.ops_exps)
-
 (* ------------------------------------------------------------------ *)
 (* SCHEME instance.                                                    *)
 
@@ -248,9 +243,7 @@ module Scheme : Scheme_intf.SCHEME = struct
 
   (* The protocol is symmetric: the module counts both parties' work,
      so halve for the per-party view every other scheme reports. *)
-  let ops s =
-    let signs, verifies, exps = ops s.ch in
-    { I.signs = signs / 2; verifies = verifies / 2; exps = exps / 2 }
+  let ops s = I.ops_div s.ch.ops 2
 
   let known_pubkeys s =
     let party_keys k =

@@ -42,9 +42,7 @@ type t = {
   mutable update_sigs : string * string;
   mutable settlement : Tx.t;
   mutable settlement_sigs : string * string;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;  (** cumulative, both parties *)
 }
 
 val create :
@@ -73,9 +71,6 @@ val latest_settlement_completed : t -> outpoint:Tx.outpoint -> Tx.t
 
 val storage_bytes : t -> int
 (** Constant: keys + seed + the latest update/settlement pair. *)
-
-val ops : t -> int * int * int
-(** Cumulative (signs, verifies, exponentiations), both parties. *)
 
 (** First-class {!Scheme_intf.SCHEME} instance driving this module
     through the generic lifecycle engine. *)

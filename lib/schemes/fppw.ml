@@ -42,9 +42,7 @@ type t = {
   b : side;
   mutable sn : int;
   mutable commit_a : Tx.t;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;
 }
 
 (** Main commit output (Appendix H.5, 184 bytes):
@@ -98,7 +96,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
     { ledger; rng = Daric_util.Rng.split rng; cash; collateral; rel_lock; fund;
       wt; wt_rev = [ (0, Keys.keygen rng) ]; a; b; sn = 0;
       commit_a = Tx.make ~inputs:[] ~outputs:[] ();
-      ops_signs = 0; ops_verifies = 0; ops_exps = 0 }
+      ops = Scheme_intf.ops_zero }
   in
   (* oversize funding carries the watchtower collateral; split cash
      only between the parties *)
@@ -119,9 +117,7 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.t =
   t.commit_a <- sign_commit t (gen_commit t);
   t.a.received_rev <- (t.sn - 1, old_rev_b.Keys.sk) :: t.a.received_rev;
   t.b.received_rev <- (t.sn - 1, old_rev_a.Keys.sk) :: t.b.received_rev;
-  t.ops_signs <- t.ops_signs + 6;
-  t.ops_verifies <- t.ops_verifies + 10;
-  t.ops_exps <- t.ops_exps + 1;
+  t.ops <- Scheme_intf.ops_add ~signs:6 ~verifies:10 ~exps:1 t.ops;
   old
 
 (** Punish a revoked commit: one transaction spending BOTH outputs
@@ -180,7 +176,6 @@ let storage_bytes (t : t) ~(who : [ `A | `B ]) : int =
   + (List.length side.received_rev * 8)
 
 let watchtower_bytes (t : t) : int = List.length t.wt_rev * (4 + 4 + 33)
-let ops (t : t) : int * int * int = (t.ops_signs, t.ops_verifies, t.ops_exps)
 
 (* ------------------------------------------------------------------ *)
 (* SCHEME instance.                                                    *)
@@ -216,9 +211,7 @@ module Scheme : Scheme_intf.SCHEME = struct
   let party_bytes s = storage_bytes s.ch ~who:`A
   let watchtower_bytes s = Some (watchtower_bytes s.ch)
 
-  let ops s =
-    let signs, verifies, exps = ops s.ch in
-    { I.signs; verifies; exps }
+  let ops s = s.ch.ops
 
   let known_pubkeys s =
     let side_keys sd =

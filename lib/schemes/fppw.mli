@@ -31,9 +31,7 @@ type t = {
   b : side;
   mutable sn : int;
   mutable commit_a : Tx.t;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;  (** per party, Table 3 accounting *)
 }
 
 val main_script :
@@ -62,7 +60,6 @@ val commit_latest : t -> Tx.t
 val funding_outpoint : t -> Tx.outpoint
 val storage_bytes : t -> who:[ `A | `B ] -> int
 val watchtower_bytes : t -> int
-val ops : t -> int * int * int
 
 (** First-class {!Scheme_intf.SCHEME} instance driving this module
     through the generic lifecycle engine. *)

@@ -53,9 +53,7 @@ type t = {
       (** every publishing statement ever placed in a commit script —
           revoked states' statements stay script-visible, so the
           static-analysis key inventory must remember them *)
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;
 }
 
 (** Commit output script (the 228-byte script of Appendix H.2, adapted
@@ -113,9 +111,7 @@ let sign_state (t : t) ~(bal_a : int) ~(bal_b : int) : unit =
     ( Sighash.sign_message t.a.main.Keys.sk All split_msg,
       Sighash.sign_message t.b.main.Keys.sk All split_msg );
   (* per party: pre-sig + split sig + watchtower revocation sig *)
-  t.ops_signs <- t.ops_signs + 3;
-  t.ops_verifies <- t.ops_verifies + 2;
-  t.ops_exps <- t.ops_exps + 1
+  t.ops <- Scheme_intf.ops_add ~signs:3 ~verifies:2 ~exps:1 t.ops
 
 let dummy_presig = { Adaptor.r = 1; s_pre = 0 }
 
@@ -137,7 +133,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; rel_lock; fund; a; b;
       sn = 0; commit = empty; split = empty; split_sigs = ("", "");
-      stmt_log = []; ops_signs = 0; ops_verifies = 0; ops_exps = 0 }
+      stmt_log = []; ops = Scheme_intf.ops_zero }
   in
   sign_state t ~bal_a ~bal_b;
   t
@@ -204,10 +200,8 @@ let punish_as_b (t : t) ~(published : Tx.t) (o : old_state) : Tx.t option =
       | Some full_b ->
           let y_a = Adaptor.extract full_b o.o_presig_a in
           let body =
-            Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ] ~outputs:[ { Tx.value = t.cash;
-                    spk =
-                      Tx.P2wpkh
-                        (Daric_crypto.Hash.hash160 (Keys.enc t.b.main.Keys.pk)) } ] ()
+            Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ]
+              ~outputs:[ Scheme_intf.pay_to_pk ~value:t.cash t.b.main.Keys.pk ] ()
           in
           let sig_y = Sighash.sign y_a All body ~input_index:0 in
           let sig_p = Sighash.sign t.b.punish.Keys.sk All body ~input_index:0 in
@@ -244,8 +238,6 @@ let storage_bytes (t : t) ~(who : [ `A | `B ]) : int =
   + Tx.non_witness_size t.split
   + (List.length side.received_preimages * (4 + 32))
 
-let ops (t : t) : int * int * int = (t.ops_signs, t.ops_verifies, t.ops_exps)
-
 (* ------------------------------------------------------------------ *)
 (* SCHEME instance.                                                    *)
 
@@ -280,9 +272,7 @@ module Scheme : Scheme_intf.SCHEME = struct
   let party_bytes s = storage_bytes s.ch ~who:`A
   let watchtower_bytes s = Some (List.length s.ch.a.received_preimages * (4 + 32))
 
-  let ops s =
-    let signs, verifies, exps = ops s.ch in
-    { I.signs; verifies; exps }
+  let ops s = s.ch.ops
 
   let known_pubkeys s =
     List.map Keys.enc

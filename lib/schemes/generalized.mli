@@ -40,9 +40,7 @@ type t = {
   mutable split_sigs : string * string;
   mutable stmt_log : Adaptor.statement list;
       (** every publishing statement ever placed in a commit script *)
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;  (** per party, Table 3 accounting *)
 }
 
 val create :
@@ -74,7 +72,6 @@ val split_completed : t -> Tx.t
 val commit_completed_latest : t -> Tx.t
 val funding_outpoint : t -> Tx.outpoint
 val storage_bytes : t -> who:[ `A | `B ] -> int
-val ops : t -> int * int * int
 
 (** First-class {!Scheme_intf.SCHEME} instance driving this module
     through the generic lifecycle engine. *)

@@ -45,9 +45,7 @@ type t = {
   a : side;
   b : side;
   mutable sn : int;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;
 }
 
 let empty_tx = Tx.make ~inputs:[] ~outputs:[] ()
@@ -66,11 +64,7 @@ let gen_commit (t : t) ~(owner : [ `A | `B ]) ~(bal_own : int) ~(bal_other : int
              (to_local_script ~revocation_pk:rev_pk
                 ~delayed_pk:own.keys.delayed.Keys.pk ~rel_lock:t.rel_lock)) }
   in
-  let to_remote =
-    { Tx.value = bal_other;
-      spk =
-        Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc other.keys.main.Keys.pk)) }
-  in
+  let to_remote = Scheme_intf.pay_to_pk ~value:bal_other other.keys.main.Keys.pk in
   Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of t.fund 0) ] ~outputs:[ to_local; to_remote ] ()
 
 let sign_commit (t : t) : Tx.t -> Tx.t =
@@ -89,7 +83,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   let fund = Scheme_intf.fund_2of2 ledger ~value:cash a.keys.main b.keys.main in
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; rel_lock; fund; a; b;
-      sn = 0; ops_signs = 0; ops_verifies = 0; ops_exps = 0 }
+      sn = 0; ops = Scheme_intf.ops_zero }
   in
   t.a.commit <-
     sign_commit t (gen_commit t ~owner:`A ~bal_own:bal_a ~bal_other:bal_b
@@ -108,12 +102,11 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.t * Tx.t =
   let old_a = t.a.commit and old_b = t.b.commit in
   let old_rev_a = t.a.rev_current and old_rev_b = t.b.rev_current in
   t.sn <- t.sn + 1;
-  (* 2 exps per party: generate own revocation key, verify the peer's *)
-  t.ops_exps <- t.ops_exps + 2;
+  (* per party: 2 exps (generate own revocation key, verify the
+     peer's); 2 signs (commit sig for peer + watchtower rev sig, m=0) *)
+  t.ops <- Scheme_intf.ops_add ~signs:2 ~verifies:1 ~exps:2 t.ops;
   t.a.rev_current <- Keys.keygen t.rng;
   t.b.rev_current <- Keys.keygen t.rng;
-  t.ops_signs <- t.ops_signs + 2 (* commit sig for peer + watchtower rev sig, m=0 *);
-  t.ops_verifies <- t.ops_verifies + 1;
   t.a.commit <-
     sign_commit t
       (gen_commit t ~owner:`A ~bal_own:bal_a ~bal_other:bal_b
@@ -148,10 +141,10 @@ let penalty (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t)
       in
       let to_local_value = (List.nth published.Tx.outputs 0).Tx.value in
       let body =
-        Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ] ~outputs:[ { Tx.value = to_local_value;
-                spk =
-                  Tx.P2wpkh
-                    (Daric_crypto.Hash.hash160 (Keys.enc side.keys.main.Keys.pk)) } ] ()
+        Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ]
+          ~outputs:
+            [ Scheme_intf.pay_to_pk ~value:to_local_value side.keys.main.Keys.pk ]
+          ()
       in
       let sg = Sighash.sign secret All body ~input_index:0 in
       Some
@@ -164,18 +157,11 @@ let commit_of (t : t) (who : [ `A | `B ]) : Tx.t =
 
 let sweep_to_local (t : t) ~(who : [ `A | `B ]) ~(published : Tx.t) : Tx.t =
   let side = match who with `A -> t.a | `B -> t.b in
-  let script =
-    to_local_script ~revocation_pk:side.rev_current.Keys.pk
-      ~delayed_pk:side.keys.delayed.Keys.pk ~rel_lock:t.rel_lock
-  in
-  let v = (List.nth published.Tx.outputs 0).Tx.value in
-  let body =
-    Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ] ~outputs:[ { Tx.value = v;
-            spk =
-              Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc side.keys.main.Keys.pk)) } ] ()
-  in
-  let sg = Sighash.sign side.keys.delayed.Keys.sk All body ~input_index:0 in
-  Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ]
+  Scheme_intf.sweep_delayed
+    ~script:
+      (to_local_script ~revocation_pk:side.rev_current.Keys.pk
+         ~delayed_pk:side.keys.delayed.Keys.pk ~rel_lock:t.rel_lock)
+    ~sk:side.keys.delayed.Keys.sk ~to_pk:side.keys.main.Keys.pk published
 
 let funding_outpoint (t : t) : Tx.outpoint = Tx.outpoint_of t.fund 0
 
@@ -195,8 +181,6 @@ let watchtower_bytes (t : t) : int =
   (* per revoked state: one pre-signed penalty descriptor (index +
      secret + txid hint), for each guarded side *)
   List.length t.a.received_secrets * (4 + 4 + 32)
-
-let ops (t : t) : int * int * int = (t.ops_signs, t.ops_verifies, t.ops_exps)
 
 (* ------------------------------------------------------------------ *)
 (* SCHEME instance.                                                    *)
@@ -234,9 +218,7 @@ module Scheme : Scheme_intf.SCHEME = struct
   let party_bytes s = storage_bytes s.ch ~who:`A
   let watchtower_bytes s = Some (watchtower_bytes s.ch)
 
-  let ops s =
-    let signs, verifies, exps = ops s.ch in
-    { I.signs; verifies; exps }
+  let ops s = s.ch.ops
 
   let known_pubkeys s =
     let side_keys sd =

@@ -35,9 +35,7 @@ type t = {
   a : side;
   b : side;
   mutable sn : int;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
-  mutable ops_exps : int;
+  mutable ops : Scheme_intf.ops;  (** per party, Table 3 accounting *)
 }
 
 val create :
@@ -59,7 +57,6 @@ val funding_outpoint : t -> Tx.outpoint
 
 val storage_bytes : t -> who:[ `A | `B ] -> int
 val watchtower_bytes : t -> int
-val ops : t -> int * int * int
 
 (** First-class {!Scheme_intf.SCHEME} instance driving this module
     through the generic lifecycle engine. *)

@@ -85,8 +85,7 @@ type t = {
   mutable sn : int;
   mutable commit_a : Tx.t;
   mutable commit_b : Tx.t;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
+  mutable ops : Scheme_intf.ops;
 }
 
 (** Balance output: penalty 2-of-2 (the publisher's state-j revocation
@@ -119,9 +118,7 @@ let gen_commit (t : t) ~(owner : [ `A | `B ]) ~(bal_own : int)
                  (balance_script t ~rev_pk:(rev_pk own ~j:t.sn)
                     ~penalty_pk:other.penalty.Keys.pk
                     ~owner_pk:own.main.Keys.pk)) };
-        { Tx.value = bal_other;
-          spk =
-            Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc other.main.Keys.pk)) };
+        Scheme_intf.pay_to_pk ~value:bal_other other.main.Keys.pk;
         { Tx.value = 1; spk = Tx.Raw (data_script ~value_a ~value_b) } ] ()
 
 let sign_commit (t : t) : Tx.t -> Tx.t =
@@ -141,7 +138,7 @@ let create ?(rel_lock = 3) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   let empty = Tx.make ~inputs:[] ~outputs:[] () in
   let t =
     { ledger; cash; rel_lock; fund; a; b; sn = 0; commit_a = empty;
-      commit_b = empty; ops_signs = 0; ops_verifies = 0 }
+      commit_b = empty; ops = Scheme_intf.ops_zero }
   in
   t.commit_a <- sign_commit t (gen_commit t ~owner:`A ~bal_own:bal_a ~bal_other:bal_b);
   t.commit_b <- sign_commit t (gen_commit t ~owner:`B ~bal_own:bal_b ~bal_other:bal_a);
@@ -153,8 +150,7 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.t * Tx.t =
   t.commit_a <- sign_commit t (gen_commit t ~owner:`A ~bal_own:bal_a ~bal_other:bal_b);
   t.commit_b <- sign_commit t (gen_commit t ~owner:`B ~bal_own:bal_b ~bal_other:bal_a);
   (* Table 3 (Outpost row): 4 signs / 4 verifies per update *)
-  t.ops_signs <- t.ops_signs + 4;
-  t.ops_verifies <- t.ops_verifies + 4;
+  t.ops <- Scheme_intf.ops_add ~signs:4 ~verifies:4 t.ops;
   old
 
 (** Read the embedded chain values out of a commit transaction. *)
@@ -188,10 +184,8 @@ let punish (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t) : Tx.t option =
         in
         let v_out = (List.nth published.Tx.outputs 0).Tx.value in
         let body =
-          Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ] ~outputs:[ { Tx.value = v_out;
-                  spk =
-                    Tx.P2wpkh
-                      (Daric_crypto.Hash.hash160 (Keys.enc side.main.Keys.pk)) } ] ()
+          Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ]
+            ~outputs:[ Scheme_intf.pay_to_pk ~value:v_out side.main.Keys.pk ] ()
         in
         let sig_rev = Sighash.sign sk_rev All body ~input_index:0 in
         let sig_pen = Sighash.sign side.penalty.Keys.sk All body ~input_index:0 in
@@ -216,8 +210,6 @@ let storage_bytes (t : t) ~(who : [ `A | `B ]) : int =
   let kp = 4 + Schnorr.public_key_size in
   let commit = commit_of t who in
   (2 * kp) + 16 + Tx.non_witness_size commit + Tx.witness_size commit
-
-let ops (t : t) : int * int = (t.ops_signs, t.ops_verifies)
 
 (* ------------------------------------------------------------------ *)
 (* SCHEME instance.                                                    *)
@@ -257,9 +249,7 @@ module Scheme : Scheme_intf.SCHEME = struct
   let party_bytes s = storage_bytes s.ch ~who:`A
   let watchtower_bytes s = Some (watchtower_bytes s.ch)
 
-  let ops s =
-    let signs, verifies = ops s.ch in
-    { I.signs; verifies; exps = 0 }
+  let ops s = s.ch.ops
 
   let known_pubkeys s =
     let side_keys sd =
@@ -299,14 +289,9 @@ module Scheme : Scheme_intf.SCHEME = struct
     let commit = commit_of s.ch `A in
     I.unilateral s.env ~scheme:name ~commit ~wait:s.ch.rel_lock
       ~sweep:(fun () ->
-        let script =
-          balance_script s.ch ~rev_pk:(rev_pk s.ch.a ~j:s.ch.sn)
-            ~penalty_pk:s.ch.b.penalty.Keys.pk ~owner_pk:s.ch.a.main.Keys.pk
-        in
-        let value = (List.hd commit.Tx.outputs).Tx.value in
-        let body =
-          Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of commit 0) ] ~outputs:[ I.pay_to_pk ~value s.ch.a.main.Keys.pk ] ()
-        in
-        let sg = Sighash.sign s.ch.a.main.Keys.sk All body ~input_index:0 in
-        Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ])
+        I.sweep_delayed
+          ~script:
+            (balance_script s.ch ~rev_pk:(rev_pk s.ch.a ~j:s.ch.sn)
+               ~penalty_pk:s.ch.b.penalty.Keys.pk ~owner_pk:s.ch.a.main.Keys.pk)
+          ~sk:s.ch.a.main.Keys.sk ~to_pk:s.ch.a.main.Keys.pk commit)
 end

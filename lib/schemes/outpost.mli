@@ -38,8 +38,7 @@ type t = {
   mutable sn : int;
   mutable commit_a : Tx.t;
   mutable commit_b : Tx.t;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
+  mutable ops : Scheme_intf.ops;  (** per party, Table 3 accounting *)
 }
 
 val create :
@@ -62,7 +61,6 @@ val watchtower_bytes : t -> int
 (** Static key + funding outpoint + counter: O(log n). *)
 
 val storage_bytes : t -> who:[ `A | `B ] -> int
-val ops : t -> int * int
 
 (** First-class {!Scheme_intf.SCHEME} instance driving this module
     through the generic lifecycle engine. *)

@@ -83,6 +83,13 @@ type ops = { signs : int; verifies : int; exps : int }
 
 let ops_zero = { signs = 0; verifies = 0; exps = 0 }
 
+(** [o] plus the given counts: how a scheme records the operations of
+    one protocol step. *)
+let ops_add ?(signs = 0) ?(verifies = 0) ?(exps = 0) (o : ops) : ops =
+  { signs = o.signs + signs;
+    verifies = o.verifies + verifies;
+    exps = o.exps + exps }
+
 let ops_sub (a : ops) (b : ops) : ops =
   { signs = a.signs - b.signs;
     verifies = a.verifies - b.verifies;
@@ -241,6 +248,23 @@ let pay_to_pk ~(value : int) (pk : Daric_crypto.Schnorr.public_key) :
     Tx.output =
   { Tx.value;
     spk = Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc pk)) }
+
+(** Sweep output 0 of [published] in full to {!pay_to_pk} [to_pk]
+    through the delayed (ELSE) branch of its P2WSH [script]: one
+    SIGHASH_ALL signature by [sk], witness [sig; ""; script]. How the
+    penalty baselines claim their own balance after the dispute
+    window; [locktime] is for an absolute (CLTV) delay. *)
+let sweep_delayed ?(locktime : int option) ~(script : Script.t)
+    ~(sk : Daric_crypto.Schnorr.secret_key)
+    ~(to_pk : Daric_crypto.Schnorr.public_key) (published : Tx.t) : Tx.t =
+  let value = (List.hd published.Tx.outputs).Tx.value in
+  let body =
+    Tx.make ?locktime
+      ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ]
+      ~outputs:[ pay_to_pk ~value to_pk ] ()
+  in
+  let sg = Sighash.sign sk All body ~input_index:0 in
+  Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Shared closure frames.                                              *)

@@ -39,8 +39,7 @@ type t = {
   mutable sn : int;
   mutable commit_a : Tx.t;
   mutable commit_b : Tx.t;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
+  mutable ops : Scheme_intf.ops;
 }
 
 let output_script (t : t) ~(rev_pk : Schnorr.public_key)
@@ -80,7 +79,7 @@ let create ~(t_end : int) ~(ledger : Ledger.t) ~(rng : Daric_util.Rng.t)
   let empty = Tx.make ~inputs:[] ~outputs:[] () in
   let t =
     { ledger; rng = Daric_util.Rng.split rng; cash; t_end; fund; a; b; sn = 0;
-      commit_a = empty; commit_b = empty; ops_signs = 0; ops_verifies = 0 }
+      commit_a = empty; commit_b = empty; ops = Scheme_intf.ops_zero }
   in
   t.commit_a <- sign_commit t (gen_commit t ~owner:`A ~bal_own:bal_a ~bal_other:bal_b);
   t.commit_b <- sign_commit t (gen_commit t ~owner:`B ~bal_own:bal_b ~bal_other:bal_a);
@@ -98,8 +97,7 @@ let update (t : t) ~(bal_a : int) ~(bal_b : int) : Tx.t * Tx.t =
   t.b.received_rev <- (t.sn - 1, old_rev_a.Keys.sk) :: t.b.received_rev;
   (* Table 3 (Sleepy row): 5 signs / 5 verifies per update; the model
      counts the commitment exchanges and the fast-finish handshake *)
-  t.ops_signs <- t.ops_signs + 5;
-  t.ops_verifies <- t.ops_verifies + 5;
+  t.ops <- Scheme_intf.ops_add ~signs:5 ~verifies:5 t.ops;
   old
 
 (** Punish a revoked commit: the sleepy victim, waking any time before
@@ -119,10 +117,8 @@ let punish (t : t) ~(victim : [ `A | `B ]) ~(published : Tx.t) : Tx.t option =
       in
       let v = (List.nth published.Tx.outputs 0).Tx.value in
       let body =
-        Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ] ~outputs:[ { Tx.value = v;
-                spk =
-                  Tx.P2wpkh
-                    (Daric_crypto.Hash.hash160 (Keys.enc side.main.Keys.pk)) } ] ()
+        Tx.make ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ]
+          ~outputs:[ Scheme_intf.pay_to_pk ~value:v side.main.Keys.pk ] ()
       in
       let sig_rev = Sighash.sign rev_sk All body ~input_index:0 in
       let sig_own = Sighash.sign side.main.Keys.sk All body ~input_index:0 in
@@ -141,18 +137,11 @@ let sweep_own ?(rev_pk : Schnorr.public_key option) (t : t)
   let rev_pk =
     match rev_pk with Some pk -> pk | None -> side.rev_current.Keys.pk
   in
-  let script =
-    output_script t ~rev_pk ~other_pk:other.main.Keys.pk
-      ~owner_pk:side.main.Keys.pk
-  in
-  let v = (List.nth published.Tx.outputs 0).Tx.value in
-  let body =
-    Tx.make ~locktime:t.t_end ~inputs:[ Tx.input_of_outpoint (Tx.outpoint_of published 0) ] ~outputs:[ { Tx.value = v;
-            spk =
-              Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc side.main.Keys.pk)) } ] ()
-  in
-  let sg = Sighash.sign side.main.Keys.sk All body ~input_index:0 in
-  Tx.with_witnesses body [ [ Tx.Data sg; Tx.Data ""; Tx.Wscript script ] ]
+  Scheme_intf.sweep_delayed ~locktime:t.t_end
+    ~script:
+      (output_script t ~rev_pk ~other_pk:other.main.Keys.pk
+         ~owner_pk:side.main.Keys.pk)
+    ~sk:side.main.Keys.sk ~to_pk:side.main.Keys.pk published
 
 let commit_of (t : t) (who : [ `A | `B ]) : Tx.t =
   match who with `A -> t.commit_a | `B -> t.commit_b
@@ -170,8 +159,6 @@ let storage_bytes (t : t) ~(who : [ `A | `B ]) : int =
   + Tx.non_witness_size commit
   + Tx.witness_size commit
   + (List.length side.received_rev * 8)
-
-let ops (t : t) : int * int = (t.ops_signs, t.ops_verifies)
 
 (* ------------------------------------------------------------------ *)
 (* SCHEME instance.                                                    *)
@@ -205,9 +192,7 @@ module Scheme : Scheme_intf.SCHEME = struct
   let party_bytes s = storage_bytes s.ch ~who:`A
   let watchtower_bytes _ = None
 
-  let ops s =
-    let signs, verifies = ops s.ch in
-    { I.signs; verifies; exps = 0 }
+  let ops s = s.ch.ops
 
   let known_pubkeys s =
     let side_keys sd =

@@ -27,8 +27,7 @@ type t = {
   mutable sn : int;
   mutable commit_a : Tx.t;
   mutable commit_b : Tx.t;
-  mutable ops_signs : int;
-  mutable ops_verifies : int;
+  mutable ops : Scheme_intf.ops;  (** per party, Table 3 accounting *)
 }
 
 val output_script :
@@ -55,7 +54,6 @@ val commit_of : t -> [ `A | `B ] -> Tx.t
 val funding_outpoint : t -> Tx.outpoint
 val remaining_lifetime : t -> int
 val storage_bytes : t -> who:[ `A | `B ] -> int
-val ops : t -> int * int
 
 (** First-class {!Scheme_intf.SCHEME} instance driving this module
     through the generic lifecycle engine. *)

@@ -45,8 +45,6 @@ type slot = {
   preimage : (hash_fn * string) option;  (** hash-fn preimage of digest *)
 }
 
-val free_slot : slot
-
 type verdict = [ `Sat | `Unsat of string | `Unknown of string ]
 
 type path = {

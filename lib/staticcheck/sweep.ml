@@ -61,6 +61,7 @@ let run_scheme ?(updates = 3) (module S : I.SCHEME) : report =
   in
   { scheme = S.name; txs = !txs; scenarios = 3; diags = Diag.sort diags }
 
+(* The {!Daricmodel} deep lint, reported as scheme ["Daric[model]"]. *)
 let daric_model_report () : report =
   let m = Daricmodel.build () in
   let diags = Daricmodel.lint m in

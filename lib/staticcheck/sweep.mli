@@ -15,11 +15,6 @@ type report = {
   diags : Diag.t list;
 }
 
-val run_scheme : ?updates:int -> (module Daric_schemes.Scheme_intf.SCHEME) -> report
-
-val daric_model_report : unit -> report
-(** The {!Daricmodel} deep lint, reported as scheme ["Daric[model]"]. *)
-
 val run : ?updates:int -> ?scheme:string -> unit -> report list
 (** All registry schemes (plus the Daric model), or just the named
     one. Unknown names yield an empty list. *)

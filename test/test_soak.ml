@@ -1,11 +1,10 @@
-(* Soak tests: long-running sessions exercising the protocol and the
-   network simulation at a larger scale than the unit suites. *)
+(* Soak test: a long-running session exercising the protocol at a
+   larger scale than the unit suites. *)
 
 module Tx = Daric_tx.Tx
 module Party = Daric_core.Party
 module Driver = Daric_core.Driver
 module Txs = Daric_core.Txs
-module Pcn_sim = Daric_analysis.Pcn_sim
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -47,20 +46,7 @@ let test_long_channel () =
   check_i "full capacity recovered" 1_000_000
     (Tx.total_output_value (Option.get (Party.chan_exn alice "c").Party.punish_posted))
 
-(* The PCN simulation is internally consistent and deterministic. *)
-let test_pcn_sim_consistent () =
-  let cfg = { Pcn_sim.default_config with n_nodes = 6; n_channels = 9; n_payments = 12 } in
-  let r = Pcn_sim.run cfg in
-  check_i "bucket attempts sum to total" r.Pcn_sim.attempted
-    (List.fold_left (fun a (b : Pcn_sim.bucket) -> a + b.attempted) 0 r.buckets);
-  check_i "bucket deliveries sum to total" r.Pcn_sim.delivered
-    (List.fold_left (fun a (b : Pcn_sim.bucket) -> a + b.delivered) 0 r.buckets);
-  check_b "some payments deliver" true (r.Pcn_sim.delivered > 0);
-  let r2 = Pcn_sim.run cfg in
-  check_i "deterministic under the same seed" r.Pcn_sim.delivered r2.Pcn_sim.delivered
-
 let () =
   Alcotest.run "daric-soak"
     [ ( "soak",
-        [ Alcotest.test_case "200-update channel" `Slow test_long_channel;
-          Alcotest.test_case "pcn sim consistency" `Quick test_pcn_sim_consistent ] ) ]
+        [ Alcotest.test_case "200-update channel" `Slow test_long_channel ] ) ]

@@ -1,14 +1,5 @@
 (** CSV emission of every experimental data series, for external
     plotting and regeneration of the paper's tables. *)
 
-val write_file :
-  dir:string -> name:string -> header:string -> string list -> string
-(** Write rows under a header; returns the file path. *)
-
-val storage : Tables.storage_point list -> dir:string -> string
-val table3 : ?ms:int list -> dir:string -> unit -> string
-val incentives : dir:string -> unit -> string
-val attack_frontier : ?race_p:float -> dir:string -> unit -> string
-
 val write_all : ?ns:int list -> dir:string -> unit -> string list
 (** All series under [dir]; returns the paths written. *)

@@ -149,6 +149,63 @@ let test_multihop_htlc_on_chain_enforcement () =
   in
   check_b "HTLC redeemable on chain" true (Ledger.validate l redeem = Ok ())
 
+let hop_values (hop : Multihop.hop) =
+  let c = Party.chan_exn hop.Multihop.payer hop.Multihop.channel_id in
+  List.map (fun (o : Tx.output) -> o.Tx.value) c.Party.st
+
+let test_multihop_successive_payments () =
+  let d, _, route = mk_network 2 in
+  let pay k =
+    Multihop.pay d ~route ~amount:10_000 ~preimage:(Fmt.str "inv-%d" k)
+      ~timeout:20
+  in
+  let r1 = pay 1 in
+  let r2 = pay 2 in
+  check_b "both delivered" true (r1.Multihop.delivered && r2.Multihop.delivered);
+  List.iteri
+    (fun i hop ->
+      check_b (Fmt.str "hop %d moved 20k in total" i) true
+        (hop_values hop = [ 30_000; 70_000 ]))
+    route
+
+let test_multihop_offline_hop () =
+  (* p2 is offline: the second hop cannot lock, so nothing settles *)
+  let d, _, route = mk_network 3 in
+  Driver.corrupt d "p2";
+  let outcome =
+    Multihop.pay d ~route ~amount:10_000 ~preimage:"stuck" ~timeout:20
+  in
+  check_b "not delivered" false outcome.Multihop.delivered;
+  check_i "only the first hop locked" 1 outcome.Multihop.hops_locked;
+  check_i "nothing settled" 0 outcome.Multihop.hops_settled;
+  check_b "first hop holds the HTLC" true
+    (hop_values (List.hd route) = [ 40_000; 50_000; 10_000 ])
+
+let test_multihop_payer_is_bob () =
+  (* the payer is the channel's Bob: the HTLC comes out of the second
+     balance and settles into the first *)
+  let d = Driver.create ~delta:1 ~seed:52 () in
+  let payee = Party.create ~pid:"q0" ~seed:70 () in
+  let payer = Party.create ~pid:"q1" ~seed:71 () in
+  Driver.add_party d payee;
+  Driver.add_party d payer;
+  Driver.open_channel d ~id:"rev" ~alice:payee ~bob:payer ~bal_a:50_000
+    ~bal_b:50_000 ();
+  check_b "opened" true
+    (Driver.run_until_operational d ~id:"rev" ~alice:payee ~bob:payer);
+  let hop = { Multihop.channel_id = "rev"; payer; payee } in
+  check_b "locked state debits Bob" true
+    (List.map
+       (fun (o : Tx.output) -> o.Tx.value)
+       (Multihop.locked_state hop ~amount:10_000 ~digest:"d" ~timeout:20)
+    = [ 50_000; 40_000; 10_000 ]);
+  let outcome =
+    Multihop.pay d ~route:[ hop ] ~amount:10_000 ~preimage:"to-alice"
+      ~timeout:20
+  in
+  check_b "delivered" true outcome.Multihop.delivered;
+  check_b "Alice credited" true (hop_values hop = [ 60_000; 40_000 ])
+
 (* ---------------- the Section 6.1 attack ---------------- *)
 
 let test_attack_analytics () =
@@ -266,7 +323,11 @@ let () =
       ( "multihop",
         [ Alcotest.test_case "3-hop payment" `Quick test_multihop_payment;
           Alcotest.test_case "on-chain HTLC enforcement" `Quick
-            test_multihop_htlc_on_chain_enforcement ] );
+            test_multihop_htlc_on_chain_enforcement;
+          Alcotest.test_case "successive payments" `Quick
+            test_multihop_successive_payments;
+          Alcotest.test_case "offline hop" `Quick test_multihop_offline_hop;
+          Alcotest.test_case "payer is Bob" `Quick test_multihop_payer_is_bob ] );
       ( "attack",
         [ Alcotest.test_case "analytic numbers" `Quick test_attack_analytics;
           Alcotest.test_case "eltoo pinned" `Quick test_attack_pins_eltoo;

@@ -117,33 +117,18 @@ let run_lifetime () =
 
 let scale_json_file = "BENCH_scale.json"
 
-(* Flat sorted name -> value map, same shape as BENCH_crypto.json, so
-   successive PRs diff the same entries. N is zero-padded to keep the
-   sorted key order equal to the numeric order. *)
-let write_scale_json (samples : Daric_analysis.Scale.sample list) : unit =
-  let entries =
-    List.concat_map
-      (fun (s : Daric_analysis.Scale.sample) ->
-        let p name v = (Printf.sprintf "n%06d/%s" s.channels name, v) in
-        [ p "updates-per-sec" s.updates_per_sec;
-          p "monitor-per-round-s" s.monitor_seconds_per_poll;
-          p "fraud-react-s" s.fraud_react_seconds;
-          p "frauds" (float_of_int s.frauds);
-          p "punished" (float_of_int s.punished);
-          p "tower-bytes" (float_of_int s.tower_storage_bytes);
-          p "accepted-txs" (float_of_int s.accepted_txs);
-          p "gc-top-heap-words" (float_of_int s.gc.Daric_util.Memtune.top_heap_words);
-          p "gc-major-collections"
-            (float_of_int s.gc.Daric_util.Memtune.major_collections);
-          p "gc-promoted-words" s.gc.Daric_util.Memtune.promoted_words ])
-      samples
-  in
+(* The BENCH_scale/mem/tower/mcheck files share one layout: a flat
+   name -> value map sorted by name, so successive runs diff the same
+   entries. *)
+let write_flat_json ~(file : string) ~(schema : string) ~(unit : string)
+    ?(note : string option) (entries : (string * float) list) : unit =
   let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
-  let oc = open_out scale_json_file in
+  let oc = open_out file in
   let pf fmt = Printf.fprintf oc fmt in
   pf "{\n";
-  pf "  \"schema\": \"daric-bench-scale/1\",\n";
-  pf "  \"unit\": \"seconds unless suffixed otherwise\",\n";
+  pf "  \"schema\": \"%s\",\n" schema;
+  pf "  \"unit\": \"%s\",\n" unit;
+  Option.iter (pf "  \"note\": \"%s\",\n") note;
   pf "  \"entries\": {\n";
   List.iteri
     (fun i (name, v) ->
@@ -152,6 +137,26 @@ let write_scale_json (samples : Daric_analysis.Scale.sample list) : unit =
     entries;
   pf "  }\n}\n";
   close_out oc
+
+(* N is zero-padded to keep the sorted key order equal to the numeric
+   order. *)
+let scale_entries (samples : Daric_analysis.Scale.sample list) :
+    (string * float) list =
+  List.concat_map
+    (fun (s : Daric_analysis.Scale.sample) ->
+      let p name v = (Printf.sprintf "n%06d/%s" s.channels name, v) in
+      [ p "updates-per-sec" s.updates_per_sec;
+        p "monitor-per-round-s" s.monitor_seconds_per_poll;
+        p "fraud-react-s" s.fraud_react_seconds;
+        p "frauds" (float_of_int s.frauds);
+        p "punished" (float_of_int s.punished);
+        p "tower-bytes" (float_of_int s.tower_storage_bytes);
+        p "accepted-txs" (float_of_int s.accepted_txs);
+        p "gc-top-heap-words" (float_of_int s.gc.Daric_util.Memtune.top_heap_words);
+        p "gc-major-collections"
+          (float_of_int s.gc.Daric_util.Memtune.major_collections);
+        p "gc-promoted-words" s.gc.Daric_util.Memtune.promoted_words ])
+    samples
 
 (* The same tiny trace under forced 1-, 2- and 4-domain pools must
    agree exactly: the staged tick and block assembly split only their
@@ -218,50 +223,30 @@ let run_scale ~smoke ~quick ~full ~domains () =
         s)
       ns
   in
-  write_scale_json samples;
+  write_flat_json ~file:scale_json_file ~schema:"daric-bench-scale/1"
+    ~unit:"seconds unless suffixed otherwise" (scale_entries samples);
   Fmt.pr "wrote %s@." scale_json_file
 
 (* ---------------- memory sweep (retained heap engine) ---------------- *)
 
 let mem_json_file = "BENCH_mem.json"
 
-(* Same flat sorted name -> value shape as BENCH_scale.json. *)
-let write_mem_json (samples : Daric_analysis.Memprobe.sample list) : unit =
-  let entries =
-    List.concat_map
-      (fun (s : Daric_analysis.Memprobe.sample) ->
-        let p name v = (Printf.sprintf "n%06d/%s" s.channels name, v) in
-        [ p "retained-words-per-channel" s.retained_words_per_channel;
-          p "retained-words" (float_of_int s.retained_words);
-          p "top-heap-words" (float_of_int s.top_heap_words);
-          p "promoted-words-per-update" s.promoted_words_per_update;
-          p "major-gc-time-share" s.major_time_share;
-          p "updates-per-sec" s.updates_per_sec;
-          p "tower-arena-bytes" (float_of_int s.tower_arena_bytes);
-          p "ledger-pack-bytes" (float_of_int s.ledger_pack_bytes);
-          p "ledger-compacted-entries" (float_of_int s.ledger_compacted);
-          p "intern-saved-bytes" (float_of_int s.intern_saved_bytes) ])
-      samples
-  in
-  let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
-  let oc = open_out mem_json_file in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n";
-  pf "  \"schema\": \"daric-bench-mem/1\",\n";
-  pf "  \"unit\": \"words/bytes/ratios as suffixed\",\n";
-  pf
-    "  \"note\": \"retained-words diffs quiesced Gc live_words around the \
-     whole N-channel build (parties + packed tower arena + compacted \
-     ledger + indexes); major-gc-time-share is an estimate (one timed \
-     full major x majors during updates / update seconds)\",\n";
-  pf "  \"entries\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      pf "    %S: %g%s\n" name v
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  pf "  }\n}\n";
-  close_out oc
+let mem_entries (samples : Daric_analysis.Memprobe.sample list) :
+    (string * float) list =
+  List.concat_map
+    (fun (s : Daric_analysis.Memprobe.sample) ->
+      let p name v = (Printf.sprintf "n%06d/%s" s.channels name, v) in
+      [ p "retained-words-per-channel" s.retained_words_per_channel;
+        p "retained-words" (float_of_int s.retained_words);
+        p "top-heap-words" (float_of_int s.top_heap_words);
+        p "promoted-words-per-update" s.promoted_words_per_update;
+        p "major-gc-time-share" s.major_time_share;
+        p "updates-per-sec" s.updates_per_sec;
+        p "tower-arena-bytes" (float_of_int s.tower_arena_bytes);
+        p "ledger-pack-bytes" (float_of_int s.ledger_pack_bytes);
+        p "ledger-compacted-entries" (float_of_int s.ledger_compacted);
+        p "intern-saved-bytes" (float_of_int s.intern_saved_bytes) ])
+    samples
 
 let run_mem ~smoke ~quick ~full () =
   section "Experiment MEM: retained heap per channel (memory engine)";
@@ -290,52 +275,37 @@ let run_mem ~smoke ~quick ~full () =
         exit 1
       end)
     samples;
-  write_mem_json samples;
+  write_flat_json ~file:mem_json_file ~schema:"daric-bench-mem/1"
+    ~unit:"words/bytes/ratios as suffixed"
+    ~note:
+      "retained-words diffs quiesced Gc live_words around the whole \
+       N-channel build (parties + packed tower arena + compacted ledger + \
+       indexes); major-gc-time-share is an estimate (one timed full major \
+       x majors during updates / update seconds)"
+    (mem_entries samples);
   Fmt.pr "wrote %s@." mem_json_file
 
 (* ------------- durable tower sweep (snapshot + WAL layer) ------------- *)
 
 let tower_json_file = "BENCH_tower.json"
 
-(* Same flat sorted shape as BENCH_scale.json so successive PRs diff
-   the same entries. *)
-let write_tower_json (samples : Daric_analysis.Tower_sim.sample list) : unit =
-  let entries =
-    List.concat_map
-      (fun (s : Daric_analysis.Tower_sim.sample) ->
-        let p name v = (Printf.sprintf "n%06d/%s" s.channels name, v) in
-        [ p "recovery-s" s.recovery_seconds;
-          p "recovery-replayed" (float_of_int s.recovery_replayed);
-          p "wal-bytes-per-round" s.wal_bytes_per_round;
-          p "wal-bytes-total" (float_of_int s.wal_bytes_total);
-          p "snapshot-bytes" (float_of_int s.snapshot_bytes);
-          p "snapshots" (float_of_int s.snapshots_taken);
-          p "monitor-s" s.monitor_seconds;
-          p "frauds" (float_of_int s.frauds);
-          p "punished" (float_of_int s.punished);
-          p "tower-bytes" (float_of_int s.tower_storage_bytes);
-          p "replicas" (float_of_int s.replicas) ])
-      samples
-  in
-  let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
-  let oc = open_out tower_json_file in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n";
-  pf "  \"schema\": \"daric-bench-tower/1\",\n";
-  pf "  \"unit\": \"seconds unless suffixed otherwise\",\n";
-  pf
-    "  \"note\": \"recovery-s re-opens the probe tower's store (snapshot \
-     decode + WAL replay + catch-up poll) after a simulated crash; \
-     wal-bytes-per-round is the journal overhead of one monitoring \
-     round\",\n";
-  pf "  \"entries\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      pf "    %S: %g%s\n" name v
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  pf "  }\n}\n";
-  close_out oc
+let tower_entries (samples : Daric_analysis.Tower_sim.sample list) :
+    (string * float) list =
+  List.concat_map
+    (fun (s : Daric_analysis.Tower_sim.sample) ->
+      let p name v = (Printf.sprintf "n%06d/%s" s.channels name, v) in
+      [ p "recovery-s" s.recovery_seconds;
+        p "recovery-replayed" (float_of_int s.recovery_replayed);
+        p "wal-bytes-per-round" s.wal_bytes_per_round;
+        p "wal-bytes-total" (float_of_int s.wal_bytes_total);
+        p "snapshot-bytes" (float_of_int s.snapshot_bytes);
+        p "snapshots" (float_of_int s.snapshots_taken);
+        p "monitor-s" s.monitor_seconds;
+        p "frauds" (float_of_int s.frauds);
+        p "punished" (float_of_int s.punished);
+        p "tower-bytes" (float_of_int s.tower_storage_bytes);
+        p "replicas" (float_of_int s.replicas) ])
+    samples
 
 (* The journaled tower must be observationally identical to the plain
    one: same punished set, same chain trace, same in-RAM storage. *)
@@ -377,52 +347,39 @@ let run_tower ~smoke ~quick ~full () =
         s)
       ns
   in
-  write_tower_json samples;
+  write_flat_json ~file:tower_json_file ~schema:"daric-bench-tower/1"
+    ~unit:"seconds unless suffixed otherwise"
+    ~note:
+      "recovery-s re-opens the probe tower's store (snapshot decode + WAL \
+       replay + catch-up poll) after a simulated crash; wal-bytes-per-round \
+       is the journal overhead of one monitoring round"
+    (tower_entries samples);
   Fmt.pr "wrote %s@." tower_json_file
 
 (* ---------------- model-checker throughput ---------------- *)
 
 let mcheck_json_file = "BENCH_mcheck.json"
 
-(* Same flat sorted name -> value shape as BENCH_scale.json: one
-   group per checked world, states/transitions/seconds plus the
+(* One group per checked world: states/transitions/seconds plus the
    derived states-per-sec exploration rate. *)
-let write_mcheck_json (entries : Daric_mcheck.Matrix.entry list) : unit =
-  let flat =
-    List.concat_map
-      (fun (e : Daric_mcheck.Matrix.entry) ->
-        let p name v = (Printf.sprintf "%s/%s" e.Daric_mcheck.Matrix.model name, v) in
-        let r = e.Daric_mcheck.Matrix.result in
-        [ p "states" (float_of_int r.Daric_mcheck.Mcheck.visited);
-          p "transitions" (float_of_int r.Daric_mcheck.Mcheck.transitions);
-          p "seconds" e.Daric_mcheck.Matrix.seconds;
-          p "states-per-sec"
-            (if e.Daric_mcheck.Matrix.seconds > 0. then
-               float_of_int r.Daric_mcheck.Mcheck.transitions
-               /. e.Daric_mcheck.Matrix.seconds
-             else 0.);
-          p "counterexamples"
-            (float_of_int (List.length r.Daric_mcheck.Mcheck.counterexamples))
-        ])
-      entries
-  in
-  let flat = List.sort (fun (a, _) (b, _) -> String.compare a b) flat in
-  let oc = open_out mcheck_json_file in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n";
-  pf "  \"schema\": \"daric-bench-mcheck/1\",\n";
-  pf "  \"unit\": \"counts and seconds; states-per-sec = transitions/s\",\n";
-  pf
-    "  \"note\": \"bounded exhaustive exploration; the counterexample on the \
-     lightning tower is the expected punish-or-refund finding\",\n";
-  pf "  \"entries\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      pf "    %S: %g%s\n" name v
-        (if i = List.length flat - 1 then "" else ","))
-    flat;
-  pf "  }\n}\n";
-  close_out oc
+let mcheck_entries (entries : Daric_mcheck.Matrix.entry list) :
+    (string * float) list =
+  List.concat_map
+    (fun (e : Daric_mcheck.Matrix.entry) ->
+      let p name v = (Printf.sprintf "%s/%s" e.Daric_mcheck.Matrix.model name, v) in
+      let r = e.Daric_mcheck.Matrix.result in
+      [ p "states" (float_of_int r.Daric_mcheck.Mcheck.visited);
+        p "transitions" (float_of_int r.Daric_mcheck.Mcheck.transitions);
+        p "seconds" e.Daric_mcheck.Matrix.seconds;
+        p "states-per-sec"
+          (if e.Daric_mcheck.Matrix.seconds > 0. then
+             float_of_int r.Daric_mcheck.Mcheck.transitions
+             /. e.Daric_mcheck.Matrix.seconds
+           else 0.);
+        p "counterexamples"
+          (float_of_int (List.length r.Daric_mcheck.Mcheck.counterexamples))
+      ])
+    entries
 
 let run_mcheck ~smoke () =
   let module M = Daric_mcheck.Matrix in
@@ -446,7 +403,12 @@ let run_mcheck ~smoke () =
   in
   List.iter (fun e -> Fmt.pr "%a@." M.pp_entry e) entries;
   let bad = List.filter (fun e -> not (M.ok e)) entries in
-  write_mcheck_json entries;
+  write_flat_json ~file:mcheck_json_file ~schema:"daric-bench-mcheck/1"
+    ~unit:"counts and seconds; states-per-sec = transitions/s"
+    ~note:
+      "bounded exhaustive exploration; the counterexample on the lightning \
+       tower is the expected punish-or-refund finding"
+    (mcheck_entries entries);
   Fmt.pr "wrote %s@." mcheck_json_file;
   if bad <> [] then begin
     List.iter

@@ -272,25 +272,11 @@ let validate (t : t) (tx : Tx.t) : (unit, reject_reason) result =
   validate_gen t tx ~known_txid:(chain_txid t) ~lookup:(find_utxo t)
     ~verify_witness:Spend.verify_input
 
-(** Deferring validation: every structurally valid signature check is
-    handed to [defer] and assumed true; all other checks run inline
-    against the current state. [Ok] plus an accepting discharge of the
-    deferred triples is equivalent to {!validate} returning [Ok];
-    [Error] here implies {!validate} also errors (assuming checks true
-    can only widen acceptance). *)
-let validate_deferring (t : t) (tx : Tx.t)
-    ~(defer : Daric_tx.Sighash.deferred -> unit) :
-    (unit, reject_reason) result =
-  validate_gen t tx ~known_txid:(chain_txid t) ~lookup:(find_utxo t)
-    ~verify_witness:(fun tx ~input_index ~spent ~input_age ->
-      Spend.verify_input_deferred tx ~input_index ~spent ~input_age ~defer)
-
 (** Discharge a set of deferred signature checks, splitting the batch
     across {!Daric_util.Dpool} domains (one random-linear-combination
     batch verification per chunk; sequential single batch when the
     pool has one domain). False-accept probability is bounded by
-    2^-24 per item — identical to the per-transaction batching of
-    {!validate_batched}. *)
+    2^-24 per item. *)
 let discharge (ds : Daric_tx.Sighash.deferred list) : bool =
   match ds with
   | [] -> true
@@ -307,33 +293,6 @@ let discharge (ds : Daric_tx.Sighash.deferred list) : bool =
         (fun chunk ->
           Daric_crypto.Schnorr.batch_verify_pooled (Array.to_list chunk))
         items
-
-(** Batched witness validation: every signature check across all of
-    [tx]'s inputs is deferred, then discharged in a single
-    {!Daric_crypto.Schnorr.batch_verify} multi-exponentiation. Any
-    rejection — a script error in the deferred pass or a rejecting
-    batch — falls back to the inline {!validate}, whose per-input
-    verification is authoritative and isolates the invalid witness
-    (its index lands in [Invalid_witness]). Accepts exactly the same
-    transactions as {!validate}: assuming a deferred check true can
-    only make the deferred pass accept more often, and the batch then
-    rejects unless every assumed check really holds. *)
-let validate_batched (t : t) (tx : Tx.t) : (unit, reject_reason) result =
-  let deferred = ref [] in
-  let result = validate_deferring t tx ~defer:(fun d -> deferred := d :: !deferred) in
-  match result with
-  | Error _ -> validate t tx
-  | Ok () -> (
-      match !deferred with
-      | [] -> Ok ()
-      | ds ->
-          let items =
-            List.rev_map
-              (fun d -> Daric_tx.Sighash.(d.d_pk, d.d_msg, d.d_sig))
-              ds
-          in
-          if Daric_crypto.Schnorr.batch_verify_pooled items then Ok ()
-          else validate t tx)
 
 (* ---------------- staged state views ---------------- *)
 
@@ -384,7 +343,12 @@ module Staged = struct
       tx.outputs
 end
 
-(** {!validate_deferring} against a staged view. *)
+(** Deferring validation against a staged view: every structurally
+    valid signature check is handed to [defer] and assumed true; all
+    other checks run inline. [Ok] plus an accepting discharge of the
+    deferred triples is equivalent to {!validate} returning [Ok];
+    [Error] here implies {!validate} also errors (assuming checks true
+    can only widen acceptance). *)
 let validate_deferring_staged (v : Staged.view) (tx : Tx.t)
     ~(defer : Daric_tx.Sighash.deferred -> unit) :
     (unit, reject_reason) result =
@@ -527,8 +491,8 @@ let mint (t : t) ~(value : int) ~(spk : Tx.spk) : Tx.outpoint =
    deferring validation first, its signature checks returned for the
    round's discharge; a deferring reject re-runs the inline validator
    (deferral only widens acceptance, so it rejects too) for the
-   authoritative isolating reason, exactly as [validate_batched]
-   reports it. *)
+   authoritative isolating reason, exactly as {!validate} reports
+   it. *)
 let verdict_of (v : Staged.view) (tx : Tx.t) :
     (Daric_tx.Sighash.deferred list, reject_reason) result =
   let defs = ref [] in
@@ -550,7 +514,7 @@ let verdict_of (v : Staged.view) (tx : Tx.t) :
 let process_sequential (t : t) (due : Tx.t list) : unit =
   List.iter
     (fun tx ->
-      match validate_batched t tx with
+      match validate t tx with
       | Ok () -> record t tx
       | Error reason -> t.events <- Rejected (tx, reason) :: t.events)
     due

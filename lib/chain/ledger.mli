@@ -110,13 +110,7 @@ val discharge : Daric_tx.Sighash.deferred list -> bool
 (** Discharge deferred signature checks, splitting the batch across
     {!Daric_util.Dpool} domains (random-linear-combination batch
     verification per chunk; false-accept probability ≤ 2^-24 per
-    item, as {!validate_batched}). *)
-
-val validate_batched : t -> Tx.t -> (unit, reject_reason) result
-(** Same acceptance set as {!validate}, but all signature checks are
-    deferred and discharged in one
-    {!Daric_crypto.Schnorr.batch_verify}; on any rejection it falls
-    back to {!validate}, which isolates the invalid witness index. *)
+    item). *)
 
 (** Read-only overlay over the confirmed state: outpoints spent and
     outputs/txids produced by not-yet-committed acceptances. Staged

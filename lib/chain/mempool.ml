@@ -180,7 +180,7 @@ let assemble_sequential (t : t) (by_rate : entry list) : Tx.t list =
   List.iter
     (fun e ->
       if !used + e.vbytes <= t.config.block_vbytes then begin
-        match Ledger.validate_batched t.ledger e.tx with
+        match Ledger.validate t.ledger e.tx with
         | Ok () ->
             Ledger.record t.ledger e.tx;
             t.confirmed_fees <- t.confirmed_fees + e.fee;

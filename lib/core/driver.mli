@@ -28,7 +28,6 @@ val add_party : t -> Party.t -> unit
 val add_watchtower : t -> Watchtower.t -> unit
 
 val corrupt : t -> string -> unit
-val is_corrupted : t -> string -> bool
 
 val ctx : t -> string -> Party.ctx
 (** Per-round capabilities for one party. *)

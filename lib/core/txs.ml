@@ -10,59 +10,29 @@ module Script = Daric_script.Script
 (* ------------------------------------------------------------------ *)
 (* Scripts (Appendix B).                                               *)
 
-(* Script generation and hashing are on the per-update hot path
-   (every commit pair rebuilds and rehashes its output scripts), but
-   the inputs are a handful of ints — public keys are group elements,
-   locks are heights — so scripts and their P2WSH hashes are memoized
-   on exactly those ints. Domain-local like the crypto memo tables;
-   bounded, reset wholesale when full. *)
+(* Funding scripts, P2WPKH payouts and the transaction bodies below
+   are rebuilt on the per-update hot path from a handful of ints —
+   public keys are group elements, locks are heights — so they are
+   memoized on exactly those ints (see {!Daric_util.Memo}). *)
 let memo_max = 1 lsl 14
 
-let memoize (type k v) () : (k -> v) -> k -> v =
-  let table : (k, v) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-  in
-  fun compute key ->
-    let cache = Domain.DLS.get table in
-    match Hashtbl.find_opt cache key with
-    | Some v -> v
-    | None ->
-        let v = compute key in
-        if Hashtbl.length cache >= memo_max then Hashtbl.reset cache;
-        Hashtbl.add cache key v;
-        v
-
-let funding_memo :
-    (Daric_crypto.Schnorr.public_key * Daric_crypto.Schnorr.public_key ->
-    Script.t * string) ->
+let funding_script_and_hash :
     Daric_crypto.Schnorr.public_key * Daric_crypto.Schnorr.public_key ->
     Script.t * string =
-  memoize ()
-
-let funding_script_and_hash ~pk_a ~pk_b : Script.t * string =
-  funding_memo
-    (fun (pk_a, pk_b) ->
+  Daric_util.Memo.make ~cap:memo_max (fun (pk_a, pk_b) ->
       let s = Script.multisig_2 (Keys.enc pk_a) (Keys.enc pk_b) in
       (s, Script.hash s))
-    (pk_a, pk_b)
 
 (** Funding output: [2 <pkA> <pkB> 2 OP_CHECKMULTISIG] behind P2WSH. *)
 let funding_script ~(pk_a : Daric_crypto.Schnorr.public_key)
     ~(pk_b : Daric_crypto.Schnorr.public_key) : Script.t =
-  fst (funding_script_and_hash ~pk_a ~pk_b)
+  fst (funding_script_and_hash (pk_a, pk_b))
 
 (** The P2WPKH payout condition of a public key; the hash160 of the
     33-byte encoding is memoized per key. *)
-let p2wpkh_memo :
-    (Daric_crypto.Schnorr.public_key -> Tx.spk) ->
-    Daric_crypto.Schnorr.public_key ->
-    Tx.spk =
-  memoize ()
-
-let p2wpkh_spk (pk : Daric_crypto.Schnorr.public_key) : Tx.spk =
-  p2wpkh_memo
-    (fun pk -> Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc pk)))
-    pk
+let p2wpkh_spk : Daric_crypto.Schnorr.public_key -> Tx.spk =
+  Daric_util.Memo.make ~cap:memo_max (fun pk ->
+      Tx.P2wpkh (Daric_crypto.Hash.hash160 (Keys.enc pk)))
 
 (** Commit output script:
     [<S0+i> CLTV DROP
@@ -70,31 +40,13 @@ let p2wpkh_spk (pk : Daric_crypto.Schnorr.public_key) : Tx.spk =
      ELSE  <T> CSV DROP 2 <spl1> <spl2> 2 CHECKMULTISIG  (split branch)
      ENDIF]
     157 bytes under the Appendix-H size conventions. *)
-let commit_memo :
-    (int * int * int * int * int * int -> Script.t * string) ->
-    int * int * int * int * int * int ->
-    Script.t * string =
-  memoize ()
-
-let commit_script_and_hash ~(abs_lock : int) ~(rel_lock : int) ~rev_pk1
-    ~rev_pk2 ~spl_pk1 ~spl_pk2 : Script.t * string =
-  commit_memo
-    (fun (abs_lock, rel_lock, rev_pk1, rev_pk2, spl_pk1, spl_pk2) ->
-      let s =
-        [ Script.Num abs_lock; Cltv; Drop; If; Small 2;
-          Push (Keys.enc rev_pk1); Push (Keys.enc rev_pk2); Small 2;
-          Checkmultisig; Else; Num rel_lock; Csv; Drop; Small 2;
-          Push (Keys.enc spl_pk1); Push (Keys.enc spl_pk2); Small 2;
-          Checkmultisig; Endif ]
-      in
-      (s, Script.hash s))
-    (abs_lock, rel_lock, rev_pk1, rev_pk2, spl_pk1, spl_pk2)
-
 let commit_script ~(abs_lock : int) ~(rel_lock : int) ~rev_pk1 ~rev_pk2
     ~spl_pk1 ~spl_pk2 : Script.t =
-  fst
-    (commit_script_and_hash ~abs_lock ~rel_lock ~rev_pk1 ~rev_pk2 ~spl_pk1
-       ~spl_pk2)
+  [ Script.Num abs_lock; Cltv; Drop; If; Small 2;
+    Push (Keys.enc rev_pk1); Push (Keys.enc rev_pk2); Small 2;
+    Checkmultisig; Else; Num rel_lock; Csv; Drop; Small 2;
+    Push (Keys.enc spl_pk1); Push (Keys.enc spl_pk2); Small 2;
+    Checkmultisig; Endif ]
 
 (* ------------------------------------------------------------------ *)
 (* Transaction bodies.                                                 *)
@@ -108,7 +60,7 @@ let gen_fund ~(tid_a : Tx.outpoint) ~(tid_b : Tx.outpoint) ~(cash : int)
     ~inputs:[ Tx.input_of_outpoint tid_a; Tx.input_of_outpoint tid_b ]
     ~outputs:
       [ { Tx.value = cash;
-          spk = Tx.P2wsh (snd (funding_script_and_hash ~pk_a ~pk_b)) } ]
+          spk = Tx.P2wsh (snd (funding_script_and_hash (pk_a, pk_b))) } ]
     ()
 
 (* --- body sharing ---------------------------------------------------
@@ -117,44 +69,35 @@ let gen_fund ~(tid_a : Tx.outpoint) ~(tid_b : Tx.outpoint) ~(cash : int)
    generators on exactly those inputs makes the two [Party.t] sides
    hold ONE heap copy of each body instead of two structurally-equal
    ones — and makes an N-update run reuse bodies across channels with
-   identical parameters. The [_fresh] generators below are the
-   builders the memos call on a miss. *)
+   identical parameters. *)
+
+let commit_bodies :
+    Tx.outpoint * int * Keys.pub * Keys.pub * int * int * int -> Tx.t * Tx.t =
+  Daric_util.Memo.make ~cap:memo_max
+    (fun (funding, value, (keys_a : Keys.pub), (keys_b : Keys.pub), s0, i, rel_lock) ->
+      let mk rev_pk1 rev_pk2 =
+        let script =
+          commit_script ~abs_lock:(s0 + i) ~rel_lock ~rev_pk1 ~rev_pk2
+            ~spl_pk1:keys_a.sp_pk ~spl_pk2:keys_b.sp_pk
+        in
+        (* The state index is encoded in the input's sequence field so a
+           punisher can reconstruct the (P2WSH-hidden) commit script of a
+           revoked commit without storing old states — Section 8,
+           "Compatibility with P2WSH transactions". *)
+        Tx.make
+          ~inputs:[ Tx.input_of_outpoint ~sequence:i funding ]
+          ~outputs:[ { Tx.value; spk = Tx.P2wsh (Script.hash script) } ]
+          ()
+      in
+      (mk keys_a.rv_pk keys_b.rv_pk, mk keys_a.rv'_pk keys_b.rv'_pk))
 
 (** GenCommit: the pair of state-i commit transaction bodies.
     A's commit carries the (rv_A, rv_B) revocation branch; B's carries
     (rv'_A, rv'_B). The absolute lock [s0 + i] orders states. *)
-let gen_commit_fresh ~(funding : Tx.outpoint) ~(value : int)
-    ~(keys_a : Keys.pub) ~(keys_b : Keys.pub) ~(s0 : int) ~(i : int)
-    ~(rel_lock : int) : Tx.t * Tx.t =
-  let mk rev_pk1 rev_pk2 =
-    let _, script_hash =
-      commit_script_and_hash ~abs_lock:(s0 + i) ~rel_lock ~rev_pk1 ~rev_pk2
-        ~spl_pk1:keys_a.Keys.sp_pk ~spl_pk2:keys_b.Keys.sp_pk
-    in
-    (* The state index is encoded in the input's sequence field so a
-       punisher can reconstruct the (P2WSH-hidden) commit script of a
-       revoked commit without storing old states — Section 8,
-       "Compatibility with P2WSH transactions". *)
-    Tx.make
-      ~inputs:[ Tx.input_of_outpoint ~sequence:i funding ]
-      ~outputs:[ { Tx.value; spk = Tx.P2wsh script_hash } ]
-      ()
-  in
-  (mk keys_a.Keys.rv_pk keys_b.Keys.rv_pk, mk keys_a.Keys.rv'_pk keys_b.Keys.rv'_pk)
-
-let commit_body_memo :
-    (Tx.outpoint * int * Keys.pub * Keys.pub * int * int * int -> Tx.t * Tx.t) ->
-    Tx.outpoint * int * Keys.pub * Keys.pub * int * int * int ->
-    Tx.t * Tx.t =
-  memoize ()
-
 let gen_commit ~(funding : Tx.outpoint) ~(value : int) ~(keys_a : Keys.pub)
     ~(keys_b : Keys.pub) ~(s0 : int) ~(i : int) ~(rel_lock : int) : Tx.t * Tx.t
     =
-  commit_body_memo
-    (fun (funding, value, keys_a, keys_b, s0, i, rel_lock) ->
-      gen_commit_fresh ~funding ~value ~keys_a ~keys_b ~s0 ~i ~rel_lock)
-    (funding, value, keys_a, keys_b, s0, i, rel_lock)
+  commit_bodies (funding, value, keys_a, keys_b, s0, i, rel_lock)
 
 (** The script of a party's state-i commit output (needed to complete
     floating transactions that spend it). *)
@@ -168,50 +111,35 @@ let commit_script_of ~(role : Keys.role) ~(keys_a : Keys.pub)
   commit_script ~abs_lock:(s0 + i) ~rel_lock ~rev_pk1 ~rev_pk2
     ~spl_pk1:keys_a.Keys.sp_pk ~spl_pk2:keys_b.Keys.sp_pk
 
+let split_bodies : Tx.output list * int * int -> Tx.t =
+  Daric_util.Memo.make ~cap:memo_max (fun (theta, s0, i) ->
+      Tx.make ~locktime:(s0 + i) ~inputs:[] ~outputs:theta ())
+
 (** GenSplit: floating split transaction body for state i. Its
     nLockTime stores the state number (S0 + i); it carries no input. *)
-let gen_split_fresh ~(theta : Tx.output list) ~(s0 : int) ~(i : int) : Tx.t =
-  Tx.make ~locktime:(s0 + i) ~inputs:[] ~outputs:theta ()
-
-let split_body_memo :
-    (Tx.output list * int * int -> Tx.t) -> Tx.output list * int * int -> Tx.t =
-  memoize ()
-
 let gen_split ~(theta : Tx.output list) ~(s0 : int) ~(i : int) : Tx.t =
-  split_body_memo
-    (fun (theta, s0, i) -> gen_split_fresh ~theta ~s0 ~i)
-    (theta, s0, i)
+  split_bodies (theta, s0, i)
+
+let revoke_bodies :
+    Daric_crypto.Schnorr.public_key * Daric_crypto.Schnorr.public_key * int
+    * int * int ->
+    Tx.t * Tx.t =
+  Daric_util.Memo.make ~cap:memo_max (fun (pk_a, pk_b, cash, s0, revoked) ->
+      let mk pk =
+        Tx.make ~locktime:(s0 + revoked) ~inputs:[]
+          ~outputs:[ { Tx.value = cash; spk = p2wpkh_spk pk } ]
+          ()
+      in
+      (mk pk_a, mk pk_b))
 
 (** GenRevoke: the pair of floating revocation transaction bodies
     revoking state [revoked]. nLockTime = S0 + revoked lets them spend
     the output of any commit with state index <= revoked, but of no
     later commit. The full channel funds go to the punishing party. *)
-let gen_revoke_fresh ~(pk_a : Daric_crypto.Schnorr.public_key)
-    ~(pk_b : Daric_crypto.Schnorr.public_key) ~(cash : int) ~(s0 : int)
-    ~(revoked : int) : Tx.t * Tx.t =
-  let mk pk =
-    Tx.make ~locktime:(s0 + revoked) ~inputs:[]
-      ~outputs:[ { Tx.value = cash; spk = p2wpkh_spk pk } ]
-      ()
-  in
-  (mk pk_a, mk pk_b)
-
-let revoke_body_memo :
-    (Daric_crypto.Schnorr.public_key * Daric_crypto.Schnorr.public_key * int
-     * int * int ->
-    Tx.t * Tx.t) ->
-    Daric_crypto.Schnorr.public_key * Daric_crypto.Schnorr.public_key * int
-    * int * int ->
-    Tx.t * Tx.t =
-  memoize ()
-
 let gen_revoke ~(pk_a : Daric_crypto.Schnorr.public_key)
     ~(pk_b : Daric_crypto.Schnorr.public_key) ~(cash : int) ~(s0 : int)
     ~(revoked : int) : Tx.t * Tx.t =
-  revoke_body_memo
-    (fun (pk_a, pk_b, cash, s0, revoked) ->
-      gen_revoke_fresh ~pk_a ~pk_b ~cash ~s0 ~revoked)
-    (pk_a, pk_b, cash, s0, revoked)
+  revoke_bodies (pk_a, pk_b, cash, s0, revoked)
 
 (** GenFinSplit: the modified split transaction of a collaborative
     close — spends the funding output directly. *)

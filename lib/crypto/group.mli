@@ -83,9 +83,6 @@ val is_element : int -> bool
 (** Subgroup membership: x in (0, p) with x^q = 1 (reference path, one
     full modexp). *)
 
-val jacobi : int -> int -> int
-(** Jacobi symbol (a/n) for odd positive n; -1, 0 or 1. *)
-
 val is_element_fast : int -> bool
 (** Same predicate as {!is_element} without the modexp: for the safe
     prime p = 2q + 1 the order-q subgroup is the quadratic residues, so

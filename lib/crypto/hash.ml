@@ -18,24 +18,14 @@ let tagged_uncached (tag : string) (msg : string) : string =
    absorbing the 64-byte prefix SHA256(tag) || SHA256(tag), which is
    exactly one block — is cached. Every tagged call then pays only the
    message blocks: one compression and the prefix concatenation
-   cheaper than rehashing the prefix. The cache is domain-local (one
-   table per domain), so tagged hashing is safe from the Dpool worker
-   domains that parallelize witness verification. *)
-let tag_midstate_cache : (string, Sha256.st) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let tag_midstate (tag : string) : Sha256.st =
-  let cache = Domain.DLS.get tag_midstate_cache in
-  match Hashtbl.find_opt cache tag with
-  | Some st -> st
-  | None ->
+   cheaper than rehashing the prefix. *)
+let tag_midstate : string -> Sha256.st =
+  Daric_util.Memo.make ~cap:256 (fun tag ->
       let th = Sha256.digest tag in
       let st = Sha256.st_create () in
       Sha256.st_feed st th 0 32;
       Sha256.st_feed st th 0 32;
-      if Hashtbl.length cache >= 256 then Hashtbl.reset cache;
-      Hashtbl.add cache tag st;
-      st
+      st)
 
 (** BIP-340 style tagged hash: SHA256(SHA256(tag) || SHA256(tag) || msg).
     Used to domain-separate nonce derivation, challenges, etc.

@@ -24,51 +24,9 @@ let keygen (rng : Daric_util.Rng.t) : secret_key * public_key =
 
 let public_key_of_secret (sk : secret_key) : public_key = Group.pow_g sk
 
-(* Decoded-key cache: public keys that already passed subgroup
-   validation. Channel peers and watchtowers see the same handful of
-   keys on every update, so repeat decodes skip even the cheap
-   Jacobi-symbol check. Bounded; reset rather than evicted when full.
-   Domain-local: verification runs on Dpool worker domains, and a
-   cache miss there must not race the main domain's table. *)
-let validated_keys : (int, unit) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let validated_keys_max = 1 lsl 14
-
-let is_valid_key (pk : int) : bool =
-  let cache = Domain.DLS.get validated_keys in
-  Hashtbl.mem cache pk
-  || Group.is_element_fast pk
-     && begin
-          if Hashtbl.length cache >= validated_keys_max then
-            Hashtbl.reset cache;
-          Hashtbl.add cache pk ();
-          true
-        end
-
-(* Encoded-key cache: the 33-byte encoding is rebuilt inside every
-   script construction and witness completion for the same handful of
-   channel keys; strings are immutable, so sharing one per key is
-   safe. Domain-local like the other memo tables. *)
-let encoded_keys : (int, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let encoded_keys_max = 1 lsl 14
-
-let encode_public_key_uncached (pk : public_key) : string =
-  "\x02" ^ String.make 28 '\000' ^ Group.encode_element pk
-
-(** 33-byte encoding: 0x02 marker, 28 zero bytes, 4-byte element.
-    Memoized per key. *)
+(** 33-byte encoding: 0x02 marker, 28 zero bytes, 4-byte element. *)
 let encode_public_key (pk : public_key) : string =
-  let cache = Domain.DLS.get encoded_keys in
-  match Hashtbl.find_opt cache pk with
-  | Some s -> s
-  | None ->
-      let s = encode_public_key_uncached pk in
-      if Hashtbl.length cache >= encoded_keys_max then Hashtbl.reset cache;
-      Hashtbl.add cache pk s;
-      s
+  "\x02" ^ String.make 28 '\000' ^ Group.encode_element pk
 
 let all_zero (s : string) ~(from : int) ~(upto : int) : bool =
   let rec go i = i > upto || (s.[i] = '\000' && go (i + 1)) in
@@ -83,7 +41,7 @@ let decode_public_key (s : string) : public_key option =
   then None
   else
     let pk = Group.decode_element (String.sub s 29 4) in
-    if is_valid_key pk then Some pk else None
+    if Group.is_element_fast pk then Some pk else None
 
 (** 73-byte encoding: R (4), s (4), then zero padding; the final byte
     is left free for a SIGHASH flag. *)
@@ -111,26 +69,13 @@ let challenge_uncached (r : Group.element) (pk : public_key) (msg : string) :
 
 (* Fiat-Shamir challenges are recomputed for the same (R, pk, msg) by
    signer, peer, ledger, mempool and watchtower alike; e = H(...) is a
-   pure function, so the scalar is memoized on its preimage. Bounded;
-   reset wholesale when full. Domain-local for the same reason as
-   [validated_keys]. *)
-let challenge_cache : (string, Group.scalar) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
-
-let challenge_cache_max = 1 lsl 16
+   pure function, so the scalar is memoized on its preimage. *)
+let challenge_of_preimage : string -> Group.scalar =
+  Daric_util.Memo.make ~cap:(1 lsl 16) (fun preimage ->
+      Group.scalar_of_digest (Hash.tagged "daric/challenge" preimage))
 
 let challenge (r : Group.element) (pk : public_key) (msg : string) : Group.scalar =
-  let cache = Domain.DLS.get challenge_cache in
-  let preimage = Group.encode_element r ^ Group.encode_element pk ^ msg in
-  match Hashtbl.find_opt cache preimage with
-  | Some e -> e
-  | None ->
-      let e =
-        Group.scalar_of_digest (Hash.tagged "daric/challenge" preimage)
-      in
-      if Hashtbl.length cache >= challenge_cache_max then Hashtbl.reset cache;
-      Hashtbl.add cache preimage e;
-      e
+  challenge_of_preimage (Group.encode_element r ^ Group.encode_element pk ^ msg)
 
 let nonce (sk : secret_key) (msg : string) (aux : string) : Group.scalar =
   let k =
@@ -149,7 +94,7 @@ let sign (sk : secret_key) (msg : string) : signature =
     g^s = R * pk^e rewritten as g^s * pk^(-e) = R so both
     exponentiations share one Shamir ladder. *)
 let verify (pk : public_key) (msg : string) (sg : signature) : bool =
-  is_valid_key pk
+  Group.is_element_fast pk
   && Group.is_element_fast sg.r
   &&
   let e = challenge sg.r pk msg in
@@ -257,7 +202,7 @@ let batch_verify (items : (public_key * string * signature) list) : bool =
   | [ (pk, msg, sg) ] -> verify pk msg sg
   | _ ->
       List.for_all
-        (fun (pk, _, sg) -> is_valid_key pk && Group.is_element_fast sg.r)
+        (fun (pk, _, sg) -> Group.is_element_fast pk && Group.is_element_fast sg.r)
         items
       &&
       let es = List.map (fun (pk, msg, sg) -> challenge sg.r pk msg) items in

@@ -24,8 +24,8 @@ val encode_public_key : public_key -> string
 val decode_public_key : string -> public_key option
 (** Returns [None] on malformed input (including non-zero filler
     bytes — each key has exactly one encoding) or non-subgroup points.
-    Validated keys are cached, so repeat decodes of the same key skip
-    the membership check. *)
+    Every call runs the subgroup membership check: decoded keys arrive
+    from outside the program. *)
 
 val encode_signature : signature -> string
 (** 73-byte encoding (the last byte is free for a SIGHASH flag). *)

@@ -93,28 +93,7 @@ let serialize (s : t) : string =
         s;
       W.contents w)
 
-(* Script-hash memoization: every P2WSH spend verification and every
-   output construction rehashes one of a handful of channel scripts.
-   Scripts are immutable op lists, so the digest is memoized
-   structurally; domain-local so witness verification on Dpool worker
-   domains never races the main domain's table. Bounded, reset
-   wholesale when full. *)
-let hash_cache : (t, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let hash_cache_max = 1 lsl 14
-
-let hash_uncached (s : t) : string = Daric_crypto.Sha256.digest (serialize s)
-
-let hash (s : t) : string =
-  let cache = Domain.DLS.get hash_cache in
-  match Hashtbl.find_opt cache s with
-  | Some h -> h
-  | None ->
-      let h = hash_uncached s in
-      if Hashtbl.length cache >= hash_cache_max then Hashtbl.reset cache;
-      Hashtbl.add cache s h;
-      h
+let hash (s : t) : string = Daric_crypto.Sha256.digest (serialize s)
 
 let pp_op ppf = function
   | Push d -> Fmt.pf ppf "<%s>" (Daric_util.Hex.short d)

@@ -31,7 +31,6 @@ type t = {
   free : slot list array;  (** size class -> reusable slots *)
   mutable live_bytes : int;
   mutable live_slots : int;
-  mutable freed_slots : int;  (** lifetime frees (telemetry) *)
 }
 
 let default_chunk_bytes = 1 lsl 20
@@ -45,8 +44,7 @@ let create ?(chunk_bytes = default_chunk_bytes) () : t =
     bump = 0;
     free = Array.make max_classes [];
     live_bytes = 0;
-    live_slots = 0;
-    freed_slots = 0 }
+    live_slots = 0 }
 
 let class_of_cap (cap : int) : int =
   (* cap is a power of two >= 2^min_class_bits *)
@@ -63,7 +61,6 @@ let capacity_bytes (t : t) : int =
 
 let live_bytes (t : t) : int = t.live_bytes
 let live_slots (t : t) : int = t.live_slots
-let freed_slots (t : t) : int = t.freed_slots
 
 let add_chunk (t : t) (size : int) : unit =
   let chunk = Bytes.create size in
@@ -104,7 +101,6 @@ let free (t : t) (s : slot) : unit =
   if s.s_len >= 0 then begin
     t.live_bytes <- t.live_bytes - s.s_len;
     t.live_slots <- t.live_slots - 1;
-    t.freed_slots <- t.freed_slots + 1;
     s.s_len <- -1;
     t.free.(class_of_cap s.s_cap) <- s :: t.free.(class_of_cap s.s_cap)
   end

@@ -37,8 +37,6 @@ val live_bytes : t -> int
 (** Total bytes across live slots. *)
 
 val live_slots : t -> int
-val freed_slots : t -> int
-(** Lifetime number of frees (telemetry). *)
 
 val capacity_bytes : t -> int
 (** Total chunk bytes allocated from the OCaml heap. *)

@@ -7,8 +7,8 @@
     in favour of the shared one — N channels that each decode the same
     pubkey retain one heap block, not N.
 
-    Tables are domain-local (same discipline as the crypto and script
-    memo tables: no locks, no false sharing) and bounded — when a
+    Tables are domain-local (same discipline as the {!Memo} tables:
+    no locks, no false sharing) and bounded — when a
     table fills it is reset wholesale, which only costs future sharing,
     never correctness. Counters are process-wide so the memory benches
     can report hit rates and deduplicated bytes. *)

@@ -9,6 +9,7 @@ let create ~(seed : int) : t = { state = Int64.of_int seed }
 
 let golden = 0x9E3779B97F4A7C15L
 
+(** The next raw 64-bit output, advancing the state. *)
 let next_int64 (t : t) : int64 =
   t.state <- Int64.add t.state golden;
   let z = t.state in

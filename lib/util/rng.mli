@@ -8,9 +8,6 @@ type t
 val create : seed:int -> t
 (** A fresh generator with the given seed. *)
 
-val next_int64 : t -> int64
-(** The next raw 64-bit output, advancing the state. *)
-
 val int : t -> int -> int
 (** [int t bound] draws a uniform integer in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)

@@ -54,11 +54,6 @@ let iter_from (t : 'a t) ~(from : int) (f : 'a -> unit) : unit =
 
 let iter (t : 'a t) (f : 'a -> unit) : unit = iter_from t ~from:0 f
 
-let fold_left (t : 'a t) (f : 'b -> 'a -> 'b) (init : 'b) : 'b =
-  let acc = ref init in
-  iter t (fun x -> acc := f !acc x);
-  !acc
-
 (** Elements [from, length) as a list, in index order. *)
 let list_from (t : 'a t) ~(from : int) : 'a list =
   let acc = ref [] in

@@ -19,10 +19,6 @@ val truncate : 'a t -> int -> unit
 
 val iter : 'a t -> ('a -> unit) -> unit
 val iter_from : 'a t -> from:int -> ('a -> unit) -> unit
-val fold_left : 'a t -> ('b -> 'a -> 'b) -> 'b -> 'b
-
-val list_from : 'a t -> from:int -> 'a list
-(** Elements [\[from, length)] in index order. *)
 
 val to_list : 'a t -> 'a list
 

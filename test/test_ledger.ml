@@ -87,14 +87,19 @@ let test_validity_checks () =
   let dust = spend_tx ~sk ~pk ~from:op ~value:0 ~to_pk:pk2 () in
   check_b "zero output rejected" true (Ledger.validate l dust = Error Ledger.Bad_output)
 
-(* Batched validation must accept exactly what [validate] accepts, and
-   on rejection isolate the offending witness index via the fallback. *)
+(* A round's signature checks are deferred and discharged in one batch.
+   [bad] presents the wrong key for input 1, which fails before any
+   signature check; [forged] presents the right key with another key's
+   signature, which only the batch can catch, so the discharge rejects
+   and the tick replays the round inline. Either way the good
+   transaction is accepted and each bad one is rejected with the
+   offending input's index, exactly as [validate] reports it. *)
 let test_batched_validation () =
   let l = Ledger.create ~delta:1 () in
   let sk, pk = keypair 1 in
   let sk2, pk2 = keypair 2 in
-  let ops = List.init 3 (fun _ -> Ledger.mint l ~value:100 ~spk:(p2wpkh pk)) in
   let mk_tx ~signers =
+    let ops = List.map (fun _ -> Ledger.mint l ~value:100 ~spk:(p2wpkh pk)) signers in
     let tx =
       Tx.make ~inputs:(List.map Tx.input_of_outpoint ops) ~outputs:[ { Tx.value = 300; spk = p2wpkh pk2 } ] ()
     in
@@ -108,17 +113,20 @@ let test_batched_validation () =
     Tx.with_witnesses tx witnesses
   in
   let good = mk_tx ~signers:[ (sk, pk); (sk, pk); (sk, pk) ] in
-  check_b "batched accepts valid multi-input tx" true
-    (Ledger.validate_batched l good = Ok ());
-  check_b "batched agrees with validate" true
-    (Ledger.validate_batched l good = Ledger.validate l good);
-  (* one bad witness among good ones: rejected, index isolated *)
+  (* one bad witness among good ones *)
   let bad = mk_tx ~signers:[ (sk, pk); (sk2, pk2); (sk, pk) ] in
-  (match Ledger.validate_batched l bad with
-  | Error (Ledger.Invalid_witness (1, _)) -> ()
-  | _ -> Alcotest.fail "expected Invalid_witness at index 1");
-  check_b "batched rejection agrees with validate" true
-    (Ledger.validate_batched l bad = Ledger.validate l bad)
+  let forged = mk_tx ~signers:[ (sk, pk); (sk2, pk); (sk, pk) ] in
+  let verdicts = List.map (Ledger.validate l) [ bad; forged ] in
+  List.iter (fun tx -> Ledger.post l tx ~delay:0) [ good; bad; forged ];
+  match Ledger.tick l with
+  | [ Ledger.Accepted g;
+      Ledger.Rejected (b, (Ledger.Invalid_witness (1, _) as reason));
+      Ledger.Rejected (f, (Ledger.Invalid_witness (1, _) as reason')) ] ->
+      check_b "the valid multi-input tx is accepted" true (g == good);
+      check_b "the bad txs are the ones rejected" true (b == bad && f == forged);
+      check_b "rejections agree with validate" true
+        (verdicts = [ Error reason; Error reason' ])
+  | _ -> Alcotest.fail "expected Accepted, then Invalid_witness at index 1 twice"
 
 let test_locktime_classes () =
   let l = Ledger.create ~genesis_time:600_000_000 ~delta:1 () in

@@ -12,7 +12,8 @@
    body, and changing any one argument changes the txid. Plus: the
    arena reclaims churned slots (a tower's heap tracks its guarded
    count, not its lifetime watch count), decoding a packed ledger
-   entry shares its payload strings through the interner, and the
+   entry shares its payload strings through the interner, a bounded
+   {!Daric_util.Memo} table stays exact across its resets, and the
    retained-words-per-channel figure at N=1k stays under a regression
    bound. The suite is run under DPOOL_DOMAINS 1/2/4 and once under
    OCAMLRUNPARAM=s=64k (tiny minor heap) via the dune alias; the
@@ -26,6 +27,7 @@ module Txs = Daric_core.Txs
 module Keys = Daric_core.Keys
 module Arena = Daric_util.Arena
 module Intern = Daric_util.Intern
+module Memo = Daric_util.Memo
 module Rng = Daric_util.Rng
 module I = Daric_schemes.Scheme_intf
 module DS = Daric_schemes.Daric_scheme
@@ -80,6 +82,45 @@ let test_intern () =
   check_b "content preserved" true (String.equal a "intern-me");
   let long = String.make 4096 'l' in
   check_b "overlong strings pass through" true (Intern.string long == long)
+
+(* A cap-4 memo fed a key sequence that overflows it many times,
+   against a model of the table: every result equals [f key]; a key
+   still in the table returns the physically same value without
+   running [f]; a miss runs [f] once and, on a full table, resets it.
+   Another domain starts with an empty table of its own. *)
+let test_memo () =
+  let cap = 4 in
+  let calls = ref 0 in
+  let f k =
+    incr calls;
+    Bytes.of_string (string_of_int k)
+  in
+  let memo = Memo.make ~cap f in
+  let model = Hashtbl.create cap in
+  let resets = ref 0 in
+  let rng = Rng.create ~seed:11 in
+  for step = 1 to 400 do
+    let k = Rng.int rng 7 in
+    let before = !calls in
+    let v = memo k in
+    check_b "result equals f key" true (Bytes.equal v (Bytes.of_string (string_of_int k)));
+    match Hashtbl.find_opt model k with
+    | Some cached ->
+        check_b (Printf.sprintf "step %d: hit is the cached value" step) true (v == cached);
+        check_i "a hit does not run f" before !calls
+    | None ->
+        check_i "a miss runs f once" (before + 1) !calls;
+        if Hashtbl.length model >= cap then begin
+          Hashtbl.reset model;
+          incr resets
+        end;
+        Hashtbl.add model k v
+  done;
+  check_b "the table overflowed several times" true (!resets >= 10);
+  let k = Hashtbl.fold (fun k _ _ -> k) model 0 in
+  let before = !calls in
+  ignore (Domain.join (Domain.spawn (fun () -> memo k)));
+  check_i "a fresh domain misses" (before + 1) !calls
 
 (* ---------------- world builder ---------------- *)
 
@@ -415,6 +456,7 @@ let () =
     [ ( "engine",
         [ Alcotest.test_case "arena store/replace/free/reuse" `Quick test_arena;
           Alcotest.test_case "interning" `Quick test_intern;
+          Alcotest.test_case "bounded memo resets" `Quick test_memo;
           Alcotest.test_case "packed-entry decodes share strings" `Quick
             test_decode_interns;
           Alcotest.test_case "directed tower-vs-reference trace" `Quick

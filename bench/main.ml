@@ -159,9 +159,9 @@ let scale_entries (samples : Daric_analysis.Scale.sample list) :
     samples
 
 (* The same tiny trace under forced 1-, 2- and 4-domain pools must
-   agree exactly: the staged tick and block assembly split only their
-   signature discharge across the pool, so they promise sequential
-   semantics at any pool size. Checked on every scale run (and on
+   agree exactly: the staged tick splits only its signature discharge
+   across the pool, so it promises sequential semantics at any pool
+   size. Checked on every scale run (and on
    runtest through the bench-scale-smoke alias). *)
 let check_domain_consistency () =
   let trace () =

@@ -10,8 +10,8 @@
 
     Absolute locktimes below 500,000,000 refer to the ledger height (one
     unit per round); larger values refer to the ledger timestamp, which
-    advances by [seconds_per_round] per round from [genesis_time]
-    (Section 4.1's block-height vs UNIX-timestamp distinction).
+    advances by one second per round from [genesis_time] (Section 4.1's
+    block-height vs UNIX-timestamp distinction).
 
     Chain-state reads are indexed: spender lookups, recorded-round
     lookups and the accepted count are O(1), pending deliveries are
@@ -77,8 +77,6 @@ type log_entry = Live of Tx.t | Packed of Arena.slot
 
 type t = {
   delta : int;
-  genesis_time : int;
-  seconds_per_round : int;
   compact_depth : int;
       (** accepted txs this many rounds behind the tip are packed *)
   mutable round : int;
@@ -103,20 +101,17 @@ type t = {
   mutable mints : int;  (** counter making minted coinbase txids unique *)
 }
 
-(* The default genesis timestamp leaves ample room above the 500e6
-   locktime threshold: channels initialised at S0 = 500e6 can perform
-   ~10^8 updates before outrunning the clock. *)
-let default_genesis_time = 600_000_000
+(* The genesis timestamp leaves ample room above the 500e6 locktime
+   threshold: channels initialised at S0 = 500e6 can perform ~10^8
+   updates before outrunning the clock. *)
+let genesis_time = 600_000_000
 
 let default_compact_depth = 16
 
-let create ?(genesis_time = default_genesis_time) ?(seconds_per_round = 1)
-    ?(compact_depth = default_compact_depth) ~(delta : int) () : t =
+let create ?(compact_depth = default_compact_depth) ~(delta : int) () : t =
   if delta < 0 then invalid_arg "Ledger.create: negative delta";
   if compact_depth < 1 then invalid_arg "Ledger.create: compact_depth < 1";
   { delta;
-    genesis_time;
-    seconds_per_round;
     compact_depth;
     round = 0;
     utxos = Outpoint_map.empty;
@@ -134,7 +129,7 @@ let create ?(genesis_time = default_genesis_time) ?(seconds_per_round = 1)
     mints = 0 }
 
 let height (t : t) : int = t.round
-let time (t : t) : int = t.genesis_time + (t.round * t.seconds_per_round)
+let time (t : t) : int = genesis_time + t.round
 let delta (t : t) : int = t.delta
 
 let locktime_expired (t : t) (locktime : int) : bool =
@@ -231,8 +226,8 @@ let iter_spent_since (t : t) ~(cursor : int) (f : Tx.outpoint -> unit) : int =
 
 (* Shared shape of validation, parameterized over the state view:
    [known_txid] and [lookup] default to the ledger's confirmed state,
-   but staged validators (the round walk, block assembly) substitute
-   views that overlay not-yet-committed effects. [verify_witness] is
+   but the round walk of {!tick} substitutes a staged view that
+   overlays not-yet-committed effects. [verify_witness] is
    either the inline verifier or the deferring one. *)
 let validate_gen (t : t) (tx : Tx.t) ~(known_txid : string -> bool)
     ~(lookup : Tx.outpoint -> utxo option)
@@ -297,12 +292,11 @@ let discharge (ds : Daric_tx.Sighash.deferred list) : bool =
 (* ---------------- staged state views ---------------- *)
 
 (** A read-only overlay over the confirmed chain state: outpoints spent
-    and outputs/txids produced by not-yet-committed acceptances. Both
-    the round walk of {!tick} and the mempool's one-pass block assembly
-    validate against such a view and commit (through {!record}) only
-    after every deferred signature check has been discharged — no
-    speculative mutation of the live chain state, nothing to roll
-    back. *)
+    and outputs/txids produced by not-yet-committed acceptances. The
+    round walk of {!tick} validates against such a view and commits
+    (through {!record}) only after every deferred signature check has
+    been discharged — no speculative mutation of the live chain state,
+    nothing to roll back. *)
 module Staged = struct
   type view = {
     base : t;

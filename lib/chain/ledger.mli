@@ -8,18 +8,20 @@
     output validity; value conservation; absolute-timelock expiry.
 
     Absolute locktimes below 500,000,000 refer to the ledger height
-    (one unit per round); larger values to the timestamp, which
-    advances by [seconds_per_round] per round from [genesis_time].
+    (one unit per round); larger values to the timestamp, which starts
+    at 600,000,000 (leaving ~10^8 state numbers of headroom above the
+    500e6 threshold used by Daric channels' S0) and advances by one
+    second per round.
 
     Chain-state reads are indexed — {!spender_of},
     {!recorded_round_of} and {!accepted_count} are O(1), and the
     append-only spent log ({!iter_spent_since}) lets monitors pay only
     for outpoints spent since their last poll. {!tick} validates a
-    round's due transactions in posting order against a {!Staged} view
-    with signature checks deferred, discharges them once across
-    {!Daric_util.Dpool} domains and then commits; a rejecting discharge
-    replays the round with inline verification, so acceptance
-    semantics are those of {!validate} applied in posting order. *)
+    round's due transactions in posting order with signature checks
+    deferred, discharges them once across {!Daric_util.Dpool} domains
+    and then commits; a rejecting discharge replays the round with
+    inline verification, so acceptance semantics are those of
+    {!validate} applied in posting order. *)
 
 module Tx = Daric_tx.Tx
 
@@ -39,17 +41,11 @@ type event = Accepted of Tx.t | Rejected of Tx.t * reject_reason
 
 type t
 
-val default_genesis_time : int
-(** 600,000,000 — leaves ~10^8 state numbers of headroom above the
-    500e6 timestamp threshold used by Daric channels (S0). *)
-
 val default_compact_depth : int
 (** 16 — rounds an accepted transaction stays boxed before the log
     packs it to serialized bytes. *)
 
-val create :
-  ?genesis_time:int -> ?seconds_per_round:int -> ?compact_depth:int ->
-  delta:int -> unit -> t
+val create : ?compact_depth:int -> delta:int -> unit -> t
 (** [compact_depth] (≥ 1) sets how many rounds behind the tip an
     accepted transaction is packed into the append-only byte arena;
     reads re-materialize transparently. *)
@@ -62,8 +58,6 @@ val time : t -> int
 
 val delta : t -> int
 (** The publication-delay bound Δ. *)
-
-val locktime_expired : t -> int -> bool
 
 val find_utxo : t -> Tx.outpoint -> utxo option
 val is_unspent : t -> Tx.outpoint -> bool
@@ -105,39 +99,6 @@ val iter_spent_since : t -> cursor:int -> (Tx.outpoint -> unit) -> int
 val validate : t -> Tx.t -> (unit, reject_reason) result
 (** The five validity checks against the current state, witnesses
     verified inline per input. *)
-
-val discharge : Daric_tx.Sighash.deferred list -> bool
-(** Discharge deferred signature checks, splitting the batch across
-    {!Daric_util.Dpool} domains (random-linear-combination batch
-    verification per chunk; false-accept probability ≤ 2^-24 per
-    item). *)
-
-(** Read-only overlay over the confirmed state: outpoints spent and
-    outputs/txids produced by not-yet-committed acceptances. Staged
-    validators (the round walk of {!tick}, the mempool's one-pass block
-    assembly) accumulate acceptances here and commit through {!record}
-    only after the round's deferred signature checks discharge — no
-    speculative mutation, nothing to roll back. *)
-module Staged : sig
-  type view
-
-  val create : t -> view
-  val known_txid : view -> string -> bool
-  val lookup : view -> Tx.outpoint -> utxo option
-
-  val stage_accept : view -> Tx.t -> unit
-  (** Overlay the effects of accepting a transaction (assumed
-      validated against this view). *)
-end
-
-val validate_deferring_staged :
-  Staged.view -> Tx.t -> defer:(Daric_tx.Sighash.deferred -> unit) ->
-  (unit, reject_reason) result
-(** Like {!validate} against a staged view, but every structurally
-    valid signature check is handed to [defer] and assumed true. [Ok]
-    plus an accepting {!discharge} of the deferred triples is
-    equivalent to validating with the checks inline; [Error] implies
-    inline validation errors too. *)
 
 type checkpoint
 (** Snapshot of everything {!record}, {!post}, {!mint} and {!tick}

@@ -1,19 +1,9 @@
 (** Economic ledger mode: a fee-market mempool in front of the ledger,
-    with the minimum relay fee, the 100k-vbyte standardness cap,
-    BIP-125 replace-by-fee, and capacity-limited block production —
-    the machinery the Section 6.1 attack depends on. *)
+    with the 1 sat/vB minimum relay fee, the 100,000-vbyte standardness
+    cap, BIP-125 replace-by-fee, and one capacity-limited block per
+    round — the machinery the Section 6.1 attack depends on. *)
 
 module Tx = Daric_tx.Tx
-
-type config = {
-  min_relay_feerate : int;  (** satoshi per vbyte *)
-  max_tx_vbytes : int;
-  block_vbytes : int;
-  rounds_per_block : int;
-}
-
-val default_config : config
-(** 1 sat/vB, 100,000 vB tx cap, 1,000,000 vB blocks, 1 round/block. *)
 
 type submit_error =
   | Too_large
@@ -22,25 +12,24 @@ type submit_error =
   | Negative_fee
   | Rbf_insufficient_fee
       (** conflicts with pooled transactions it cannot displace *)
-  | Invalid of Ledger.reject_reason
 
 val submit_error_to_string : submit_error -> string
 
 type t
 
-val create : ?config:config -> ledger:Ledger.t -> unit -> t
+val create : ?block_vbytes:int -> ledger:Ledger.t -> unit -> t
+(** [block_vbytes] (default 1,000,000) caps each block. *)
+
 val ledger : t -> Ledger.t
 
-val fee_of : t -> Tx.t -> (int, submit_error) result
-(** Fee given the confirmed UTXO view (all inputs must be confirmed). *)
-
 val submit : t -> Tx.t -> (unit, submit_error) result
-(** Standardness checks, then BIP-125: a replacement must pay more
-    than everything it conflicts with plus relay fee for its own size,
-    at a fee rate at least as high. *)
+(** Standardness checks against the confirmed UTXO view (all inputs
+    must be confirmed), then BIP-125: a replacement must pay more than
+    everything it conflicts with plus relay fee for its own size, at a
+    fee rate at least as high. *)
 
 val tick : t -> Tx.t list
-(** Advance one round; on block rounds confirm the highest-fee-rate
+(** Advance one round and confirm a block: the highest-fee-rate
     transactions that still validate, up to the block capacity. *)
 
 val pool_size : t -> int

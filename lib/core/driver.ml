@@ -21,12 +21,9 @@ type t = {
   mutable watchtowers : Watchtower.t list;
 }
 
-let create ?ledger ?net_log_cap ?(delta = 1) ?genesis_time ?(seed = 0xD0C5) () :
-    t =
+let create ?ledger ?net_log_cap ?(delta = 1) ?(seed = 0xD0C5) () : t =
   let ledger =
-    match ledger with
-    | Some l -> l
-    | None -> Ledger.create ?genesis_time ~delta ()
+    match ledger with Some l -> l | None -> Ledger.create ~delta ()
   in
   { ledger;
     net = Network.create ?log_cap:net_log_cap ();

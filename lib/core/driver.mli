@@ -13,11 +13,10 @@ module Tx = Daric_tx.Tx
 type t
 
 val create :
-  ?ledger:Ledger.t -> ?net_log_cap:int -> ?delta:int -> ?genesis_time:int ->
-  ?seed:int -> unit -> t
+  ?ledger:Ledger.t -> ?net_log_cap:int -> ?delta:int -> ?seed:int -> unit -> t
 (** When [ledger] is given the driver runs on that shared ledger (its
     Δ governs posting delays) instead of creating a private one;
-    [delta]/[genesis_time] then have no effect. [net_log_cap] bounds
+    [delta] then has no effect. [net_log_cap] bounds
     the retained network traffic log (total counters are unaffected) —
     set it when simulating very many channels so memory stays flat. *)
 

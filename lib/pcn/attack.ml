@@ -106,11 +106,7 @@ let add_fee (ledger : Ledger.t) (kp : Keys.keypair) ~(fee : int)
 let run_eltoo (cfg : config) : eltoo_result =
   let rng = Daric_util.Rng.create ~seed:cfg.seed in
   let ledger = Ledger.create ~delta:0 () in
-  let mp =
-    Mempool.create
-      ~config:{ Mempool.default_config with rounds_per_block = 1 }
-      ~ledger ()
-  in
+  let mp = Mempool.create ~ledger () in
   let adv_key = Keys.keygen rng and victim_key = Keys.keygen rng in
   (* N channels; the adversary keeps every superseded state. *)
   let n_states = cfg.timelock_blocks + 2 in

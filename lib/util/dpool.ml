@@ -81,6 +81,7 @@ let worker_loop () : unit =
   in
   next ()
 
+(* Join all workers; registered [at_exit] with the first worker. *)
 let shutdown () : unit =
   Mutex.lock mutex;
   stopping := true;

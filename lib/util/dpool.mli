@@ -20,6 +20,3 @@ val map_chunks : ('a array -> 'b) -> 'a array -> 'b array
 
 val all_chunks : ('a array -> bool) -> 'a array -> bool
 (** Conjunction of {!map_chunks}. *)
-
-val shutdown : unit -> unit
-(** Join all workers (registered [at_exit]; safe to call twice). *)

@@ -12,9 +12,6 @@ val int : t -> int -> int
 (** [int t bound] draws a uniform integer in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
 
-val float : t -> float
-(** A uniform float in [\[0, 1)]. *)
-
 val bool : t -> float -> bool
 (** [bool t p] is [true] with probability [p]. *)
 

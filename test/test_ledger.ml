@@ -129,7 +129,7 @@ let test_batched_validation () =
   | _ -> Alcotest.fail "expected Accepted, then Invalid_witness at index 1 twice"
 
 let test_locktime_classes () =
-  let l = Ledger.create ~genesis_time:600_000_000 ~delta:1 () in
+  let l = Ledger.create ~delta:1 () in
   let sk, pk = keypair 1 in
   let _, pk2 = keypair 2 in
   let op = Ledger.mint l ~value:100 ~spk:(p2wpkh pk) in
@@ -170,9 +170,9 @@ let test_double_spend () =
 
 (* ---------------- economic mempool ---------------- *)
 
-let mk_mempool ?(config = Mempool.default_config) () =
+let mk_mempool ?block_vbytes () =
   let ledger = Ledger.create ~delta:0 () in
-  Mempool.create ~config ~ledger ()
+  Mempool.create ?block_vbytes ~ledger ()
 
 let test_fee_and_minrelay () =
   let mp = mk_mempool () in
@@ -218,8 +218,7 @@ let test_rbf_rules () =
   | _ -> Alcotest.fail "expected one confirmation")
 
 let test_block_capacity () =
-  let config = { Mempool.default_config with block_vbytes = 300 } in
-  let mp = mk_mempool ~config () in
+  let mp = mk_mempool ~block_vbytes:300 () in
   let l = Mempool.ledger mp in
   let sk, pk = keypair 1 in
   let _, pk2 = keypair 2 in
@@ -240,7 +239,7 @@ let test_block_capacity () =
   check_i "all eventually confirm" 6 !total
 
 let test_higher_feerate_first () =
-  let mp = mk_mempool ~config:{ Mempool.default_config with block_vbytes = 150 } () in
+  let mp = mk_mempool ~block_vbytes:150 () in
   let l = Mempool.ledger mp in
   let sk, pk = keypair 1 in
   let _, pk2 = keypair 2 in
@@ -255,11 +254,105 @@ let test_higher_feerate_first () =
   | _ -> Alcotest.fail "expected exactly one tx in the tight block");
   ignore (Mempool.tick mp)
 
+(** Spend several P2WPKH utxos of one key to a new P2WPKH output. *)
+let spend_many ~sk ~pk ~(from : Tx.outpoint list) ~value ~to_pk =
+  let tx =
+    Tx.make
+      ~inputs:(List.map Tx.input_of_outpoint from)
+      ~outputs:[ { Tx.value; spk = p2wpkh to_pk } ]
+      ()
+  in
+  Tx.with_witnesses tx
+    (List.mapi
+       (fun i _ ->
+         [ Tx.Data (Sighash.sign sk All tx ~input_index:i);
+           Tx.Data (Schnorr.encode_public_key pk) ])
+       from)
+
+let test_admission_rejections () =
+  let mp = mk_mempool () in
+  let l = Mempool.ledger mp in
+  let sk, pk = keypair 1 in
+  let _, pk2 = keypair 2 in
+  let op = Ledger.mint l ~value:100_000 ~spk:(p2wpkh pk) in
+  (* 4 000 outputs of 31 bytes each: over the 100 000-vbyte cap *)
+  let huge =
+    Tx.make
+      ~inputs:[ Tx.input_of_outpoint op ]
+      ~outputs:(List.init 4_000 (fun _ -> { Tx.value = 1; spk = p2wpkh pk2 }))
+      ()
+  in
+  check_b "oversized tx rejected" true (Mempool.submit mp huge = Error Mempool.Too_large);
+  let ghost = { Tx.txid = String.make 32 'x'; vout = 0 } in
+  check_b "unknown input rejected" true
+    (Mempool.submit mp (spend_tx ~sk ~pk ~from:ghost ~value:1 ~to_pk:pk2 ())
+    = Error (Mempool.Unknown_input ghost));
+  check_b "negative fee rejected" true
+    (Mempool.submit mp (spend_tx ~sk ~pk ~from:op ~value:100_001 ~to_pk:pk2 ())
+    = Error Mempool.Negative_fee);
+  check_i "nothing pooled" 0 (Mempool.pool_size mp)
+
+(* BIP-125 against two pooled transactions: a replacement spending the
+   inputs of both must pay more than their sum plus relay fee for its
+   own size; outbidding each one alone is not enough. *)
+let test_rbf_two_conflicts () =
+  let mp = mk_mempool () in
+  let l = Mempool.ledger mp in
+  let sk, pk = keypair 1 in
+  let _, pk2 = keypair 2 in
+  let _, pk3 = keypair 3 in
+  let op_a = Ledger.mint l ~value:100_000 ~spk:(p2wpkh pk) in
+  let op_b = Ledger.mint l ~value:100_000 ~spk:(p2wpkh pk) in
+  let old_fee = 10_000 in
+  List.iter
+    (fun op ->
+      check_b "original accepted" true
+        (Mempool.submit mp
+           (spend_tx ~sk ~pk ~from:op ~value:(100_000 - old_fee) ~to_pk:pk2 ())
+        = Ok ()))
+    [ op_a; op_b ];
+  let replacement fee =
+    spend_many ~sk ~pk ~from:[ op_a; op_b ] ~value:(200_000 - fee) ~to_pk:pk3
+  in
+  let vb = Tx.vbytes (replacement 0) in
+  let short = (2 * old_fee) + vb - 1 in
+  check_b "outbids each conflict" true (short > old_fee);
+  check_b "short of the sum plus relay fee: rejected" true
+    (Mempool.submit mp (replacement short) = Error Mempool.Rbf_insufficient_fee);
+  check_i "both originals still pooled" 2 (Mempool.pool_size mp);
+  check_b "the sum plus relay fee: accepted" true
+    (Mempool.submit mp (replacement (short + 1)) = Ok ());
+  check_i "both originals evicted" 1 (Mempool.pool_size mp)
+
+(* A replacement that conflicts with one pooled entry on two outpoints
+   owes that entry's fee once, not once per shared outpoint. *)
+let test_rbf_conflict_counted_once () =
+  let mp = mk_mempool () in
+  let l = Mempool.ledger mp in
+  let sk, pk = keypair 1 in
+  let _, pk2 = keypair 2 in
+  let _, pk3 = keypair 3 in
+  let ops = List.init 2 (fun _ -> Ledger.mint l ~value:100_000 ~spk:(p2wpkh pk)) in
+  let old_fee = 10_000 in
+  check_b "original accepted" true
+    (Mempool.submit mp
+       (spend_many ~sk ~pk ~from:ops ~value:(200_000 - old_fee) ~to_pk:pk2)
+    = Ok ());
+  let replacement fee =
+    spend_many ~sk ~pk ~from:ops ~value:(200_000 - fee) ~to_pk:pk3
+  in
+  let fee = old_fee + Tx.vbytes (replacement 0) in
+  check_b "one sat short: rejected" true
+    (Mempool.submit mp (replacement (fee - 1)) = Error Mempool.Rbf_insufficient_fee);
+  check_b "the entry's fee once plus relay fee: accepted" true
+    (Mempool.submit mp (replacement fee) = Ok ());
+  check_i "replaced in place" 1 (Mempool.pool_size mp)
+
 (* A forged witness (the right public key, another key's signature)
-   passes admission, which checks no signatures, and every structural
-   check of block assembly: only the block's signature discharge
-   rejects it, which sends assembly to its inline fallback. The forged
-   tx is evicted and the honest ones confirm, at any domain count. *)
+   passes admission, which checks no signatures. Block assembly
+   validates each transaction inline, so only its signature check
+   rejects the forged tx: it is evicted and the honest ones confirm,
+   at any domain count. *)
 let test_forged_witness_evicted () =
   let run domains =
     Dpool.with_domains domains (fun () ->
@@ -410,7 +503,7 @@ let prop_no_double_spend =
     (fun (n_txs, seed) ->
       let n_txs = 2 + (n_txs mod 12) in
       let rng = Rng.create ~seed:(seed + 1) in
-      let mp = mk_mempool ~config:{ Mempool.default_config with block_vbytes = 400 } () in
+      let mp = mk_mempool ~block_vbytes:400 () in
       let l = Mempool.ledger mp in
       let sk, pk = keypair 1 in
       let _, pk2 = keypair 2 in
@@ -451,6 +544,11 @@ let () =
       ( "mempool",
         [ Alcotest.test_case "fees and min relay" `Quick test_fee_and_minrelay;
           Alcotest.test_case "rbf rules" `Quick test_rbf_rules;
+          Alcotest.test_case "admission rejections" `Quick
+            test_admission_rejections;
+          Alcotest.test_case "rbf two conflicts" `Quick test_rbf_two_conflicts;
+          Alcotest.test_case "rbf conflict counted once" `Quick
+            test_rbf_conflict_counted_once;
           Alcotest.test_case "block capacity" `Quick test_block_capacity;
           Alcotest.test_case "feerate priority" `Quick test_higher_feerate_first;
           Alcotest.test_case "forged witness evicted" `Quick

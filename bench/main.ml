@@ -158,60 +158,19 @@ let scale_entries (samples : Daric_analysis.Scale.sample list) :
         p "gc-promoted-words" s.gc.Daric_util.Memtune.promoted_words ])
     samples
 
-(* The same tiny trace under forced 1-, 2- and 4-domain pools must
-   agree exactly: the staged tick splits only its signature discharge
-   across the pool, so it promises sequential semantics at any pool
-   size. Checked on every scale run (and on
-   runtest through the bench-scale-smoke alias). *)
-let check_domain_consistency () =
-  let trace () =
-    let s =
-      Daric_analysis.Scale.run ~channels:6 ~updates:1 ~frauds:2 ~seed:11 ()
-    in
-    ( s.Daric_analysis.Scale.punished,
-      s.Daric_analysis.Scale.frauds,
-      s.Daric_analysis.Scale.ledger_height,
-      s.Daric_analysis.Scale.accepted_txs,
-      s.Daric_analysis.Scale.tower_storage_bytes )
-  in
-  let reference = Daric_util.Dpool.with_domains 1 trace in
-  List.iter
-    (fun d ->
-      if Daric_util.Dpool.with_domains d trace <> reference then begin
-        Fmt.epr "scale: %d-domain trace diverged from sequential@." d;
-        exit 1
-      end)
-    [ 2; 4 ];
-  Fmt.pr "domain-consistency: 1-, 2- and 4-domain traces agree@."
-
-let run_scale ~smoke ~quick ~full ~domains () =
+let run_scale ~smoke ~quick ~full () =
   section "Experiment SCALE: N-channel update+monitor sweep (Daric)";
-  check_domain_consistency ();
   let ns =
     if smoke then [ 24 ]
     else if quick then [ 100; 1_000 ]
     else if full then [ 100; 1_000; 10_000; 100_000 ]
     else [ 100; 1_000; 10_000 ]
   in
-  (* [--domains D] forces the worker-pool size for the whole sweep (the
-     default is the environment's DPOOL_DOMAINS / recommended size) —
-     used to measure how updates/sec scales with the domain count. *)
-  let in_pool : 'a. (unit -> 'a) -> 'a =
-   fun f ->
-    match domains with
-    | Some d -> Daric_util.Dpool.with_domains d f
-    | None -> f ()
-  in
-  (match domains with
-  | Some d -> Fmt.pr "forced domain count: %d@." d
-  | None -> ());
   let samples =
     List.map
       (fun n ->
         let s =
-          in_pool (fun () ->
-              Daric_analysis.Scale.run ~channels:n ~updates:1
-                ~frauds:(min 8 n) ())
+          Daric_analysis.Scale.run ~channels:n ~updates:1 ~frauds:(min 8 n) ()
         in
         Fmt.pr "%a@.@." Daric_analysis.Scale.pp s;
         if s.Daric_analysis.Scale.punished <> s.Daric_analysis.Scale.frauds
@@ -699,29 +658,8 @@ let () =
   let full = List.mem "--full" args in
   let smoke = List.mem "--smoke" args in
   let quick = List.mem "--quick" args in
-  let rec parse_domains = function
-    | "--domains" :: d :: _ -> (
-        match int_of_string_opt (String.trim d) with
-        | Some d when d >= 1 -> Some d
-        | _ ->
-            Fmt.epr "bench: --domains expects a positive integer, got %S@." d;
-            exit 2)
-    | "--domains" :: [] ->
-        Fmt.epr "bench: --domains expects a value@.";
-        exit 2
-    | _ :: rest -> parse_domains rest
-    | [] -> None
-  in
-  let domains = parse_domains args in
-  let rec strip_domains = function
-    | "--domains" :: _ :: rest -> strip_domains rest
-    | a :: rest -> a :: strip_domains rest
-    | [] -> []
-  in
   let args =
-    strip_domains args
-    |> List.filter (fun a ->
-           a <> "--full" && a <> "--smoke" && a <> "--quick")
+    List.filter (fun a -> a <> "--full" && a <> "--smoke" && a <> "--quick") args
   in
   let all = args = [] in
   let want x = all || List.mem x args in
@@ -739,7 +677,7 @@ let () =
       (Daric_analysis.Csv.write_all ~ns ~dir:"results" ())
   end;
   (* explicit-only: the full sweep builds up to 100k channels *)
-  if List.mem "scale" args then run_scale ~smoke ~quick ~full ~domains ();
+  if List.mem "scale" args then run_scale ~smoke ~quick ~full ();
   (* explicit-only: builds up to 10k channels with R+1 towers *)
   if List.mem "tower" args then run_tower ~smoke ~quick ~full ();
   (* explicit-only: the full sweep retains up to 100k channels *)

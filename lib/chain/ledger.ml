@@ -19,17 +19,16 @@
     append-only *spent log* that watchtowers consume through a cursor —
     monitoring cost is O(newly spent outpoints), independent of both
     channel count and chain history. Each round validates its due
-    transactions in one staged walk with deferred signature checks,
-    discharges them once across {!Daric_util.Dpool} domains, and only
-    then commits; a rejecting discharge replays the round with inline
-    verification. *)
+    transactions one at a time in posting order, each against the
+    state its predecessors in the round left, verifying every witness
+    inline, and records each one it accepts before the next is
+    checked. *)
 
 module Tx = Daric_tx.Tx
 module Txcodec = Daric_tx.Txcodec
 module Spend = Daric_tx.Spend
 module Vec = Daric_util.Vec
 module Arena = Daric_util.Arena
-module Dpool = Daric_util.Dpool
 
 module Outpoint_map = Map.Make (struct
   type t = Tx.outpoint
@@ -43,6 +42,7 @@ type utxo = { recorded : int; output : Tx.output }
 type reject_reason =
   | Duplicate_txid
   | Missing_input of Tx.outpoint
+  | Duplicate_input of Tx.outpoint
   | Invalid_witness of int * Spend.error
   | Bad_output
   | Value_overspent
@@ -51,6 +51,7 @@ type reject_reason =
 let reject_to_string = function
   | Duplicate_txid -> "duplicate txid"
   | Missing_input o -> Fmt.str "missing input %a" Tx.pp_outpoint o
+  | Duplicate_input o -> Fmt.str "input %a spent twice" Tx.pp_outpoint o
   | Invalid_witness (i, e) ->
       Fmt.str "invalid witness for input %d: %s" i (Spend.error_to_string e)
   | Bad_output -> "invalid output"
@@ -224,132 +225,41 @@ let iter_spent_since (t : t) ~(cursor : int) (f : Tx.outpoint -> unit) : int =
   Vec.iter_from t.spent_log ~from:cursor f;
   Vec.length t.spent_log
 
-(* Shared shape of validation, parameterized over the state view:
-   [known_txid] and [lookup] default to the ledger's confirmed state,
-   but the round walk of {!tick} substitutes a staged view that
-   overlays not-yet-committed effects. [verify_witness] is
-   either the inline verifier or the deferring one. *)
-let validate_gen (t : t) (tx : Tx.t) ~(known_txid : string -> bool)
-    ~(lookup : Tx.outpoint -> utxo option)
-    ~(verify_witness :
-       Tx.t -> input_index:int -> spent:Tx.output -> input_age:int ->
-       (unit, Spend.error) result) : (unit, reject_reason) result =
-  let txid = Tx.txid tx in
-  if known_txid txid then Error Duplicate_txid
+(** The five validity checks against the current state, witnesses
+    verified inline per input. An outpoint listed twice is refused
+    before any input is looked up: it would count twice toward value
+    conservation. *)
+let validate (t : t) (tx : Tx.t) : (unit, reject_reason) result =
+  if Hashtbl.mem t.txids (Tx.txid tx) then Error Duplicate_txid
   else if not (locktime_expired t tx.locktime) then Error Locktime_in_future
   else if
     List.exists (fun (o : Tx.output) -> o.value <= 0) tx.outputs
     || tx.outputs = []
   then Error Bad_output
   else
-    (* inputs exist and witnesses verify *)
-    let rec check_inputs i (inputs : Tx.input list) total_in =
-      match inputs with
-      | [] ->
-          if Tx.total_output_value tx > total_in then Error Value_overspent
-          else Ok ()
-      | input :: rest -> (
-          match lookup input.prevout with
-          | None -> Error (Missing_input input.prevout)
-          | Some utxo -> (
-              let input_age = t.round - utxo.recorded in
-              match
-                verify_witness tx ~input_index:i ~spent:utxo.output ~input_age
-              with
-              | Error e -> Error (Invalid_witness (i, e))
-              | Ok () -> check_inputs (i + 1) rest (total_in + utxo.output.value)))
-    in
-    check_inputs 0 tx.inputs 0
-
-let chain_txid (t : t) (id : string) : bool = Hashtbl.mem t.txids id
-
-let validate (t : t) (tx : Tx.t) : (unit, reject_reason) result =
-  validate_gen t tx ~known_txid:(chain_txid t) ~lookup:(find_utxo t)
-    ~verify_witness:Spend.verify_input
-
-(** Discharge a set of deferred signature checks, splitting the batch
-    across {!Daric_util.Dpool} domains (one random-linear-combination
-    batch verification per chunk; sequential single batch when the
-    pool has one domain). False-accept probability is bounded by
-    2^-24 per item. *)
-let discharge (ds : Daric_tx.Sighash.deferred list) : bool =
-  match ds with
-  | [] -> true
-  | ds ->
-      let items =
-        Array.of_list
-          (List.rev_map (fun d -> Daric_tx.Sighash.(d.d_pk, d.d_msg, d.d_sig)) ds)
-      in
-      (* pooled: triples whose key context is resident on the executing
-         domain discharge through per-key window tables (always the case
-         for pinned channel keys when the pool runs sequentially on the
-         protocol domain); the rest join the plain batch unchanged *)
-      Dpool.all_chunks
-        (fun chunk ->
-          Daric_crypto.Schnorr.batch_verify_pooled (Array.to_list chunk))
-        items
-
-(* ---------------- staged state views ---------------- *)
-
-(** A read-only overlay over the confirmed chain state: outpoints spent
-    and outputs/txids produced by not-yet-committed acceptances. The
-    round walk of {!tick} validates against such a view and commits
-    (through {!record}) only after every deferred signature check has
-    been discharged — no speculative mutation of the live chain state,
-    nothing to roll back. *)
-module Staged = struct
-  type view = {
-    base : t;
-    spent : (Tx.outpoint, unit) Hashtbl.t;
-    fresh : (Tx.outpoint, utxo) Hashtbl.t;
-        (** outputs created by staged acceptances (recorded this round) *)
-    ids : (string, unit) Hashtbl.t;  (** txids staged this round *)
-  }
-
-  let create (base : t) : view =
-    { base;
-      spent = Hashtbl.create 32;
-      fresh = Hashtbl.create 32;
-      ids = Hashtbl.create 32 }
-
-  let known_txid (v : view) (id : string) : bool =
-    Hashtbl.mem v.ids id || chain_txid v.base id
-
-  let lookup (v : view) (o : Tx.outpoint) : utxo option =
-    if Hashtbl.mem v.spent o then None
-    else
-      match Hashtbl.find_opt v.fresh o with
-      | Some _ as u -> u
-      | None -> find_utxo v.base o
-
-  (** Overlay the effects of accepting [tx] (assumed validated against
-      this view) without touching the underlying ledger. *)
-  let stage_accept (v : view) (tx : Tx.t) : unit =
-    let txid = Tx.txid tx in
-    Hashtbl.replace v.ids txid ();
-    List.iter
-      (fun (i : Tx.input) -> Hashtbl.replace v.spent i.prevout ())
-      tx.inputs;
-    List.iteri
-      (fun vout output ->
-        Hashtbl.replace v.fresh { Tx.txid; vout }
-          { recorded = v.base.round; output })
-      tx.outputs
-end
-
-(** Deferring validation against a staged view: every structurally
-    valid signature check is handed to [defer] and assumed true; all
-    other checks run inline. [Ok] plus an accepting discharge of the
-    deferred triples is equivalent to {!validate} returning [Ok];
-    [Error] here implies {!validate} also errors (assuming checks true
-    can only widen acceptance). *)
-let validate_deferring_staged (v : Staged.view) (tx : Tx.t)
-    ~(defer : Daric_tx.Sighash.deferred -> unit) :
-    (unit, reject_reason) result =
-  validate_gen v.Staged.base tx ~known_txid:(Staged.known_txid v)
-    ~lookup:(Staged.lookup v)
-    ~verify_witness:(fun tx ~input_index ~spent ~input_age ->
-      Spend.verify_input_deferred tx ~input_index ~spent ~input_age ~defer)
+    match Tx.duplicate_input tx with
+    | Some o -> Error (Duplicate_input o)
+    | None ->
+        (* inputs exist and witnesses verify *)
+        let rec check_inputs i (inputs : Tx.input list) total_in =
+          match inputs with
+          | [] ->
+              if Tx.total_output_value tx > total_in then Error Value_overspent
+              else Ok ()
+          | input :: rest -> (
+              match find_utxo t input.prevout with
+              | None -> Error (Missing_input input.prevout)
+              | Some utxo -> (
+                  let input_age = t.round - utxo.recorded in
+                  match
+                    Spend.verify_input tx ~input_index:i ~spent:utxo.output
+                      ~input_age
+                  with
+                  | Error e -> Error (Invalid_witness (i, e))
+                  | Ok () ->
+                      check_inputs (i + 1) rest (total_in + utxo.output.value)))
+        in
+        check_inputs 0 tx.inputs 0
 
 let record (t : t) (tx : Tx.t) =
   let txid = Tx.txid tx in
@@ -481,72 +391,9 @@ let mint (t : t) ~(value : int) ~(spk : Tx.spk) : Tx.outpoint =
   record t tx;
   { Tx.txid = Tx.txid tx; vout = 0 }
 
-(* Verdict of one due transaction against the round's staged view:
-   deferring validation first, its signature checks returned for the
-   round's discharge; a deferring reject re-runs the inline validator
-   (deferral only widens acceptance, so it rejects too) for the
-   authoritative isolating reason, exactly as {!validate} reports
-   it. *)
-let verdict_of (v : Staged.view) (tx : Tx.t) :
-    (Daric_tx.Sighash.deferred list, reject_reason) result =
-  let defs = ref [] in
-  match validate_deferring_staged v tx ~defer:(fun d -> defs := d :: !defs) with
-  | Ok () -> Ok (List.rev !defs)
-  | Error _ -> (
-      match
-        validate_gen v.Staged.base tx ~known_txid:(Staged.known_txid v)
-          ~lookup:(Staged.lookup v) ~verify_witness:Spend.verify_input
-      with
-      | Error reason -> Error reason
-      | Ok () ->
-          (* unreachable (deferral only widens acceptance), but if the
-             impossible happens the inline verdict wins *)
-          Ok [])
-
-(* Inline processing of a round, validating and recording one
-   transaction at a time — the fallback after a rejecting discharge. *)
-let process_sequential (t : t) (due : Tx.t list) : unit =
-  List.iter
-    (fun tx ->
-      match validate t tx with
-      | Ok () -> record t tx
-      | Error reason -> t.events <- Rejected (tx, reason) :: t.events)
-    due
-
-(* One staged walk over the round's due transactions in posting order:
-   each is validated against the pre-round state plus the acceptances
-   staged before it (so it sees exactly what the inline walk would),
-   with every signature check deferred. The round's checks are then
-   discharged once across the pool, and only an accepting discharge
-   commits, in posting order — the inline event stream exactly. A
-   rejecting discharge mutated nothing; the round is replayed inline,
-   which isolates the bad witness. *)
-let process_round (t : t) (due : Tx.t list) : unit =
-  let view = Staged.create t in
-  let deferred = ref [] in
-  let verdicts =
-    List.map
-      (fun tx ->
-        let v = verdict_of view tx in
-        (match v with
-        | Ok ds ->
-            Staged.stage_accept view tx;
-            deferred := List.rev_append ds !deferred
-        | Error _ -> ());
-        v)
-      due
-  in
-  if discharge !deferred then
-    List.iter2
-      (fun tx v ->
-        match v with
-        | Ok _ -> record t tx
-        | Error reason -> t.events <- Rejected (tx, reason) :: t.events)
-      due verdicts
-  else process_sequential t due
-
-(** Advance one round: deliver due pending transactions (in posting
-    order) and return this round's events. *)
+(** Advance one round: validate each due pending transaction (in
+    posting order) with {!validate}, record the accepted ones, and
+    return this round's events. *)
 let tick (t : t) : event list =
   t.round <- t.round + 1;
   t.events <- [];
@@ -554,6 +401,9 @@ let tick (t : t) : event list =
   | None -> ()
   | Some bucket ->
       Hashtbl.remove t.pending t.round;
-      process_round t (Vec.to_list bucket));
+      Vec.iter bucket (fun tx ->
+          match validate t tx with
+          | Ok () -> record t tx
+          | Error reason -> t.events <- Rejected (tx, reason) :: t.events));
   compact_tail t;
   List.rev t.events

@@ -16,12 +16,9 @@
     Chain-state reads are indexed — {!spender_of},
     {!recorded_round_of} and {!accepted_count} are O(1), and the
     append-only spent log ({!iter_spent_since}) lets monitors pay only
-    for outpoints spent since their last poll. {!tick} validates a
-    round's due transactions in posting order with signature checks
-    deferred, discharges them once across {!Daric_util.Dpool} domains
-    and then commits; a rejecting discharge replays the round with
-    inline verification, so acceptance semantics are those of
-    {!validate} applied in posting order. *)
+    for outpoints spent since their last poll. {!tick} runs {!validate}
+    on a round's due transactions one at a time in posting order and
+    records each accepted one before checking the next. *)
 
 module Tx = Daric_tx.Tx
 
@@ -30,6 +27,8 @@ type utxo = { recorded : int; output : Tx.output }
 type reject_reason =
   | Duplicate_txid
   | Missing_input of Tx.outpoint
+  | Duplicate_input of Tx.outpoint
+      (** the transaction lists this outpoint as input more than once *)
   | Invalid_witness of int * Daric_tx.Spend.error
   | Bad_output
   | Value_overspent
@@ -98,7 +97,8 @@ val iter_spent_since : t -> cursor:int -> (Tx.outpoint -> unit) -> int
 
 val validate : t -> Tx.t -> (unit, reject_reason) result
 (** The five validity checks against the current state, witnesses
-    verified inline per input. *)
+    verified inline per input; a transaction spending one outpoint
+    twice is [Duplicate_input]. *)
 
 type checkpoint
 (** Snapshot of everything {!record}, {!post}, {!mint} and {!tick}

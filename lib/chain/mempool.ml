@@ -25,6 +25,7 @@ type submit_error =
   | Too_large
   | Feerate_below_minimum
   | Unknown_input of Tx.outpoint
+  | Duplicate_input of Tx.outpoint
   | Negative_fee
   | Rbf_insufficient_fee  (** conflicts with pooled txs it cannot displace *)
 
@@ -32,6 +33,7 @@ let submit_error_to_string = function
   | Too_large -> "transaction exceeds 100,000 vbytes"
   | Feerate_below_minimum -> "fee rate below minimum relay fee"
   | Unknown_input o -> Fmt.str "input %a not found" Tx.pp_outpoint o
+  | Duplicate_input o -> Fmt.str "input %a spent twice" Tx.pp_outpoint o
   | Negative_fee -> "outputs exceed inputs"
   | Rbf_insufficient_fee -> "replacement does not pay for conflicts (BIP-125)"
 
@@ -73,35 +75,40 @@ let conflict (a : Tx.t) (b : Tx.t) : bool =
     a.inputs
 
 (** Submit a transaction to the mempool; applies standardness and
-    BIP-125 replacement rules, then queues by fee rate. *)
+    BIP-125 replacement rules, then queues by fee rate. A transaction
+    spending one outpoint twice is refused before its fee is counted,
+    so the duplicate never pays toward a replacement. *)
 let submit (t : t) (tx : Tx.t) : (unit, submit_error) result =
   let vb = Tx.vbytes tx in
   if vb > max_tx_vbytes then Error Too_large
   else
-    match fee_of t tx with
-    | Error e -> Error e
-    | Ok fee ->
-        if fee < min_relay_feerate * vb then Error Feerate_below_minimum
-        else
-          let conflicts, others =
-            List.partition (fun e -> conflict e.tx tx) t.pool
-          in
-          let old_fees = List.fold_left (fun a e -> a + e.fee) 0 conflicts in
-          let old_max_rate =
-            List.fold_left (fun a e -> Float.max a (feerate e)) 0. conflicts
-          in
-          (* with no conflicts both tests pass: the relay fee was
-             checked above *)
-          if
-            fee >= old_fees + (min_relay_feerate * vb)
-            && float_of_int fee /. float_of_int vb >= old_max_rate
-          then begin
-            let entry = { tx; fee; vbytes = vb; seq = t.next_seq } in
-            t.next_seq <- t.next_seq + 1;
-            t.pool <- entry :: others;
-            Ok ()
-          end
-          else Error Rbf_insufficient_fee
+    match Tx.duplicate_input tx with
+    | Some o -> Error (Duplicate_input o)
+    | None -> (
+        match fee_of t tx with
+        | Error e -> Error e
+        | Ok fee ->
+            if fee < min_relay_feerate * vb then Error Feerate_below_minimum
+            else
+              let conflicts, others =
+                List.partition (fun e -> conflict e.tx tx) t.pool
+              in
+              let old_fees = List.fold_left (fun a e -> a + e.fee) 0 conflicts in
+              let old_max_rate =
+                List.fold_left (fun a e -> Float.max a (feerate e)) 0. conflicts
+              in
+              (* with no conflicts both tests pass: the relay fee was
+                 checked above *)
+              if
+                fee >= old_fees + (min_relay_feerate * vb)
+                && float_of_int fee /. float_of_int vb >= old_max_rate
+              then begin
+                let entry = { tx; fee; vbytes = vb; seq = t.next_seq } in
+                t.next_seq <- t.next_seq + 1;
+                t.pool <- entry :: others;
+                Ok ()
+              end
+              else Error Rbf_insufficient_fee)
 
 (* Candidate order for a block: descending fee rate, admission order
    breaking ties — deterministic regardless of pool-list layout. *)

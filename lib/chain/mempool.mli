@@ -9,6 +9,8 @@ type submit_error =
   | Too_large
   | Feerate_below_minimum
   | Unknown_input of Tx.outpoint
+  | Duplicate_input of Tx.outpoint
+      (** the transaction lists this outpoint as input more than once *)
   | Negative_fee
   | Rbf_insufficient_fee
       (** conflicts with pooled transactions it cannot displace *)

@@ -270,7 +270,7 @@ let sign_counted (t : t) (kc : Daric_crypto.Keyctx.t) (flag : Sighash.flag)
   Sighash.sign_message_keyed kc flag msg
 
 (* Pooled: the peer's keys are pinned at createInfo, so in-protocol
-   verifications discharge through their window tables; after release
+   verifications run through their window tables; after release
    (or pin saturation) the same call transparently takes the plain
    path with the same verdict. *)
 let verify_counted (t : t) (pk : Daric_crypto.Schnorr.public_key) (msg : string)

@@ -59,6 +59,7 @@ let kind = function
 
 module W = Daric_util.Byteio.Writer
 module R = Daric_util.Byteio.Reader
+module Txcodec = Daric_tx.Txcodec
 
 let tag = function
   | Create_info _ -> 1
@@ -95,30 +96,6 @@ let read_pub r : Keys.pub option =
       Some { Keys.main_pk; sp_pk; rv_pk; rv'_pk }
   | _ -> None
 
-let write_output w (o : Tx.output) =
-  W.u64 w (Int64.of_int o.Tx.value);
-  match o.Tx.spk with
-  | Tx.P2wsh h ->
-      W.byte w 0;
-      W.var_string w h
-  | Tx.P2wpkh h ->
-      W.byte w 1;
-      W.var_string w h
-  | Tx.Raw s ->
-      W.byte w 2;
-      W.var_string w (Daric_script.Script.serialize s)
-  | Tx.Op_return -> W.byte w 3
-
-(* Raw scripts are hashed rather than re-parsed on decode; protocol
-   messages only ever carry P2WSH/P2WPKH state outputs. *)
-let read_output r : Tx.output option =
-  let value = Int64.to_int (R.u64 r) in
-  match R.byte r with
-  | 0 -> Some { Tx.value; spk = Tx.P2wsh (R.var_string r) }
-  | 1 -> Some { Tx.value; spk = Tx.P2wpkh (R.var_string r) }
-  | 3 -> Some { Tx.value; spk = Tx.Op_return }
-  | _ -> None
-
 (** Canonical byte encoding. *)
 let encode (m : msg) : string =
   let w = W.create () in
@@ -134,8 +111,7 @@ let encode (m : msg) : string =
   | Create_fund { fund_sig; _ } -> W.var_string w fund_sig
   | Update_req { theta; tstp; _ } ->
       W.u32 w tstp;
-      W.varint w (List.length theta);
-      List.iter (write_output w) theta
+      Txcodec.write_list w Txcodec.write_output theta
   | Update_info { split_sig; _ } -> W.var_string w split_sig
   | Update_com_initiator { split_sig; commit_sig; _ } ->
       W.var_string w split_sig;
@@ -168,15 +144,8 @@ let decode (s : string) : msg option =
       | 3 -> Some (Create_fund { id; fund_sig = R.var_string r })
       | 4 ->
           let tstp = R.u32 r in
-          let n = R.varint r in
-          let rec outs k acc =
-            if k = 0 then Some (List.rev acc)
-            else
-              match read_output r with
-              | Some o -> outs (k - 1) (o :: acc)
-              | None -> None
-          in
-          Option.map (fun theta -> Update_req { id; theta; tstp }) (outs n [])
+          let theta = Txcodec.read_list r Txcodec.read_output in
+          Some (Update_req { id; theta; tstp })
       | 5 -> Some (Update_info { id; split_sig = R.var_string r })
       | 6 ->
           let split_sig = R.var_string r in

@@ -27,8 +27,10 @@ val encode : msg -> string
 
 val decode : string -> msg option
 (** Inverse of {!encode}; [None] on truncated, padded or malformed
-    input. Raw-script state outputs are not decodable (the protocol
-    only ever ships P2WSH/P2WPKH outputs). *)
+    input. Only canonical encodings decode: an accepted message
+    re-encodes to the bytes it was read from. Raw-script state outputs
+    are not decodable (the protocol only ever ships P2WSH/P2WPKH
+    outputs). *)
 
 val size : msg -> int
 (** Serialized size in bytes. *)

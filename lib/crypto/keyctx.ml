@@ -80,9 +80,8 @@ type pool = {
     scale sweep's per-channel budget at every N in BENCH_mem.json. *)
 let capacity = 512
 
-(* Domain-local like every other crypto cache: the ledger discharges
-   signature batches on Dpool worker domains, and a pool probe there
-   must not race the protocol domain's table. *)
+(* Domain-local like every other crypto cache: a probe from a domain
+   other than the protocol domain's must not race its table. *)
 let pool_key : pool Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { tbl = Hashtbl.create 256; tick = 0; pinned = 0 })

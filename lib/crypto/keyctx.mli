@@ -32,8 +32,7 @@ val table_bytes : int
 
 (** {2 Bounded pool}
 
-    Domain-local (ledger discharge probes from Dpool worker domains).
-    At most {!capacity} entries live per domain; pinned entries are
+    Domain-local, like every other crypto cache. At most {!capacity} entries live per domain; pinned entries are
     never evicted, unpinned ones go least-recently-used. *)
 
 val capacity : int

@@ -238,7 +238,7 @@ let batch_verify_detailed (items : (public_key * string * signature) list) :
 
 (* Keyed batch: same random-linear-combination check and the same
    coefficient derivation as [batch_verify], but each public-key term
-   g^(-z_i * e_i)-side is discharged through the key's window table
+   g^(-z_i * e_i)-side is computed through the key's window table
    (a handful of multiplications) instead of occupying a lane of the
    Straus ladder; only the per-signature R_i terms — fresh group
    elements with nothing to precompute — keep the shared ladder. *)

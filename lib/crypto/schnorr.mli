@@ -86,7 +86,7 @@ val verify_pooled : public_key -> string -> signature -> bool
     {!Keyctx} pool (never inserting), {!verify} otherwise. *)
 
 val batch_verify_keyed : (Keyctx.t * string * signature) list -> bool
-(** {!batch_verify} with every public-key term discharged through its
+(** {!batch_verify} with every public-key term computed through its
     key's window table; only the fresh R_i terms keep the shared
     Straus ladder. Identical accept/reject behaviour. *)
 
@@ -106,5 +106,5 @@ val sign_bytes_keyed : Keyctx.t -> string -> string
     output to {!sign_bytes} under the context's secret key. *)
 
 val verify_bytes_pooled : string -> string -> string -> bool
-(** {!verify_bytes} with the verification discharged through
+(** {!verify_bytes} with the verification run through
     {!verify_pooled}: same strict decoding, same verdict. *)

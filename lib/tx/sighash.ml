@@ -114,7 +114,7 @@ let sign_message_keyed (kc : Daric_crypto.Keyctx.t) (flag : flag)
   Bytes.set b (Bytes.length b - 1) (Char.chr (flag_byte flag));
   Bytes.unsafe_to_string b
 
-(** Pool-probing {!verify_message}: discharges through the key's
+(** Pool-probing {!verify_message}: verifies through the key's
     window table when its context is resident. Same verdict. *)
 let verify_message_pooled (pk_bytes : string) (msg : string)
     (sig_bytes : string) : bool =
@@ -130,33 +130,6 @@ let check (tx : Tx.t) ~(input_index : int) ~(pk_bytes : string)
   | None -> false
   | Some flag ->
       let msg = message flag tx ~input_index in
-      (* pooled: channel keys pinned at open discharge through their
+      (* pooled: channel keys pinned at open verify through their
          window tables; unknown keys take the plain path unchanged *)
       Daric_crypto.Schnorr.verify_bytes_pooled pk_bytes msg sig_bytes
-
-type deferred = {
-  d_pk : Daric_crypto.Schnorr.public_key;
-  d_msg : string;
-  d_sig : Daric_crypto.Schnorr.signature;
-}
-
-(** Deferred form of {!check}: performs every structural step (flag
-    extraction, strict decoding, message selection) but returns the
-    decoded triple instead of paying the two-exponentiation verify, so
-    a validator can gather triples across inputs and transactions and
-    discharge them in one {!Daric_crypto.Schnorr.batch_verify}. [None]
-    means the witness is structurally invalid ([check] = false). *)
-let check_deferred (tx : Tx.t) ~(input_index : int) ~(pk_bytes : string)
-    ~(sig_bytes : string) : deferred option =
-  if String.length sig_bytes <> Daric_crypto.Schnorr.signature_size then None
-  else
-    match flag_of_byte (Char.code sig_bytes.[String.length sig_bytes - 1]) with
-    | None -> None
-    | Some flag -> (
-        match
-          ( Daric_crypto.Schnorr.decode_public_key pk_bytes,
-            Daric_crypto.Schnorr.decode_signature sig_bytes )
-        with
-        | Some pk, Some sg ->
-            Some { d_pk = pk; d_msg = message flag tx ~input_index; d_sig = sg }
-        | _ -> None)

@@ -44,18 +44,3 @@ val check : Tx.t -> input_index:int -> pk_bytes:string -> sig_bytes:string -> bo
 (** Full signature check for the script interpreter: extract the flag,
     recompute the matching message over the spending transaction,
     verify. *)
-
-type deferred = {
-  d_pk : Daric_crypto.Schnorr.public_key;
-  d_msg : string;
-  d_sig : Daric_crypto.Schnorr.signature;
-}
-(** A decoded, structurally validated signature check whose
-    exponentiations have been postponed for batch verification. *)
-
-val check_deferred :
-  Tx.t -> input_index:int -> pk_bytes:string -> sig_bytes:string ->
-  deferred option
-(** {!check} minus the group exponentiations: [None] iff the check is
-    structurally invalid; [Some d] must later be discharged with
-    {!Daric_crypto.Schnorr.batch_verify} (or [verify]) on [d]. *)

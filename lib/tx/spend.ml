@@ -24,13 +24,15 @@ let error_to_string = function
     of input [input_index] against the spent output's condition.
     [input_age] is the number of rounds since [spent] was recorded
     (for OP_CHECKSEQUENCEVERIFY). *)
-let verify_input_gen ~(check_sig : pk_bytes:string -> sig_bytes:string -> bool)
-    (tx : Tx.t) ~(input_index : int) ~(spent : Tx.output) ~(input_age : int) :
-    (unit, error) result =
+let verify_input (tx : Tx.t) ~(input_index : int) ~(spent : Tx.output)
+    ~(input_age : int) : (unit, error) result =
   let witness =
     match List.nth_opt tx.witnesses input_index with
     | Some w -> w
     | None -> []
+  in
+  let check_sig ~pk_bytes ~sig_bytes =
+    Sighash.check tx ~input_index ~pk_bytes ~sig_bytes
   in
   let ctx = { Interp.check_sig; tx_locktime = tx.locktime; input_age } in
   let run script stack =
@@ -72,27 +74,3 @@ let verify_input_gen ~(check_sig : pk_bytes:string -> sig_bytes:string -> bool)
             | Error e -> Error e
             | Ok stack -> run script stack)
       | _ -> Error Missing_witness)
-
-let verify_input (tx : Tx.t) ~(input_index : int) ~(spent : Tx.output)
-    ~(input_age : int) : (unit, error) result =
-  verify_input_gen tx ~input_index ~spent ~input_age
-    ~check_sig:(fun ~pk_bytes ~sig_bytes ->
-      Sighash.check tx ~input_index ~pk_bytes ~sig_bytes)
-
-(** Like {!verify_input}, but signature checks are *deferred*: each
-    structurally valid check is handed to [defer] and assumed to
-    succeed; structurally invalid ones still fail inline. The caller
-    must discharge every deferred triple (batch verification) and fall
-    back to {!verify_input} when the batch rejects — an assumed-true
-    check can only ever make this pass *more* often, never less, so
-    [Ok] + an accepting batch implies the undeferred run accepts. *)
-let verify_input_deferred (tx : Tx.t) ~(input_index : int)
-    ~(spent : Tx.output) ~(input_age : int)
-    ~(defer : Sighash.deferred -> unit) : (unit, error) result =
-  verify_input_gen tx ~input_index ~spent ~input_age
-    ~check_sig:(fun ~pk_bytes ~sig_bytes ->
-      match Sighash.check_deferred tx ~input_index ~pk_bytes ~sig_bytes with
-      | Some d ->
-          defer d;
-          true
-      | None -> false)

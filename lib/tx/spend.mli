@@ -17,12 +17,3 @@ val verify_input :
 (** [verify_input tx ~input_index ~spent ~input_age] checks the witness
     of one input against the spent output's condition; [input_age] is
     the number of rounds since [spent] was recorded (for CSV). *)
-
-val verify_input_deferred :
-  Tx.t -> input_index:int -> spent:Tx.output -> input_age:int ->
-  defer:(Sighash.deferred -> unit) -> (unit, error) result
-(** {!verify_input} with signature checks deferred for batch
-    verification: structurally valid checks are passed to [defer] and
-    assumed to succeed; the caller must discharge them (e.g. with
-    {!Daric_crypto.Schnorr.batch_verify}) and fall back to
-    {!verify_input} when the batch rejects. *)

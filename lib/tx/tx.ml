@@ -128,9 +128,10 @@ let txid_uncached (tx : t) : string =
 
 (* The memo is computed once per transaction value and then read off
    the record; see the note on [enc] above for why the unsynchronized
-   store is safe from Dpool worker domains. A sealed memo (see {!seal})
-   is marked by a negative floating offset: it retains only the txid,
-   and the body is recomputed on the rare post-acceptance demand. *)
+   store is safe when several domains read one transaction. A sealed
+   memo (see {!seal}) is marked by a negative floating offset: it
+   retains only the txid, and the body is recomputed on the rare
+   post-acceptance demand. *)
 let encode_body (tx : t) : enc =
   match tx.enc with
   | Some e when e.e_float_off >= 0 -> e
@@ -263,6 +264,16 @@ let vbytes (tx : t) : int = (weight tx + 3) / 4
 
 let total_output_value (tx : t) : int =
   List.fold_left (fun acc o -> acc + o.value) 0 tx.outputs
+
+let duplicate_input (tx : t) : outpoint option =
+  let rec first = function
+    | [] -> None
+    | i :: rest ->
+        if List.exists (fun j -> outpoint_equal i.prevout j.prevout) rest
+        then Some i.prevout
+        else first rest
+  in
+  first tx.inputs
 
 let pp ppf (tx : t) =
   Fmt.pf ppf "@[<v>tx %s (nLT=%d, %d in, %d out, %d WU)@]"

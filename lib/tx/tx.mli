@@ -122,8 +122,6 @@ val output_size : output -> int
 val non_witness_size : t -> int
 (** version(4) + counts + 41/input + outputs + locktime(4). *)
 
-val witness_elt_size : witness_elt -> int
-
 val witness_size : t -> int
 (** 2-byte segwit header + per input: count byte + elements. *)
 
@@ -134,4 +132,9 @@ val vbytes : t -> int
 (** ceil(weight / 4). *)
 
 val total_output_value : t -> int
+
+val duplicate_input : t -> outpoint option
+(** The first outpoint the transaction lists as input more than once,
+    if any (Bitcoin's [bad-txns-inputs-duplicate]). *)
+
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 (** Bounded memo tables for pure functions, the one cache policy of the
-    library. Each table is domain-local (no locks, and a miss on a
-    {!Dpool} worker domain never races the main domain's table) and
-    holds at most [cap] entries: when a miss finds it full, the table
+    library. Each table is domain-local (no locks, and a miss on one
+    domain never races another domain's table) and holds at most [cap] entries: when a miss finds it full, the table
     is reset wholesale, which only costs future hits. Keys are hashed
     and compared structurally. *)
 

@@ -87,11 +87,10 @@ let test_validity_checks () =
   let dust = spend_tx ~sk ~pk ~from:op ~value:0 ~to_pk:pk2 () in
   check_b "zero output rejected" true (Ledger.validate l dust = Error Ledger.Bad_output)
 
-(* A round's signature checks are deferred and discharged in one batch.
+(* The tick validates each due transaction inline, in posting order.
    [bad] presents the wrong key for input 1, which fails before any
    signature check; [forged] presents the right key with another key's
-   signature, which only the batch can catch, so the discharge rejects
-   and the tick replays the round inline. Either way the good
+   signature, which only the signature check catches. The good
    transaction is accepted and each bad one is rejected with the
    offending input's index, exactly as [validate] reports it. *)
 let test_batched_validation () =
@@ -348,6 +347,68 @@ let test_rbf_conflict_counted_once () =
     (Mempool.submit mp (replacement fee) = Ok ());
   check_i "replaced in place" 1 (Mempool.pool_size mp)
 
+(* A transaction listing one outpoint twice: were each input looked up
+   alone, one 100-sat mint would fund a 200-sat output. *)
+let spend_twice ~sk ~pk ~(from : Tx.outpoint) ~value ~to_pk =
+  spend_many ~sk ~pk ~from:[ from; from ] ~value ~to_pk
+
+let test_duplicate_input_validate () =
+  let l = Ledger.create ~delta:1 () in
+  let sk, pk = keypair 1 in
+  let _, pk2 = keypair 2 in
+  let op = Ledger.mint l ~value:100 ~spk:(p2wpkh pk) in
+  check_b "double-counted input rejected" true
+    (Ledger.validate l (spend_twice ~sk ~pk ~from:op ~value:200 ~to_pk:pk2)
+    = Error (Ledger.Duplicate_input op));
+  check_b "rejected even when the outputs fit one spend" true
+    (Ledger.validate l (spend_twice ~sk ~pk ~from:op ~value:100 ~to_pk:pk2)
+    = Error (Ledger.Duplicate_input op))
+
+let test_duplicate_input_tick () =
+  let l = Ledger.create ~delta:1 () in
+  let sk, pk = keypair 1 in
+  let _, pk2 = keypair 2 in
+  let op = Ledger.mint l ~value:100 ~spk:(p2wpkh pk) in
+  let tx = spend_twice ~sk ~pk ~from:op ~value:200 ~to_pk:pk2 in
+  Ledger.post l tx ~delay:0;
+  (match Ledger.tick l with
+  | [ Ledger.Rejected (r, Ledger.Duplicate_input o) ] ->
+      check_b "the duplicate-input tx is rejected" true (r == tx);
+      check_b "naming the repeated outpoint" true (Tx.outpoint_equal o op)
+  | _ -> Alcotest.fail "expected one Rejected (_, Duplicate_input _)");
+  check_i "no value minted" 100 (Ledger.total_value l);
+  check_b "the outpoint stays unspent" true (Ledger.is_unspent l op)
+
+let test_duplicate_input_submit () =
+  let mp = mk_mempool () in
+  let l = Mempool.ledger mp in
+  let sk, pk = keypair 1 in
+  let _, pk2 = keypair 2 in
+  let op = Ledger.mint l ~value:100_000 ~spk:(p2wpkh pk) in
+  check_b "duplicate input refused at admission" true
+    (Mempool.submit mp (spend_twice ~sk ~pk ~from:op ~value:150_000 ~to_pk:pk2)
+    = Error (Mempool.Duplicate_input op));
+  check_i "nothing pooled" 0 (Mempool.pool_size mp)
+
+(* Counted twice, the repeated input would pay a fee that outbids the
+   pooled spend of the same outpoint and evict it (BIP-125). *)
+let test_duplicate_input_no_evict () =
+  let mp = mk_mempool () in
+  let l = Mempool.ledger mp in
+  let sk, pk = keypair 1 in
+  let _, pk2 = keypair 2 in
+  let _, pk3 = keypair 3 in
+  let op = Ledger.mint l ~value:100_000 ~spk:(p2wpkh pk) in
+  let original = spend_tx ~sk ~pk ~from:op ~value:90_000 ~to_pk:pk2 () in
+  check_b "original accepted" true (Mempool.submit mp original = Ok ());
+  check_b "duplicate-input replacement refused" true
+    (Mempool.submit mp (spend_twice ~sk ~pk ~from:op ~value:150_000 ~to_pk:pk3)
+    = Error (Mempool.Duplicate_input op));
+  check_i "the original stays pooled" 1 (Mempool.pool_size mp);
+  match Mempool.tick mp with
+  | [ tx ] -> check_b "the original confirms" true (tx == original)
+  | _ -> Alcotest.fail "expected the original alone in the block"
+
 (* A forged witness (the right public key, another key's signature)
    passes admission, which checks no signatures. Block assembly
    validates each transaction inline, so only its signature check
@@ -540,7 +601,11 @@ let () =
           Alcotest.test_case "locktime classes" `Quick test_locktime_classes;
           Alcotest.test_case "double spend" `Quick test_double_spend;
           Alcotest.test_case "checkpoint stress" `Quick test_checkpoint_stress;
-          QCheck_alcotest.to_alcotest prop_delay_never_negative ] );
+          QCheck_alcotest.to_alcotest prop_delay_never_negative;
+          Alcotest.test_case "duplicate input: validate" `Quick
+            test_duplicate_input_validate;
+          Alcotest.test_case "duplicate input: tick" `Quick
+            test_duplicate_input_tick ] );
       ( "mempool",
         [ Alcotest.test_case "fees and min relay" `Quick test_fee_and_minrelay;
           Alcotest.test_case "rbf rules" `Quick test_rbf_rules;
@@ -553,4 +618,8 @@ let () =
           Alcotest.test_case "feerate priority" `Quick test_higher_feerate_first;
           Alcotest.test_case "forged witness evicted" `Quick
             test_forged_witness_evicted;
-          QCheck_alcotest.to_alcotest prop_no_double_spend ] ) ]
+          QCheck_alcotest.to_alcotest prop_no_double_spend;
+          Alcotest.test_case "duplicate input refused" `Quick
+            test_duplicate_input_submit;
+          Alcotest.test_case "duplicate input does not evict its conflict"
+            `Quick test_duplicate_input_no_evict ] ) ]

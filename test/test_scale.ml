@@ -1,17 +1,16 @@
-(* Differential tests for the indexed chain state and the
-   domain-parallel validation path.
+(* Differential tests for the indexed chain state and the ledger tick.
 
    A random multi-channel transaction trace (valid spends, double
    spends, wrong keys, forged signatures, overspends, re-posted txids,
-   adversarial delays) is replayed through
-   - the indexed ledger forced to 1, 2 and 4 domains (the staged
-     round walk, its signature checks discharged in one batch split
-     across that many domains; a forged signature fails the discharge
-     and sends the round to the inline fallback),
+   inputs listed twice, adversarial delays) is replayed through
+   - the indexed ledger (its bucketed pending queue and inline
+     per-transaction tick) under 1, 2 and 4 worker-pool domains, which
+     the tick does not use, so the three runs must agree,
    - a naive reference executor reproducing the seed's pending
      semantics (a flat (due, tx) list, inline per-input validation,
      posting order),
-   and all four accept/reject event streams must be byte-identical.
+   and all four accept/reject event streams must be byte-identical,
+   with the ledger's total value never above the minted total.
    On the final chain, every indexed read (spender_of,
    recorded_round_of, accepted_count, the spent log) is checked
    against its linear-scan oracle. The watchtower's cursor monitor is
@@ -87,7 +86,7 @@ let gen_trace ~seed ~rounds ~keys:nkeys ~mints =
       let kind = Rng.int rng 10 in
       (* kind 0 signs with the wrong key; half the time its witness
          names the right public key, a forged signature that only the
-         round's signature discharge catches *)
+         signature check catches *)
       let sk, pk =
         if kind = 0 then
           let wrong_sk, wrong_pk = keys.((k + 1) mod nkeys) in
@@ -96,12 +95,12 @@ let gen_trace ~seed ~rounds ~keys:nkeys ~mints =
       in
       (* sometimes spend a second candidate in the same transaction —
          a multi-input tx whose inputs may be contested by, or created
-         by, other transactions staged earlier in the same round *)
+         by, other transactions due earlier in the same round. A quarter
+         of them list the first outpoint twice, and their outputs claim
+         its value twice *)
       let extra =
         if kind >= 8 then
-          match pick_candidate () with
-          | op2, _, _ when Tx.outpoint_equal op2 op -> None
-          | op2, v2, k2 -> Some (op2, v2, k2)
+          Some (if Rng.int rng 4 = 0 then (op, value, k) else pick_candidate ())
         else None
       in
       let out_value = if kind = 1 then value + 1 (* overspend *) else value in
@@ -155,8 +154,9 @@ let show_event = function
         (Ledger.reject_to_string r)
 
 (* Replay the trace through the real ledger; returns the per-round
-   event stream and the final ledger. *)
-let replay_indexed ~delta (mint_specs, keys, posts, _) =
+   event stream and the final ledger. [after_tick] sees the ledger
+   after every round. *)
+let replay_indexed ?(after_tick = ignore) ~delta (mint_specs, keys, posts, _) =
   let l = Ledger.create ~delta () in
   List.iter
     (fun (value, k) -> ignore (Ledger.mint l ~value ~spk:(p2wpkh (snd keys.(k)))))
@@ -168,6 +168,7 @@ let replay_indexed ~delta (mint_specs, keys, posts, _) =
       (fun p -> if p.at_round = r then Ledger.post l p.tx ~delay:p.delay)
       posts;
     let evs = Ledger.tick l in
+    after_tick l;
     let now = Ledger.height l in
     List.iter
       (fun e -> stream := Printf.sprintf "%d/%s" now (show_event e) :: !stream)
@@ -217,7 +218,8 @@ let replay_reference ~delta (mint_specs, keys, posts, _) =
   (List.rev !stream, l)
 
 (* Duplicate-txid rejections in the same round as the acceptance of
-   that txid: the staged walk had to see the earlier staged copy. *)
+   that txid: the tick had to see the copy it recorded earlier in the
+   round. *)
 let same_round_duplicates (stream : string list) : int =
   List.length
     (List.filter
@@ -232,16 +234,31 @@ let same_round_duplicates (stream : string list) : int =
 
 let test_event_stream_differential () =
   let dups = ref 0 in
+  let twice = ref 0 in
   List.iter
     (fun seed ->
       let delta = 2 in
       let trace = gen_trace ~seed ~rounds:12 ~keys:5 ~mints:8 in
       let ref_stream, ref_l = replay_reference ~delta trace in
       dups := !dups + same_round_duplicates ref_stream;
+      twice :=
+        !twice
+        + List.length
+            (List.filter
+               (fun ev -> String.ends_with ~suffix:"spent twice" ev)
+               ref_stream);
+      let mint_specs, _, _, _ = trace in
+      let minted = List.fold_left (fun acc (v, _) -> acc + v) 0 mint_specs in
+      let no_value_created l =
+        if Ledger.total_value l > minted then
+          Alcotest.failf "seed %d, round %d: total value %d above the %d minted"
+            seed (Ledger.height l) (Ledger.total_value l) minted
+      in
       List.iter
         (fun domains ->
           let stream, l =
-            Dpool.with_domains domains (fun () -> replay_indexed ~delta trace)
+            Dpool.with_domains domains (fun () ->
+                replay_indexed ~after_tick:no_value_created ~delta trace)
           in
           check_sl
             (Printf.sprintf "%d-domain tick = reference" domains)
@@ -251,7 +268,8 @@ let test_event_stream_differential () =
             (Ledger.accepted_count ref_l) (Ledger.accepted_count l))
         [ 1; 2; 4 ])
     [ 3; 17; 42; 2026 ];
-  check_b "traces re-post a txid within one round" true (!dups > 0)
+  check_b "traces re-post a txid within one round" true (!dups > 0);
+  check_b "traces list an input twice" true (!twice > 0)
 
 let test_indexed_reads_vs_scan () =
   let seed = 7 in

@@ -52,6 +52,30 @@ let test_tamper_rejected () =
         (Wire.decode (enc ^ "x") = None))
     (sample_messages ())
 
+(* Canonical decoding: of all the single-byte mutations of each sample
+   message, every one that [decode] accepts re-encodes to exactly the
+   mutated bytes. An encoding that decodes but does not round-trip
+   (say, an output value with the u64's top bit set) fails. *)
+let test_mutations_canonical () =
+  List.iter
+    (fun m ->
+      let enc = Wire.encode m in
+      for pos = 0 to String.length enc - 1 do
+        for v = 0 to 255 do
+          if v <> Char.code enc.[pos] then begin
+            let b = Bytes.of_string enc in
+            Bytes.set b pos (Char.chr v);
+            let mutated = Bytes.to_string b in
+            match Wire.decode mutated with
+            | Some m' when not (String.equal (Wire.encode m') mutated) ->
+                Alcotest.failf "%s: byte %d := 0x%02x decodes but does not re-encode"
+                  (Wire.kind m) pos v
+            | Some _ | None -> ()
+          end
+        done
+      done)
+    (sample_messages ())
+
 let test_bad_tag () =
   check_b "unknown tag" true (Wire.decode "\xff\x01c" = None);
   check_b "empty" true (Wire.decode "" = None)
@@ -113,4 +137,6 @@ let () =
           Alcotest.test_case "bad tag" `Quick test_bad_tag;
           Alcotest.test_case "update communication cost" `Quick
             test_update_communication_cost;
-          QCheck_alcotest.to_alcotest prop_roundtrip_update_req ] ) ]
+          QCheck_alcotest.to_alcotest prop_roundtrip_update_req;
+          Alcotest.test_case "mutations decode canonically" `Quick
+            test_mutations_canonical ] ) ]

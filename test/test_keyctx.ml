@@ -5,10 +5,9 @@
    [sign_keyed] bit-identically, the verifies verdict-identically,
    including adaptor-completed signatures, SIGHASH-flagged wire
    encodings and strict padding rejection. The dune alias runs this
-   binary under DPOOL_DOMAINS ∈ {1, 2, 4}: the end-to-end scheme test
-   then discharges ledger signature batches on worker pools of each
-   size, where pool residency differs (worker domains have empty
-   pools), and the verdicts must not. *)
+   binary under DPOOL_DOMAINS ∈ {1, 2, 4}; the ledger verifies each
+   witness inline on the calling domain, so the verdicts must not
+   depend on the worker-pool size. *)
 
 module Group = Daric_crypto.Group
 module Schnorr = Daric_crypto.Schnorr
@@ -190,8 +189,7 @@ let test_adaptor_keyed () =
 
 (* End-to-end under the configured DPOOL_DOMAINS: a full Daric channel
    lifecycle (open, updates, dishonest close with punishment) runs the
-   ledger's domain-parallel signature discharge over pooled contexts —
-   worker domains see empty pools and must fall back identically. *)
+   ledger's inline witness checks over pooled contexts. *)
 let test_scheme_end_to_end () =
   let (module S : I.SCHEME) = Registry.find_exn "Daric" in
   let env = I.make_env () in

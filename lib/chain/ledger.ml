@@ -150,11 +150,15 @@ let total_value (t : t) : int =
   fold_utxos t (fun _ u acc -> acc + u.output.value) 0
 
 (* Re-materialize a log entry (decode of the packed bytes; identity
-   for live entries). *)
+   for live entries). The arena is process-private and holds only
+   {!Txcodec.encode_tx} output, so a decode failure is a logic error. *)
 let entry_tx (t : t) (e : log_entry) : Tx.t =
   match e with
   | Live tx -> tx
-  | Packed slot -> Txcodec.decode_tx_exn (Arena.read t.pack slot)
+  | Packed slot -> (
+      match Txcodec.decode_tx (Arena.read t.pack slot) with
+      | Ok tx -> tx
+      | Error e -> failwith ("Ledger: packed entry: " ^ Daric_util.Codec.error_to_string e))
 
 (** Who spent this outpoint, if anyone (it must have existed). O(1)
     index lookup plus at most one packed-entry decode. *)

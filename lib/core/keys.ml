@@ -49,3 +49,15 @@ let pub (t : t) : pub =
 
 (** Byte encodings used inside scripts (33 bytes each). *)
 let enc = Schnorr.encode_public_key
+
+module C = Daric_util.Codec
+
+(* The four keys in their fixed order; storage and the wire differ only
+   in how one key is spelt. *)
+let pub_codec (key : Schnorr.public_key C.t) : pub C.t =
+  C.conv
+    (fun ((main_pk, sp_pk), (rv_pk, rv'_pk)) -> { main_pk; sp_pk; rv_pk; rv'_pk })
+    (fun k -> ((k.main_pk, k.sp_pk), (k.rv_pk, k.rv'_pk)))
+    (C.pair (C.pair key key) (C.pair key key))
+
+let role_codec : role C.t = C.enum [ (Alice, 0); (Bob, 1) ]

@@ -34,3 +34,10 @@ val pub : t -> pub
 
 val enc : Schnorr.public_key -> string
 (** The 33-byte encoding used inside scripts. *)
+
+val pub_codec : Schnorr.public_key Daric_util.Codec.t -> pub Daric_util.Codec.t
+(** The four public keys in order, each spelt by the given key codec:
+    a [u32] in the durable formats, the 33-byte {!enc} on the wire. *)
+
+val role_codec : role Daric_util.Codec.t
+(** One byte: 0 for Alice, 1 for Bob. *)

@@ -36,8 +36,7 @@ module Txcodec = Daric_tx.Txcodec
 module Ledger = Daric_chain.Ledger
 module Arena = Daric_util.Arena
 module Intern = Daric_util.Intern
-module W = Daric_util.Byteio.Writer
-module R = Daric_util.Byteio.Reader
+module C = Daric_util.Codec
 
 type record = {
   channel_id : string;
@@ -87,52 +86,31 @@ let create ~(wid : string) () : t =
     punished_list = [];
     cursor = 0 }
 
-(* ---- record codec (same byte format as the Persist WAL records) ---- *)
+(* ---- record codec (the WAL watch payload and the snapshot's record
+   spans) ---- *)
 
-let write_record w (r : record) =
-  W.var_string w r.channel_id;
-  W.var_string w r.funding.Tx.txid;
-  W.u32 w r.funding.Tx.vout;
-  Codec.write_pub w r.keys_a;
-  Codec.write_pub w r.keys_b;
-  W.u32 w r.s0;
-  W.u32 w r.rel_lock;
-  W.u32 w r.cash;
-  Codec.write_role w r.client_role;
-  W.u32 w r.revoked;
-  Txcodec.write_tx w r.rev_body;
-  W.var_string w r.sig_a;
-  W.var_string w r.sig_b
+(* Decoded records are transient — the tower retains bytes, and
+   [find_record], [react] and recovery decode on demand — so nothing in
+   them is interned. *)
+let record_codec : record C.t =
+  let key = Keys.pub_codec C.u32 in
+  C.conv
+    (fun ( ((channel_id, funding, keys_a), (keys_b, s0, rel_lock)),
+           ((cash, client_role, revoked), (rev_body, sig_a, sig_b)) ) ->
+      { channel_id; funding; keys_a; keys_b; s0; rel_lock; cash; client_role;
+        revoked; rev_body; sig_a; sig_b })
+    (fun r ->
+      ( ((r.channel_id, r.funding, r.keys_a), (r.keys_b, r.s0, r.rel_lock)),
+        ((r.cash, r.client_role, r.revoked), (r.rev_body, r.sig_a, r.sig_b)) ))
+    (C.pair
+       (C.pair
+          (C.triple C.var_string Txcodec.outpoint key)
+          (C.triple key C.u32 C.u32))
+       (C.pair
+          (C.triple C.u32 Keys.role_codec C.u32)
+          (C.triple Txcodec.tx C.var_string C.var_string)))
 
-(* No interning: a decoded record is always transient — the tower
-   retains bytes, and [find_record], [react] and recovery decode on
-   demand — so hash-consing its strings would share nothing. *)
-let read_record r : record =
-  let channel_id = R.var_string r in
-  let txid = R.var_string r in
-  let vout = R.u32 r in
-  let keys_a = Codec.read_pub r in
-  let keys_b = Codec.read_pub r in
-  let s0 = R.u32 r in
-  let rel_lock = R.u32 r in
-  let cash = R.u32 r in
-  let client_role = Codec.read_role r in
-  let revoked = R.u32 r in
-  let rev_body = Txcodec.read_tx r in
-  let sig_a = R.var_string r in
-  let sig_b = R.var_string r in
-  { channel_id; funding = { Tx.txid; vout }; keys_a; keys_b; s0; rel_lock;
-    cash; client_role; revoked; rev_body; sig_a; sig_b }
-
-let encode_record (r : record) : string =
-  let w = W.create () in
-  write_record w r;
-  W.contents w
-
-(* The arena is process-private and CRC-framed stores re-verify before
-   handing us bytes, so a decode failure here is a logic error. *)
-let decode_record_exn (blob : string) : record =
-  read_record (R.create blob)
+let encode_record (r : record) : string = C.encode record_codec r
 
 (** Serialized size in bytes of everything retained for one channel:
     two 33-byte key bundles (4 keys each), script parameters, the
@@ -148,33 +126,51 @@ let record_bytes (r : record) : int =
 
 (* ---- entry plumbing ---- *)
 
+(* The arena is process-private and holds only {!encode_record} bytes,
+   so a decode failure here is a logic error. *)
 let entry_record (t : t) (e : entry) : record =
-  decode_record_exn (Arena.read t.arena e.e_slot)
+  match C.decode record_codec (Arena.read t.arena e.e_slot) with
+  | Ok r -> r
+  | Error e -> failwith ("Watchtower: arena record: " ^ C.error_to_string e)
 
-(* Install or overwrite the entry for [r.channel_id]. [r]'s
-   {!encode_record} bytes are the [len] bytes of [enc] at [off] — the
-   caller already holds them (a fresh encoding, a WAL payload, a span
-   of a snapshot), so they are copied into the arena as they are. The
-   existing slot is reused in place when they fit (record sizes are
-   stable across updates of one channel). *)
-let put_record (t : t) (r : record) (enc : string) ~(off : int) ~(len : int) :
-    unit =
-  let rb = record_bytes r in
-  match Hashtbl.find_opt t.entries r.channel_id with
+(* What the tower keeps of a record it installs: its index fields and
+   the span of its encoding. *)
+type packed = {
+  p_id : string;
+  p_funding : Tx.outpoint;
+  p_rbytes : int;
+  p_span : C.span;  (** the record's {!encode_record} bytes *)
+}
+
+let pack (r : record) (span : C.span) : packed =
+  { p_id = r.channel_id; p_funding = r.funding; p_rbytes = record_bytes r;
+    p_span = span }
+
+(* Decoding validates a record and keeps the bytes it was read from —
+   canonical, so they are its {!encode_record} — for the arena. *)
+let packed_codec : packed C.t = C.spanned record_codec pack (fun p -> p.p_span)
+
+(* Install or overwrite the entry for [p.p_id]: the span is copied into
+   the arena as it is (a fresh encoding, a WAL payload, a span of a
+   snapshot). The existing slot is reused in place when it fits
+   (record sizes are stable across updates of one channel). *)
+let put_record (t : t) (p : packed) : unit =
+  let { C.src; off; len } = p.p_span in
+  match Hashtbl.find_opt t.entries p.p_id with
   | Some e ->
-      if not (Tx.outpoint_equal e.e_funding r.funding) then begin
+      if not (Tx.outpoint_equal e.e_funding p.p_funding) then begin
         Hashtbl.remove t.by_funding e.e_funding;
-        Hashtbl.replace t.by_funding r.funding r.channel_id;
-        e.e_funding <- r.funding
+        Hashtbl.replace t.by_funding p.p_funding p.p_id;
+        e.e_funding <- p.p_funding
       end;
-      e.e_rbytes <- rb;
-      e.e_slot <- Arena.replace_sub t.arena e.e_slot enc ~off ~len
+      e.e_rbytes <- p.p_rbytes;
+      e.e_slot <- Arena.replace_sub t.arena e.e_slot src ~off ~len
   | None ->
-      Hashtbl.replace t.entries r.channel_id
-        { e_funding = r.funding;
-          e_rbytes = rb;
-          e_slot = Arena.store_sub t.arena enc ~off ~len };
-      Hashtbl.replace t.by_funding r.funding r.channel_id
+      Hashtbl.replace t.entries p.p_id
+        { e_funding = p.p_funding;
+          e_rbytes = p.p_rbytes;
+          e_slot = Arena.store_sub t.arena src ~off ~len };
+      Hashtbl.replace t.by_funding p.p_funding p.p_id
 
 (* Drop a channel's entry and reclaim its storage: the arena slot goes
    back on the free list. *)
@@ -224,33 +220,27 @@ let record_valid (r : record) : bool =
 let watch_encoded (t : t) (r : record) (enc : string) : bool =
   if not (record_valid r) then false
   else begin
-    put_record t r enc ~off:0 ~len:(String.length enc);
+    put_record t (pack r { C.src = enc; off = 0; len = String.length enc });
     t.fresh <- r.channel_id :: t.fresh;
     true
   end
 
 let watch (t : t) (r : record) : bool = watch_encoded t r (encode_record r)
 
-(** Install a record without re-running {!record_valid} — the recovery
-    path: the record came from this tower's own snapshot/WAL (it was
+(** Install a journaled record without re-running {!record_valid} — the
+    recovery path: the record came from this tower's own WAL (it was
     verified when first watched, and the store is CRC-framed), so the
-    batch verification is not paid again. [r] was decoded from the
-    [len] bytes of [enc] at [off]; the decoder accepts only canonical
-    encodings, so those bytes are [r]'s {!encode_record} and are
-    installed as they are, never re-encoded. [fresh] controls whether
-    the next poll re-checks the channel's funding directly — replayed
-    journal entries say [true] (their funding may have been spent
-    while the tower was down); snapshot restores use {!mark_fresh}. *)
-let restore_record (t : t) ~(fresh : bool) (r : record) (enc : string)
-    ~(off : int) ~(len : int) : unit =
-  put_record t r enc ~off ~len;
-  if fresh then t.fresh <- r.channel_id :: t.fresh
-
-(** Queue a guarded channel for a direct funding check at the next
-    poll (the snapshot's persisted fresh list). Unguarded ids are
-    ignored. *)
-let mark_fresh (t : t) (channel_id : string) : unit =
-  if Hashtbl.mem t.entries channel_id then t.fresh <- channel_id :: t.fresh
+    batch verification is not paid again. The payload is decoded once,
+    to validate it and read its index fields, and installed as it is.
+    The next poll re-checks the channel's funding directly: it may
+    have been spent while the tower was down. *)
+let restore_record (t : t) (payload : string) : (unit, C.error) result =
+  match C.decode packed_codec payload with
+  | Error e -> Error e
+  | Ok p ->
+      put_record t p;
+      t.fresh <- p.p_id :: t.fresh;
+      Ok ()
 
 let unwatch (t : t) ~(channel_id : string) : unit = drop_record t channel_id
 
@@ -266,9 +256,9 @@ let punished_count (t : t) : int = Hashtbl.length t.punished_set
 let punished_mem (t : t) (channel_id : string) : bool =
   Hashtbl.mem t.punished_set channel_id
 
-(** Restore a snapshot's punished id: recorded, no record reclaimed —
-    every record in a snapshot was live when it was taken (a channel
-    re-watched after its punishment keeps its new record). *)
+(* Restore a snapshot's punished id: recorded, no record reclaimed —
+   every record in a snapshot was live when it was taken (a channel
+   re-watched after its punishment keeps its new record). *)
 let restore_punished (t : t) (channel_id : string) : unit =
   if not (Hashtbl.mem t.punished_set channel_id) then begin
     t.punished_list <- channel_id :: t.punished_list;
@@ -287,12 +277,12 @@ let mark_punished (t : t) (channel_id : string) : unit =
 let cursor (t : t) : int = t.cursor
 let set_cursor (t : t) (c : int) : unit = t.cursor <- c
 
-(** The fresh list as a function of the tower's logical state: each
-    channel once (its newest entry) and only while it is still guarded.
-    The live list may repeat a re-watched channel or keep one unwatched
-    or punished since; the poll skips both harmlessly, but a snapshot
-    must not depend on them, or a restored tower (which drops them)
-    would snapshot differently from one that never crashed. *)
+(* The fresh list as a function of the tower's logical state: each
+   channel once (its newest entry) and only while it is still guarded.
+   The live list may repeat a re-watched channel or keep one unwatched
+   or punished since; the poll skips both harmlessly, but a snapshot
+   must not depend on them, or a restored tower (which drops them)
+   would snapshot differently from one that never crashed. *)
 let fresh_ids (t : t) : string list =
   let seen = Hashtbl.create 16 in
   List.filter
@@ -308,8 +298,7 @@ let fold_records (t : t) (f : record -> 'a -> 'a) (init : 'a) : 'a =
 
 (** Iterate the encoded form of every guarded record — exactly the
     {!encode_record} bytes, blitted straight out of the arena (no
-    decode/re-encode round trip). Snapshots ({!Persist.encode_tower})
-    are built from this. *)
+    decode/re-encode round trip). *)
 let iter_record_blobs (t : t) (f : string -> unit) : unit =
   Hashtbl.iter (fun _ e -> f (Arena.read t.arena e.e_slot)) t.entries
 
@@ -325,6 +314,40 @@ let arena_live_bytes (t : t) : int = Arena.live_bytes t.arena
 (** Bytes of arena capacity allocated from the heap (chunks), live or
     free-listed. Bounded by peak concurrent watches, not churn. *)
 let arena_capacity_bytes (t : t) : int = Arena.capacity_bytes t.arena
+
+(* ---- snapshot body ---- *)
+
+(* Decoding installs the bytes each record was read from, without
+   signature re-verification (they were verified when watched and the
+   store is CRC-framed), and records the punished ids without
+   reclaiming anything: every record in a snapshot was live when it was
+   taken, including one re-watched after its punishment. *)
+let snapshot : t C.t =
+  C.check
+    (fun (wid, records, (punished, fresh, cursor)) ->
+      let t = create ~wid () in
+      List.iter (put_record t) records;
+      if guarded_count t <> List.length records then
+        Error "duplicate channel record"
+      else begin
+        List.iter (restore_punished t) punished;
+        t.fresh <- List.filter (Hashtbl.mem t.entries) fresh;
+        t.cursor <- cursor;
+        Ok t
+      end)
+    (fun t ->
+      let records =
+        Hashtbl.fold
+          (fun id e acc ->
+            let b = Arena.read t.arena e.e_slot in
+            { p_id = id; p_funding = e.e_funding; p_rbytes = e.e_rbytes;
+              p_span = { C.src = b; off = 0; len = String.length b } }
+            :: acc)
+          t.entries []
+      in
+      (t.wid, List.rev records, (List.rev t.punished_list, fresh_ids t, t.cursor)))
+    (C.triple C.var_string (C.list packed_codec)
+       (C.triple (C.list C.var_string) (C.list C.var_string) C.u64))
 
 (* React to a spend of a guarded funding output: if it is a revoked
    counter-party commit, complete and post the revocation tx — the

@@ -51,22 +51,13 @@ val watch_encoded : t -> record -> string -> bool
     tower stores as they are — for a caller that journals the
     same encoding ({!Durable.watch}). *)
 
-val restore_record :
-  t -> fresh:bool -> record -> string -> off:int -> len:int -> unit
-(** [restore_record t ~fresh r src ~off ~len] installs [r], decoded
-    from the [len] bytes of [src] at [off], without re-running
-    {!record_valid} — the snapshot/WAL recovery path
-    ({!Persist.restore_tower}, {!Durable.recover}): the record was
-    verified when first watched and the store is CRC-framed. The
-    decoder accepts only canonical encodings, so those bytes are [r]'s
-    {!encode_record}: they are copied into the arena as they are, with
-    no re-encode. [fresh] queues the channel for a
-    direct funding check at the next poll. *)
-
-val mark_fresh : t -> string -> unit
-(** Queue a guarded channel for a direct funding check at the next
-    poll (restoring a snapshot's fresh list); unguarded ids are
-    ignored. *)
+val restore_record : t -> string -> (unit, Daric_util.Codec.error) result
+(** Install a journaled record payload (an {!encode_record} output)
+    without re-running {!record_valid} — the WAL recovery path of
+    {!Durable.recover}: the record was verified when first watched and
+    the store is CRC-framed. The payload is decoded once and its bytes
+    are copied into the arena as they are, with no re-encode. The
+    channel is queued for a direct funding check at the next poll. *)
 
 val unwatch : t -> channel_id:string -> unit
 (** Remove the channel and reclaim its record storage (the arena slot
@@ -85,21 +76,12 @@ val mark_punished : t -> string -> unit
     without re-posting (idempotent), reclaiming the channel's record
     exactly as the live punish path does. *)
 
-val restore_punished : t -> string -> unit
-(** Restore a snapshot's punished id: record it (idempotent) without
-    reclaiming any record — every record in a snapshot was live when
-    the snapshot was taken. *)
-
 val cursor : t -> int
 (** Position in the ledger's spent-outpoint log up to which this tower
     has monitored. *)
 
 val set_cursor : t -> int -> unit
 (** Restore the spent-log cursor (recovery). *)
-
-val fresh_ids : t -> string list
-(** Channels (re)watched since the last poll and still guarded, newest
-    first, each once — what a snapshot persists. *)
 
 val fold_records : t -> (record -> 'a -> 'a) -> 'a -> 'a
 (** Fold over every guarded record (decoded from the packed form). *)
@@ -124,17 +106,24 @@ val arena_capacity_bytes : t -> int
 (** Arena chunk bytes allocated from the heap — bounded by peak
     concurrent watches, not lifetime churn. *)
 
-val read_record : Daric_util.Byteio.Reader.t -> record
-(** Inverse of {!encode_record}, reading from the reader; raises
-    {!Daric_tx.Txcodec.Bad_blob} or [Reader.Truncated] on malformed
-    input, and accepts only canonical encodings. The record's own
-    strings (channel id, funding txid, signatures) are not interned: a
-    decoded record is transient — the tower retains bytes and decodes
-    on demand. *)
+val record_codec : record Daric_util.Codec.t
+(** The record format: the WAL watch payload and the record spans of a
+    snapshot. Only canonical encodings decode. Nothing decoded is
+    interned: a decoded record is transient — the tower retains bytes
+    and decodes on demand. *)
 
 val encode_record : record -> string
-(** A record's encoding (the {!Persist} WAL/snapshot format —
-    headerless; the frame carries the version). *)
+(** [Codec.encode record_codec]. *)
+
+val snapshot : t Daric_util.Codec.t
+(** The tower's whole state: identity, every guarded record, the
+    punished list, the fresh list and the spent-log cursor —
+    O(guarded channels) bytes, each O(1). Encoding copies each record's
+    bytes straight from the arena; decoding decodes each record once,
+    for validation and its index fields, and installs the bytes it was
+    read from, without signature re-verification. A duplicate channel
+    record is refused. Re-encoding a decoded tower gives the same
+    bytes up to record order. {!Persist} adds the blob header. *)
 
 val end_of_round :
   t -> round:int -> ledger:Daric_chain.Ledger.t -> post:(Tx.t -> unit) -> unit

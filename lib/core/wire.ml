@@ -55,108 +55,75 @@ let kind = function
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: a canonical byte encoding for protocol messages,
-   used for communication-cost accounting and transcript storage. *)
+   used for communication-cost accounting and transcript storage. A
+   tag byte, the channel id, then the message's own fields. *)
 
-module W = Daric_util.Byteio.Writer
-module R = Daric_util.Byteio.Reader
+module C = Daric_util.Codec
 module Txcodec = Daric_tx.Txcodec
 
-let tag = function
-  | Create_info _ -> 1
-  | Create_com _ -> 2
-  | Create_fund _ -> 3
-  | Update_req _ -> 4
-  | Update_info _ -> 5
-  | Update_com_initiator _ -> 6
-  | Update_com_responder _ -> 7
-  | Revoke_initiator _ -> 8
-  | Revoke_responder _ -> 9
-  | Close_req _ -> 10
-  | Close_ack _ -> 11
+(* Keys travel as their 33-byte script encodings. *)
+let keys =
+  Keys.pub_codec
+    (C.check
+       (fun s ->
+         Option.to_result ~none:"bad public key"
+           (Daric_crypto.Schnorr.decode_public_key s))
+       Keys.enc (C.fixed 33))
 
-let write_outpoint w (o : Tx.outpoint) =
-  W.var_string w o.Tx.txid;
-  W.u32 w o.Tx.vout
+let str = C.var_string
 
-let read_outpoint r : Tx.outpoint =
-  let txid = R.var_string r in
-  let vout = R.u32 r in
-  { Tx.txid; vout }
+(* A message carrying one signature after the channel id. *)
+let sig1 tag inj proj = C.case tag (C.pair str str) (fun (id, x) -> inj id x) proj
 
-let write_pub w (k : Keys.pub) =
-  W.string w (Keys.enc k.Keys.main_pk);
-  W.string w (Keys.enc k.Keys.sp_pk);
-  W.string w (Keys.enc k.Keys.rv_pk);
-  W.string w (Keys.enc k.Keys.rv'_pk)
+(* ... and one carrying two. *)
+let sig2 tag inj proj =
+  C.case tag (C.triple str str str) (fun (id, x, y) -> inj id x y) proj
 
-let read_pub r : Keys.pub option =
-  let dec () = Daric_crypto.Schnorr.decode_public_key (R.string r 33) in
-  match (dec (), dec (), dec (), dec ()) with
-  | Some main_pk, Some sp_pk, Some rv_pk, Some rv'_pk ->
-      Some { Keys.main_pk; sp_pk; rv_pk; rv'_pk }
-  | _ -> None
+let codec : msg C.t =
+  C.sum
+    [ C.case 1 (C.triple str Txcodec.outpoint keys)
+        (fun (id, tid, keys) -> Create_info { id; tid; keys })
+        (function Create_info { id; tid; keys } -> Some (id, tid, keys) | _ -> None);
+      sig2 2
+        (fun id split_sig commit_sig -> Create_com { id; split_sig; commit_sig })
+        (function
+          | Create_com { id; split_sig; commit_sig } -> Some (id, split_sig, commit_sig)
+          | _ -> None);
+      sig1 3
+        (fun id fund_sig -> Create_fund { id; fund_sig })
+        (function Create_fund { id; fund_sig } -> Some (id, fund_sig) | _ -> None);
+      C.case 4 (C.triple str C.u32 (C.list Txcodec.output))
+        (fun (id, tstp, theta) -> Update_req { id; theta; tstp })
+        (function Update_req { id; theta; tstp } -> Some (id, tstp, theta) | _ -> None);
+      sig1 5
+        (fun id split_sig -> Update_info { id; split_sig })
+        (function Update_info { id; split_sig } -> Some (id, split_sig) | _ -> None);
+      sig2 6
+        (fun id split_sig commit_sig -> Update_com_initiator { id; split_sig; commit_sig })
+        (function
+          | Update_com_initiator { id; split_sig; commit_sig } ->
+              Some (id, split_sig, commit_sig)
+          | _ -> None);
+      sig1 7
+        (fun id commit_sig -> Update_com_responder { id; commit_sig })
+        (function Update_com_responder { id; commit_sig } -> Some (id, commit_sig) | _ -> None);
+      sig1 8
+        (fun id rev_sig -> Revoke_initiator { id; rev_sig })
+        (function Revoke_initiator { id; rev_sig } -> Some (id, rev_sig) | _ -> None);
+      sig1 9
+        (fun id rev_sig -> Revoke_responder { id; rev_sig })
+        (function Revoke_responder { id; rev_sig } -> Some (id, rev_sig) | _ -> None);
+      sig1 10
+        (fun id fin_sig -> Close_req { id; fin_sig })
+        (function Close_req { id; fin_sig } -> Some (id, fin_sig) | _ -> None);
+      sig1 11
+        (fun id fin_sig -> Close_ack { id; fin_sig })
+        (function Close_ack { id; fin_sig } -> Some (id, fin_sig) | _ -> None) ]
 
 (** Canonical byte encoding. *)
-let encode (m : msg) : string =
-  let w = W.create () in
-  W.byte w (tag m);
-  W.var_string w (channel_id m);
-  (match m with
-  | Create_info { tid; keys; _ } ->
-      write_outpoint w tid;
-      write_pub w keys
-  | Create_com { split_sig; commit_sig; _ } ->
-      W.var_string w split_sig;
-      W.var_string w commit_sig
-  | Create_fund { fund_sig; _ } -> W.var_string w fund_sig
-  | Update_req { theta; tstp; _ } ->
-      W.u32 w tstp;
-      Txcodec.write_list w Txcodec.write_output theta
-  | Update_info { split_sig; _ } -> W.var_string w split_sig
-  | Update_com_initiator { split_sig; commit_sig; _ } ->
-      W.var_string w split_sig;
-      W.var_string w commit_sig
-  | Update_com_responder { commit_sig; _ } -> W.var_string w commit_sig
-  | Revoke_initiator { rev_sig; _ } | Revoke_responder { rev_sig; _ } ->
-      W.var_string w rev_sig
-  | Close_req { fin_sig; _ } | Close_ack { fin_sig; _ } -> W.var_string w fin_sig);
-  W.contents w
+let encode (m : msg) : string = C.encode codec m
 
 (** Serialized size in bytes (per-update communication cost). *)
 let size (m : msg) : int = String.length (encode m)
 
-let decode (s : string) : msg option =
-  let r = R.create s in
-  try
-    let t = R.byte r in
-    let id = R.var_string r in
-    let msg =
-      match t with
-      | 1 -> (
-          let tid = read_outpoint r in
-          match read_pub r with
-          | Some keys -> Some (Create_info { id; tid; keys })
-          | None -> None)
-      | 2 ->
-          let split_sig = R.var_string r in
-          let commit_sig = R.var_string r in
-          Some (Create_com { id; split_sig; commit_sig })
-      | 3 -> Some (Create_fund { id; fund_sig = R.var_string r })
-      | 4 ->
-          let tstp = R.u32 r in
-          let theta = Txcodec.read_list r Txcodec.read_output in
-          Some (Update_req { id; theta; tstp })
-      | 5 -> Some (Update_info { id; split_sig = R.var_string r })
-      | 6 ->
-          let split_sig = R.var_string r in
-          let commit_sig = R.var_string r in
-          Some (Update_com_initiator { id; split_sig; commit_sig })
-      | 7 -> Some (Update_com_responder { id; commit_sig = R.var_string r })
-      | 8 -> Some (Revoke_initiator { id; rev_sig = R.var_string r })
-      | 9 -> Some (Revoke_responder { id; rev_sig = R.var_string r })
-      | 10 -> Some (Close_req { id; fin_sig = R.var_string r })
-      | 11 -> Some (Close_ack { id; fin_sig = R.var_string r })
-      | _ -> None
-    in
-    if R.at_end r then msg else None
-  with R.Truncated | R.Malformed _ -> None
+let decode (b : string) : msg option = Result.to_option (C.decode codec b)

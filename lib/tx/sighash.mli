@@ -11,7 +11,6 @@
 
 type flag = All | Anyprevout | Anyprevout_single
 
-val flag_byte : flag -> int
 val flag_of_byte : int -> flag option
 
 val message : flag -> Tx.t -> input_index:int -> string

@@ -1,5 +1,5 @@
-(** Byte-oriented serialization helpers: a growable writer and a cursor
-    reader, with Bitcoin-style little-endian integers and varints. *)
+(** Byte-oriented serialization helpers: a growable writer with
+    Bitcoin-style little-endian integers and varints. *)
 
 module Writer = struct
   type t = Buffer.t
@@ -72,72 +72,4 @@ module Writer = struct
       ~finally:(fun () ->
         if Buffer.length w <= 1 lsl 16 then pool := w :: !pool)
       (fun () -> f w)
-end
-
-module Reader = struct
-  type t = { src : string; mutable pos : int }
-
-  exception Truncated
-  exception Malformed of string
-
-  let create (src : string) : t = { src; pos = 0 }
-  let pos (t : t) : int = t.pos
-  let remaining (t : t) : int = String.length t.src - t.pos
-  let at_end (t : t) : bool = remaining t = 0
-
-  let byte (t : t) : int =
-    if t.pos >= String.length t.src then raise Truncated;
-    let c = Char.code t.src.[t.pos] in
-    t.pos <- t.pos + 1;
-    c
-
-  let string (t : t) (n : int) : string =
-    if n < 0 then raise (Malformed "negative length");
-    if remaining t < n then raise Truncated;
-    let s = String.sub t.src t.pos n in
-    t.pos <- t.pos + n;
-    s
-
-  let u16 (t : t) : int =
-    let a = byte t in
-    let b = byte t in
-    a lor (b lsl 8)
-
-  let u32 (t : t) : int =
-    let a = u16 t in
-    let b = u16 t in
-    a lor (b lsl 16)
-
-  let u64 (t : t) : int64 =
-    let lo = u32 t in
-    let hi = u32 t in
-    Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
-
-  (* Only the encoding {!Writer.varint} produces is accepted: the
-     shortest prefix for the value, and a value that fits a
-     non-negative [int]. Every decoded length therefore re-encodes to
-     the bytes it was read from. *)
-  let varint (t : t) : int =
-    let minimal v lo = if v < lo then raise (Malformed "non-minimal varint") in
-    match byte t with
-    | 0xfd ->
-        let v = u16 t in
-        minimal v 0xfd;
-        v
-    | 0xfe ->
-        let v = u32 t in
-        minimal v 0x10000;
-        v
-    | 0xff ->
-        let v = u64 t in
-        if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0
-        then raise (Malformed "varint out of range");
-        let v = Int64.to_int v in
-        minimal v 0x100000000;
-        v
-    | v -> v
-
-  let var_string (t : t) : string =
-    let n = varint t in
-    string t n
 end

@@ -1,5 +1,6 @@
-(** Byte-oriented serialization: a growable writer and a cursor reader,
-    with Bitcoin-style little-endian integers and CompactSize varints. *)
+(** Byte-oriented serialization: a growable writer with Bitcoin-style
+    little-endian integers and CompactSize varints. Decoding goes
+    through {!Codec}, which describes both directions of a format. *)
 
 module Writer : sig
   type t
@@ -12,7 +13,6 @@ module Writer : sig
   (** Append the low 8 bits of the argument. *)
 
   val string : t -> string -> unit
-  val u16 : t -> int -> unit
   val u32 : t -> int -> unit
   val u64 : t -> int64 -> unit
 
@@ -28,35 +28,4 @@ module Writer : sig
       domain-local arena instead of a fresh allocation; the writer is
       recycled when [f] returns and must not escape it. Borrows nest
       safely. *)
-end
-
-module Reader : sig
-  type t
-
-  exception Truncated
-  (** Raised by every reading function on insufficient input. *)
-
-  exception Malformed of string
-  (** Raised on input no writer produces: a negative length, or a
-      varint that is not in its shortest form or does not fit a
-      non-negative [int]. Field codecs built on the reader raise it
-      for their own non-canonical encodings too. *)
-
-  val create : string -> t
-
-  val pos : t -> int
-  (** Bytes consumed so far. *)
-
-  val remaining : t -> int
-  val at_end : t -> bool
-  val byte : t -> int
-  val string : t -> int -> string
-  val u16 : t -> int
-  val u32 : t -> int
-  val u64 : t -> int64
-
-  val varint : t -> int
-  (** CompactSize, canonical only. @raise Malformed otherwise. *)
-
-  val var_string : t -> string
 end

@@ -9,11 +9,14 @@
    store survives a real process-level drop of the handle, and the WAL
    framing is fuzzed — random record sequences round-trip, and any
    single-byte corruption or tail truncation yields an error or a
-   strict prefix, never a mis-replay. The record, snapshot and wire
-   decoders are fuzzed too: arbitrary and single-byte-mutated blobs
-   are rejected or decoded, never raise, and a decoded record is
-   exactly its bytes; a restored snapshot re-encodes to itself, and a
-   WAL replay installs each replayed payload as it is. *)
+   strict prefix, never a mis-replay. One property runs over every
+   codec (tx blob, tower record, tower snapshot, channel blob, wire
+   message, cursor payload): arbitrary and single-byte-mutated bytes
+   are rejected or decoded, never raise, and accepted bytes re-encode
+   to themselves (a snapshot up to record order). A cursor that does
+   not fit a non-negative int is refused in a snapshot and in the WAL;
+   a restored snapshot re-encodes to itself, and a WAL replay installs
+   each replayed payload as it is. *)
 
 module Tx = Daric_tx.Tx
 module Ledger = Daric_chain.Ledger
@@ -22,7 +25,7 @@ module Persist = Daric_core.Persist
 module Durable = Daric_core.Durable
 module Towerset = Daric_core.Towerset
 module Wal = Daric_util.Wal
-module R = Daric_util.Byteio.Reader
+module C = Daric_util.Codec
 module Wire = Daric_core.Wire
 module Txcodec = Daric_tx.Txcodec
 module Party = Daric_core.Party
@@ -379,22 +382,50 @@ let tower_prefix =
   let e = Persist.encode_tower (Watchtower.create ~wid:"t" ()) in
   String.sub e 0 (String.length e - 11)
 
-let no_raise name f =
-  match f () with
-  | _ -> true
-  | exception e ->
-      QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+let decode_record = C.decode Watchtower.record_codec
 
 (* A 0xff varint prefix with all-ones value used to decode as -1 and
    make [String.sub]/[List.init] raise [Invalid_argument]. *)
 let test_negative_lengths () =
   check_b "record: negative id length" true
-    (Result.is_error (Persist.decode_record ffs));
+    (Result.is_error (decode_record ffs));
   check_b "snapshot: negative record count" true
     (Result.is_error (Persist.restore_tower (tower_prefix ^ ffs)));
   check_b "snapshot: negative punished count" true
     (Result.is_error (Persist.restore_tower (tower_prefix ^ "\x00" ^ ffs)));
   check_b "wire: negative id length" true (Wire.decode ("\x01" ^ ffs) = None)
+
+(* A cursor is a non-negative u64: one with bit 63 set, or with bit 62
+   set (past [max_int]), is refused — in a snapshot and in a journaled
+   cursor payload alike — instead of restoring a truncated value. *)
+let bad_cursors =
+  [ "\x05\x00\x00\x00\x00\x00\x00\x80"; "\x05\x00\x00\x00\x00\x00\x00\x40" ]
+
+let test_cursor_snapshot () =
+  let tw = Watchtower.create ~wid:"t" () in
+  Watchtower.set_cursor tw 5;
+  let blob = Persist.encode_tower tw in
+  let body = String.sub blob 0 (String.length blob - 8) in
+  check_b "cursor 5 restores" true
+    (match Persist.restore_tower blob with
+    | Ok t -> Watchtower.cursor t = 5
+    | Error _ -> false);
+  List.iter
+    (fun c ->
+      check_b "out-of-range snapshot cursor refused" true
+        (Result.is_error (Persist.restore_tower (body ^ c))))
+    bad_cursors
+
+let test_cursor_payload () =
+  List.iter
+    (fun c ->
+      let store = Durable.memory_store () in
+      (match Wal.attach store.Durable.wal_sink with
+      | Ok (w, _, _) -> Wal.append w ~kind:4 c
+      | Error e -> Alcotest.fail (Wal.error_to_string e));
+      check_b "out-of-range journaled cursor refused" true
+        (Result.is_error (Durable.recover ~wid:"t" store)))
+    bad_cursors
 
 (* World records, the snapshot of a tower holding them with one
    punished channel, and wire messages built from them: the seeds the
@@ -422,7 +453,7 @@ let fixtures =
            Wire.Revoke_responder { id; rev_sig = r.Watchtower.sig_a };
            Wire.Close_ack { id; fin_sig = r.Watchtower.sig_b } ]
      in
-     (List.map Persist.encode_record records, Persist.encode_tower tw, wires))
+     (List.map Watchtower.encode_record records, Persist.encode_tower tw, wires))
 
 let test_canonical_only () =
   let records, _, _ = Lazy.force fixtures in
@@ -437,14 +468,14 @@ let test_canonical_only () =
   let b = Bytes.of_string blob in
   Bytes.set b role_at '\x02';
   check_b "role byte 2 rejected" true
-    (Result.is_error (Persist.decode_record (Bytes.to_string b)));
+    (Result.is_error (decode_record (Bytes.to_string b)));
   (* the same id length, spelt as a 3-byte varint *)
   let long_len =
     "\xfd" ^ String.make 1 (Char.chr id_len) ^ "\x00"
     ^ String.sub blob 1 (String.length blob - 1)
   in
   check_b "non-minimal varint rejected" true
-    (Result.is_error (Persist.decode_record long_len))
+    (Result.is_error (decode_record long_len))
 
 (* A quiescent Daric channel blob after one update: the seed the
    channel-restore fuzzers corrupt. *)
@@ -465,62 +496,6 @@ let chan_blob =
      match Persist.encode_chan (Party.chan_exn alice "c") with
      | Ok blob -> blob
      | Error e -> failwith (Persist.error_to_string e))
-
-(* Restore [blob] into an empty party. Like [decode_record], the
-   channel decoder accepts only canonical bytes: a restored channel
-   re-encodes to exactly [blob]. *)
-let restores_canonically (blob : string) : bool =
-  let p = Party.create ~pid:"fz" ~seed:1 () in
-  match Persist.restore_chan p blob with
-  | Error _ -> true
-  | Ok () -> (
-      match p.Party.chans with
-      | [ (_, c) ] -> Persist.encode_chan c = Ok blob
-      | _ -> false)
-  | exception e ->
-      QCheck.Test.fail_reportf "restore_chan raised %s" (Printexc.to_string e)
-
-let mutate (blob : string) (pos_seed : int) (delta_seed : int) : string =
-  let pos = pos_seed mod String.length blob in
-  let b = Bytes.of_string blob in
-  Bytes.set b pos
-    (Char.chr ((Char.code (Bytes.get b pos) + 1 + (delta_seed mod 255)) land 0xff));
-  Bytes.to_string b
-
-let fuzz_arbitrary_bytes =
-  QCheck.Test.make ~count:500 ~name:"decoders never raise on arbitrary bytes"
-    QCheck.(pair string bool)
-    (fun (junk, headed) ->
-      let snap = if headed then tower_prefix ^ junk else junk in
-      let chan =
-        if headed then String.sub (Lazy.force chan_blob) 0 8 ^ junk else junk
-      in
-      no_raise "decode_record" (fun () -> Persist.decode_record junk)
-      && no_raise "restore_tower" (fun () -> Persist.restore_tower snap)
-      && no_raise "Wire.decode" (fun () -> Wire.decode junk)
-      && restores_canonically chan)
-
-(* A single-byte mutation either fails to decode or decodes a record
-   whose encoding is the mutated blob itself: the decoder accepts only
-   canonical bytes, so installing them equals re-encoding. *)
-let fuzz_mutated_blobs =
-  QCheck.Test.make ~count:600 ~name:"single-byte mutations never raise"
-    QCheck.(triple small_nat small_nat small_nat)
-    (fun (which, pos_seed, delta_seed) ->
-      let records, snap, wires = Lazy.force fixtures in
-      let record = mutate (List.nth records (which mod List.length records)) pos_seed delta_seed in
-      let snap = mutate snap pos_seed delta_seed in
-      let wire = mutate (List.nth wires (which mod List.length wires)) pos_seed delta_seed in
-      let chan = mutate (Lazy.force chan_blob) pos_seed delta_seed in
-      no_raise "restore_tower" (fun () -> Persist.restore_tower snap)
-      && no_raise "Wire.decode" (fun () -> Wire.decode wire)
-      && restores_canonically chan
-      &&
-      match Persist.decode_record record with
-      | Error _ -> true
-      | Ok r -> String.equal (Persist.encode_record r) record
-      | exception e ->
-          QCheck.Test.fail_reportf "decode_record raised %s" (Printexc.to_string e))
 
 (* Every transaction a punished Daric channel put on chain — funding,
    the revoked commit (2-of-2 funding-script witness) and the
@@ -547,31 +522,10 @@ let tx_blobs =
      assert (Driver.saw_event alice (function Party.Punished _ -> true | _ -> false));
      List.map (fun (_, tx) -> Txcodec.encode_tx tx) (Ledger.accepted (Driver.ledger d)))
 
-(* [decode_tx_exn] may only raise the codec's malformed-input
-   exceptions, and accepts only canonical bytes: whatever decodes
-   re-encodes to the blob itself. *)
-let tx_decodes_canonically (blob : string) : bool =
-  match Txcodec.decode_tx_exn blob with
-  | tx -> String.equal (Txcodec.encode_tx tx) blob
-  | exception (Txcodec.Bad_blob _ | R.Truncated) -> true
-  | exception e ->
-      QCheck.Test.fail_reportf "decode_tx_exn raised %s" (Printexc.to_string e)
-
-let fuzz_tx_arbitrary =
-  QCheck.Test.make ~count:1000 ~name:"tx blobs: arbitrary bytes never raise"
-    QCheck.string tx_decodes_canonically
-
-let fuzz_tx_mutated =
-  QCheck.Test.make ~count:1000 ~name:"tx blobs: single-byte mutations"
-    QCheck.(triple small_nat (int_bound 10_000) small_nat)
-    (fun (which, pos_seed, delta_seed) ->
-      let blobs = Lazy.force tx_blobs in
-      List.for_all tx_decodes_canonically blobs
-      && tx_decodes_canonically
-           (mutate (List.nth blobs (which mod List.length blobs)) pos_seed delta_seed))
-
 let test_tx_fixtures () =
-  let txs = List.map Txcodec.decode_tx_exn (Lazy.force tx_blobs) in
+  let txs =
+    List.map (fun b -> Result.get_ok (Txcodec.decode_tx b)) (Lazy.force tx_blobs)
+  in
   check_b "funding, commit and revocation on chain" true (List.length txs >= 3);
   check_b "script witnesses among the seeds" true
     (List.exists
@@ -579,6 +533,107 @@ let test_tx_fixtures () =
          List.exists (List.exists (function Tx.Wscript _ -> true | _ -> false))
            tx.Tx.witnesses)
        txs)
+
+(* A snapshot split into its wid, its record spans and the rest:
+   record order follows hash-table history, not logical state, so
+   snapshots compare with their spans as a sorted list (the cursor and
+   everything else exactly). *)
+let snapshot_parts =
+  C.triple C.var_string
+    (C.list
+       (C.spanned Watchtower.record_codec
+          (fun _ { C.src; off; len } -> String.sub src off len)
+          (fun b -> { C.src = b; off = 0; len = String.length b })))
+    (C.triple (C.list C.var_string) (C.list C.var_string) C.u64)
+
+let split_snapshot (blob : string) =
+  match C.decode ~off:(String.length tower_prefix - 2) snapshot_parts blob with
+  | Ok (wid, spans, rest) -> Some (wid, List.sort String.compare spans, rest)
+  | Error _ -> None
+
+(* ---- one property over every codec ---- *)
+
+(* A codec under test: seeds, a header that arbitrary inputs may carry
+   so they get past the magic, the re-encoding of what the decoder
+   accepts ([None] when it refuses), and the equality accepted bytes
+   must have with their re-encoding. *)
+type codec_case = {
+  name : string;
+  seeds : string list Lazy.t;
+  head : string Lazy.t;
+  reencode : string -> string option;
+  same : string -> string -> bool;
+}
+
+let of_result enc = function Ok v -> Some (enc v) | Error _ -> None
+
+let codec_cases =
+  let records = lazy (let r, _, _ = Lazy.force fixtures in r) in
+  [ { name = "tx"; seeds = tx_blobs; head = lazy "";
+      reencode = (fun b -> of_result Txcodec.encode_tx (Txcodec.decode_tx b));
+      same = String.equal };
+    { name = "tower record"; seeds = records; head = lazy "";
+      reencode = (fun b -> of_result Watchtower.encode_record (decode_record b));
+      same = String.equal };
+    { name = "tower snapshot";
+      seeds = lazy (let _, s, _ = Lazy.force fixtures in [ s ]);
+      head = lazy tower_prefix;
+      reencode = (fun b -> of_result Persist.encode_tower (Persist.restore_tower b));
+      same = (fun a b -> split_snapshot a = split_snapshot b) };
+    { name = "channel blob";
+      seeds = lazy [ Lazy.force chan_blob ];
+      head = lazy (String.sub (Lazy.force chan_blob) 0 8);
+      reencode =
+        (fun b ->
+          let p = Party.create ~pid:"fz" ~seed:1 () in
+          match (Persist.restore_chan p b, p.Party.chans) with
+          | Ok (), [ (_, c) ] -> Some (Result.get_ok (Persist.encode_chan c))
+          | Ok (), _ -> Some ""
+          | Error _, _ -> None);
+      same = String.equal };
+    { name = "wire";
+      seeds =
+        lazy
+          ((let _, _, w = Lazy.force fixtures in w)
+          @ List.map Wire.encode (Wire_samples.messages ()));
+      head = lazy "";
+      reencode = (fun b -> Option.map Wire.encode (Wire.decode b));
+      same = String.equal };
+    { name = "cursor payload";
+      seeds = lazy (List.map (C.encode C.u64) [ 0; 5; 1 lsl 40; max_int ]);
+      head = lazy "";
+      reencode = (fun b -> of_result (C.encode C.u64) (C.decode C.u64 b));
+      same = String.equal } ]
+
+let mutate (blob : string) (pos_seed : int) (delta_seed : int) : string =
+  let pos = pos_seed mod String.length blob in
+  let b = Bytes.of_string blob in
+  Bytes.set b pos
+    (Char.chr ((Char.code (Bytes.get b pos) + 1 + (delta_seed mod 255)) land 0xff));
+  Bytes.to_string b
+
+(* Decoding [b] never raises, and bytes it accepts re-encode to
+   themselves. *)
+let canonical (k : codec_case) (b : string) : bool =
+  match k.reencode b with
+  | None -> true
+  | Some b' ->
+      k.same b b'
+      || QCheck.Test.fail_reportf "%s: accepted bytes re-encode differently" k.name
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s" k.name (Printexc.to_string e)
+
+(* Each seed is accepted; arbitrary bytes (behind the format's header,
+   or bare) and a single-byte mutation of a seed never raise, and what
+   decodes re-encodes to itself. *)
+let codec_property (k : codec_case) =
+  QCheck.Test.make ~count:400 ~name:("codec: " ^ k.name)
+    QCheck.(pair (pair string bool) (triple small_nat (int_bound 10_000) small_nat))
+    (fun ((junk, headed), (which, pos_seed, delta_seed)) ->
+      let seeds = Lazy.force k.seeds in
+      List.for_all (fun b -> k.reencode b <> None && canonical k b) seeds
+      && canonical k (if headed then Lazy.force k.head ^ junk else junk)
+      && canonical k
+           (mutate (List.nth seeds (which mod List.length seeds)) pos_seed delta_seed))
 
 (* ---- restore and replay install bytes, not re-encodings ---- *)
 
@@ -652,23 +707,6 @@ let run_ops (ops : op list) =
     ops;
   (d, store)
 
-(* A snapshot split into its record spans and the bytes around them:
-   record order follows hash-table history, not logical state, so the
-   fixpoint compares the spans as a sorted list. *)
-let split_snapshot (blob : string) =
-  let r = R.create blob in
-  ignore (R.string r (String.length tower_prefix - 2));
-  ignore (R.var_string r);
-  let n = R.varint r in
-  let head = String.sub blob 0 (R.pos r) in
-  let spans =
-    List.init n (fun _ ->
-        let off = R.pos r in
-        ignore (Watchtower.read_record r);
-        String.sub blob off (R.pos r - off))
-  in
-  (head, List.sort String.compare spans, String.sub blob (R.pos r) (R.remaining r))
-
 let fuzz_snapshot_fixpoint =
   QCheck.Test.make ~count:25 ~name:"encode_tower (restore_tower b) = b"
     arb_ops (fun ops ->
@@ -676,14 +714,16 @@ let fuzz_snapshot_fixpoint =
       let b = Persist.encode_tower (Durable.tower d) in
       match Persist.restore_tower b with
       | Error e -> QCheck.Test.fail_reportf "restore: %s" (Persist.error_to_string e)
-      | Ok t -> split_snapshot (Persist.encode_tower t) = split_snapshot b)
+      | Ok t ->
+          let parts = split_snapshot b in
+          parts <> None && split_snapshot (Persist.encode_tower t) = parts)
 
 let blobs_by_id (t : Watchtower.t) =
   let acc = ref [] in
   Watchtower.iter_record_blobs t (fun b ->
-      match Persist.decode_record b with
+      match decode_record b with
       | Ok r -> acc := (r.Watchtower.channel_id, b) :: !acc
-      | Error e -> Alcotest.fail (Persist.error_to_string e));
+      | Error e -> Alcotest.fail (C.error_to_string e));
   List.sort compare !acc
 
 let fuzz_replay_installs_payloads =
@@ -703,9 +743,9 @@ let fuzz_replay_installs_payloads =
           List.iter
             (fun (w : Wal.record) ->
               if w.Wal.kind = 1 then
-                match Persist.decode_record w.Wal.payload with
+                match decode_record w.Wal.payload with
                 | Ok r -> Hashtbl.replace last_watch r.Watchtower.channel_id w.Wal.payload
-                | Error e -> Alcotest.fail (Persist.error_to_string e))
+                | Error e -> Alcotest.fail (C.error_to_string e))
             wal;
           stored = blobs_by_id (Durable.tower d)
           && Hashtbl.fold
@@ -737,10 +777,14 @@ let () =
             test_negative_lengths;
           Alcotest.test_case "canonical encodings only" `Quick
             test_canonical_only;
+          Alcotest.test_case "out-of-range snapshot cursor" `Quick
+            test_cursor_snapshot;
+          Alcotest.test_case "out-of-range cursor payload" `Quick
+            test_cursor_payload;
           Alcotest.test_case "tx blob fuzz seeds" `Quick test_tx_fixtures ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ fuzz_arbitrary_bytes; fuzz_mutated_blobs; fuzz_tx_arbitrary;
-              fuzz_tx_mutated ] );
+        @ List.map
+            (fun k -> QCheck_alcotest.to_alcotest (codec_property k))
+            codec_cases );
       ( "install",
         List.map QCheck_alcotest.to_alcotest
           [ fuzz_snapshot_fixpoint; fuzz_replay_installs_payloads ] ) ]

@@ -203,8 +203,7 @@ let mem_entries (samples : Daric_analysis.Memprobe.sample list) :
         p "updates-per-sec" s.updates_per_sec;
         p "tower-arena-bytes" (float_of_int s.tower_arena_bytes);
         p "ledger-pack-bytes" (float_of_int s.ledger_pack_bytes);
-        p "ledger-compacted-entries" (float_of_int s.ledger_compacted);
-        p "intern-saved-bytes" (float_of_int s.intern_saved_bytes) ])
+        p "ledger-compacted-entries" (float_of_int s.ledger_compacted) ])
     samples
 
 let run_mem ~smoke ~quick ~full () =
@@ -441,23 +440,6 @@ let bench_tests () =
              (List.for_all (fun (pk, m, s) -> Schnorr.verify_naive pk m s)
                 batch_items)))
   in
-  let batch_keyed_items =
-    List.map
-      (fun (pk, m, s) ->
-        let kc = Daric_crypto.Keyctx.create pk in
-        ignore (Daric_crypto.Keyctx.table kc);
-        (kc, m, s))
-      batch_items
-  in
-  let batch_keyed =
-    Test.make ~name:"schnorr-batch-64-keyed"
-      (Staged.stage (fun () ->
-           assert (Schnorr.batch_verify_keyed batch_keyed_items)))
-  in
-  let batch_keyed_naive =
-    Test.make ~name:"schnorr-batch-64-keyed_naive"
-      (Staged.stage (fun () -> assert (Schnorr.batch_verify batch_items)))
-  in
   let exp = 987_654_321 in
   let pow_fixed =
     Test.make ~name:"group-pow-g"
@@ -566,9 +548,9 @@ let bench_tests () =
              Daric_schemes.Costmodel.all))
   in
   [ sign; verify; verify_naive; sign_keyed; sign_keyed_naive; verify_keyed;
-    verify_keyed_naive; batch; batch_naive; batch_keyed; batch_keyed_naive;
-    pow_fixed; pow_naive; is_elt_qr; is_elt_naive; sha; txid_memo; txid_naive;
-    tx_encode; tx_encode_naive; sighash_family; sighash_family_naive ]
+    verify_keyed_naive; batch; batch_naive; pow_fixed; pow_naive; is_elt_qr;
+    is_elt_naive; sha; txid_memo; txid_naive; tx_encode; tx_encode_naive;
+    sighash_family; sighash_family_naive ]
   @ scheme_updates @ [ weights ]
 
 (* Machine-readable perf trajectory: a flat name -> ns/run map written
@@ -600,7 +582,6 @@ let required_entries =
     "schnorr-sign-keyed"; "schnorr-sign-keyed_naive";
     "schnorr-verify-keyed"; "schnorr-verify-keyed_naive";
     "schnorr-batch-verify-64"; "schnorr-batch-verify-64_naive";
-    "schnorr-batch-64-keyed"; "schnorr-batch-64-keyed_naive";
     "txid"; "txid_naive"; "tx-encode"; "tx-encode_naive";
     "sighash-family"; "sighash-family_naive" ]
   @ List.map

@@ -7,9 +7,9 @@ module I = Daric_schemes.Scheme_intf
 module DS = Daric_schemes.Daric_scheme
 
 let timed (f : unit -> 'a) : 'a * float =
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let x = f () in
-  (x, Sys.time () -. t0)
+  (x, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
 
 let open_all (env : I.env) ~(prefix : string) ~(channels : int) :
     DS.state array =

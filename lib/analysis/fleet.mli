@@ -3,7 +3,7 @@
     {!Memprobe} measure. *)
 
 val timed : (unit -> 'a) -> 'a * float
-(** Result and CPU seconds ([Sys.time]) of a thunk. *)
+(** Result and wall-clock seconds (the monotonic clock) of a thunk. *)
 
 val open_all :
   Daric_schemes.Scheme_intf.env -> prefix:string -> channels:int ->

@@ -26,7 +26,6 @@ module I = Daric_schemes.Scheme_intf
 module Ledger = Daric_chain.Ledger
 module Watchtower = Daric_core.Watchtower
 module Memtune = Daric_util.Memtune
-module Intern = Daric_util.Intern
 
 type sample = {
   channels : int;
@@ -42,7 +41,6 @@ type sample = {
   tower_arena_bytes : int;  (** live packed record bytes *)
   ledger_pack_bytes : int;  (** live packed accepted-log bytes *)
   ledger_compacted : int;  (** accepted-log entries held packed *)
-  intern_saved_bytes : int;  (** duplicate payload bytes deduplicated *)
 }
 
 (** [run ~channels ~updates ~seed ()] builds the system, measures, and
@@ -52,7 +50,6 @@ let run ?(channels = 1_000) ?(updates = 2) ?(seed = 7) () : sample =
   Memtune.pace ();
   Memtune.quiesce ();
   let base_live = (Gc.stat ()).Gc.live_words in
-  let intern0 = Intern.stats () in
   let env = I.make_env ~delta:1 ~seed () in
   let updates = max 1 updates in
   let chans = Fleet.open_all env ~prefix:"m" ~channels in
@@ -63,10 +60,9 @@ let run ?(channels = 1_000) ?(updates = 2) ?(seed = 7) () : sample =
   Fleet.watch_all chans ~who:"memprobe" (fun r ->
       if not (Watchtower.watch tower r) then
         failwith "memprobe: tower rejected a valid record");
-  (* One snapshot/recovery roundtrip: decodes every packed record,
-     which routes ids, txids and signatures through the interner —
-     recovered copies share bytes with the live ones. The restored
-     tower itself is dropped before the retention diff. *)
+  (* One snapshot/recovery roundtrip: decodes every packed record and
+     installs a second tower, which is dropped before the retention
+     diff, so what a recovery leaves behind is counted too. *)
   (let snap = Daric_core.Persist.encode_tower tower in
    match Daric_core.Persist.restore_tower snap with
    | Ok t2 ->
@@ -76,10 +72,9 @@ let run ?(channels = 1_000) ?(updates = 2) ?(seed = 7) () : sample =
   (* Let the accepted log compact past the funding transactions. *)
   I.settle env (Ledger.default_compact_depth + 1);
   (* Quiesce, then diff live words against the pre-build baseline. *)
-  let major_seconds = Memtune.timed_quiesce () in
+  let (), major_seconds = Fleet.timed Memtune.quiesce in
   let end_live = (Gc.stat ()).Gc.live_words in
   let gcs = Memtune.quick_stats () in
-  let intern1 = Intern.stats () in
   let n_updates = channels * updates in
   let majors = after.Memtune.major_collections - before.Memtune.major_collections in
   let sample =
@@ -103,9 +98,7 @@ let run ?(channels = 1_000) ?(updates = 2) ?(seed = 7) () : sample =
          else 0.);
       tower_arena_bytes = Watchtower.arena_live_bytes tower;
       ledger_pack_bytes = Ledger.pack_live_bytes env.ledger;
-      ledger_compacted = Ledger.compacted_count env.ledger;
-      intern_saved_bytes =
-        intern1.Intern.saved_bytes - intern0.Intern.saved_bytes }
+      ledger_compacted = Ledger.compacted_count env.ledger }
   in
   (* Roots must survive every statistic read above. *)
   ignore (Sys.opaque_identity chans);
@@ -119,9 +112,9 @@ let pp ppf (s : sample) =
      retained: %d words (%.1f words/channel)   top-heap: %d words@,\
      promoted/update: %.1f words   major GC share (est.): %.1f%% over %d \
      majors@,\
-     tower arena: %dB   ledger pack: %dB (%d entries)   interned: %dB saved@]"
+     tower arena: %dB   ledger pack: %dB (%d entries)@]"
     s.channels s.updates_per_channel s.updates_per_sec s.retained_words
     s.retained_words_per_channel s.top_heap_words s.promoted_words_per_update
     (100. *. s.major_time_share)
     s.major_collections s.tower_arena_bytes s.ledger_pack_bytes
-    s.ledger_compacted s.intern_saved_bytes
+    s.ledger_compacted

@@ -16,7 +16,6 @@ type sample = {
   tower_arena_bytes : int;
   ledger_pack_bytes : int;
   ledger_compacted : int;
-  intern_saved_bytes : int;
 }
 
 val run : ?channels:int -> ?updates:int -> ?seed:int -> unit -> sample

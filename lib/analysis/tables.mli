@@ -35,9 +35,6 @@ val table3 : ?ms:int list -> unit -> string
 
 type measured_ops = { scheme : string; sign : int; verify : int; exp : int }
 
-val measured_ops_schemes : string list
-(** The schemes whose measured operation counts the table reports. *)
-
 val measure_ops : unit -> (measured_ops, string) result list
 (** Per-party per-update operation counts measured on the executable
     schemes (Daric via the full two-party protocol). *)

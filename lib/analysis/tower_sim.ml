@@ -40,6 +40,9 @@ type sample = {
   scores : Towerset.score list;
 }
 
+(* Rotating single-crash schedule: at every instant one replica is
+   crashed and each takes turns, so every replica's recovery path and
+   the any-one-honest property are both exercised. *)
 let staggered_faults ~(replicas : int) ~(period : int) ~(round : int)
     ~(replica : int) : Towerset.fault =
   if replicas <= 1 then `Up

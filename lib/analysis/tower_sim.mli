@@ -30,13 +30,6 @@ type sample = {
   scores : Daric_core.Towerset.score list;
 }
 
-val staggered_faults :
-  replicas:int -> period:int -> round:int -> replica:int -> Daric_core.Towerset.fault
-(** Rotating single-crash schedule: replica [r] is [`Down] exactly when
-    [(round / period) mod replicas = r] — at every instant one replica
-    is crashed, each takes turns, so every replica's recovery path and
-    the any-one-honest property are both exercised. *)
-
 val run :
   ?channels:int ->
   ?updates:int ->
@@ -52,7 +45,8 @@ val run :
   sample
 (** Build the system and measure. Defaults: 100 channels, 1 update,
     4 frauds (clamped to [channels]), 24 rounds, snapshot every 8,
-    3 replicas under {!staggered_faults} with period 4, probe and
+    3 replicas under a rotating single-crash schedule (replica [r] is
+    [`Down] exactly when [(round / 4) mod replicas = r]), probe and
     replica stores in memory. Raises [Failure] if any fraud goes
     unpunished. *)
 

@@ -39,9 +39,6 @@ val step : t -> unit
 
 val run : t -> int -> unit
 
-val mint_to_key :
-  t -> value:int -> pk:Daric_crypto.Schnorr.public_key -> Tx.outpoint
-
 val open_channel :
   t -> id:string -> alice:Party.t -> bob:Party.t -> bal_a:int -> bal_b:int ->
   ?rel_lock:int -> ?s0:int -> unit -> unit

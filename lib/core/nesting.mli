@@ -27,13 +27,8 @@ type stack = {
   s0 : int;
 }
 
-val txs_per_daric_level : int
 val txs_daric : int -> int
 val txs_with_state_duplication : int -> int
-
-val build_level :
-  rng:Daric_util.Rng.t -> value:int -> s0:int -> rel_lock:int ->
-  child_funding_script:Script.t option -> level
 
 val build :
   Ledger.t -> rng:Daric_util.Rng.t -> depth:int -> value:int -> ?s0:int ->

@@ -2,18 +2,5 @@
     the {!Party} state machine retains per channel, independent of the
     number of updates performed. *)
 
-val sig_bytes : int
-val pk_bytes : int
-val keypair_bytes : int
-
-val tx_bytes : Daric_tx.Tx.t -> int
-(** Non-witness plus witness serialized bytes. *)
-
-val split_bytes : Party.split_data -> int
-val update_ctx_bytes : Party.update_ctx -> int
-
-val chan_bytes : Party.chan -> int
-(** Total bytes a party retains for one channel. *)
-
 val party_bytes : Party.t -> id:string -> int
-(** {!chan_bytes} by channel id (0 if unknown). *)
+(** Total bytes a party retains for the channel [id] (0 if unknown). *)

@@ -97,14 +97,6 @@ let watch (t : t) ~(round : int) (r : Watchtower.record) : bool =
       | `Up | `Omit -> Durable.watch (revive t rep) r || acc)
     false t.replicas
 
-let unwatch (t : t) ~(round : int) ~(channel_id : string) : unit =
-  Array.iter
-    (fun rep ->
-      match t.faults ~round ~replica:rep.idx with
-      | `Down -> rep.state <- None
-      | `Up | `Omit -> Durable.unwatch (revive t rep) ~channel_id)
-    t.replicas
-
 (** One round: every replica consults the fault schedule, then either
     loses its RAM ([`Down]), skips the poll ([`Omit]) or recovers if
     needed and monitors the shared spent-log window ([`Up]). *)

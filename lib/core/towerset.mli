@@ -10,8 +10,6 @@ type fault = [ `Up | `Down | `Omit ]
 
 type t
 
-val no_faults : round:int -> replica:int -> fault
-
 val create :
   ?snapshot_every:int ->
   ?faults:(round:int -> replica:int -> fault) ->
@@ -26,8 +24,6 @@ val create :
 val watch : t -> round:int -> Watchtower.record -> bool
 (** Fan the record to every live replica; [true] iff at least one
     accepted and journaled it. Down replicas miss the watch (scored). *)
-
-val unwatch : t -> round:int -> channel_id:string -> unit
 
 val end_of_round :
   t -> round:int -> ledger:Daric_chain.Ledger.t ->

@@ -70,8 +70,6 @@ val fin_split_message : Tx.t -> string
 
 (** {1 Witness completion} *)
 
-val multisig_witness : sig1:string -> sig2:string -> Script.t -> Tx.witness
-
 val complete_commit :
   Tx.t -> sig_a:string -> sig_b:string ->
   pk_a:Daric_crypto.Schnorr.public_key ->

@@ -35,7 +35,6 @@ module Tx = Daric_tx.Tx
 module Txcodec = Daric_tx.Txcodec
 module Ledger = Daric_chain.Ledger
 module Arena = Daric_util.Arena
-module Intern = Daric_util.Intern
 module C = Daric_util.Codec
 
 type record = {
@@ -89,9 +88,8 @@ let create ~(wid : string) () : t =
 (* ---- record codec (the WAL watch payload and the snapshot's record
    spans) ---- *)
 
-(* Decoded records are transient — the tower retains bytes, and
-   [find_record], [react] and recovery decode on demand — so nothing in
-   them is interned. *)
+(* Decoded records are transient: the tower retains bytes, and
+   [find_record], [react] and recovery decode on demand. *)
 let record_codec : record C.t =
   let key = Keys.pub_codec C.u32 in
   C.conv
@@ -182,12 +180,13 @@ let drop_record (t : t) (channel_id : string) : unit =
       Hashtbl.remove t.by_funding e.e_funding;
       Arena.free t.arena e.e_slot
 
-(** Check a client record's two revocation-branch signatures in one
-    {!Daric_crypto.Schnorr.batch_verify}. The record guards against the
-    *counter-party's* commits, whose revocation branch carries the rv
-    keys (owner Alice) or rv' keys (owner Bob); both signatures cover
-    the ANYPREVOUT message of the floating revocation body. A tower
-    that skipped this would store garbage it can never post. *)
+(** Check a client record's two revocation-branch signatures, each on
+    its own through {!Daric_crypto.Schnorr.verify_pooled}. The record
+    guards against the *counter-party's* commits, whose revocation
+    branch carries the rv keys (owner Alice) or rv' keys (owner Bob);
+    both signatures cover the ANYPREVOUT message of the floating
+    revocation body. A tower that skipped this would store garbage it
+    can never post. *)
 let record_valid (r : record) : bool =
   let owner = Keys.other_role r.client_role in
   let rv1, rv2 =
@@ -195,26 +194,26 @@ let record_valid (r : record) : bool =
     | Keys.Alice -> (r.keys_a.Keys.rv_pk, r.keys_b.Keys.rv_pk)
     | Keys.Bob -> (r.keys_a.Keys.rv'_pk, r.keys_b.Keys.rv'_pk)
   in
-  let item pk sig_bytes =
-    if String.length sig_bytes <> Daric_crypto.Schnorr.signature_size then None
-    else
-      match
-        ( Daric_tx.Sighash.flag_of_byte
-            (Char.code sig_bytes.[String.length sig_bytes - 1]),
-          Daric_crypto.Schnorr.decode_signature sig_bytes )
-      with
-      | Some flag, Some sg ->
-          Some (pk, Daric_tx.Sighash.message flag r.rev_body ~input_index:0, sg)
-      | _ -> None
+  let sig_ok pk sig_bytes =
+    String.length sig_bytes = Daric_crypto.Schnorr.signature_size
+    &&
+    match
+      ( Daric_tx.Sighash.flag_of_byte
+          (Char.code sig_bytes.[String.length sig_bytes - 1]),
+        Daric_crypto.Schnorr.decode_signature sig_bytes )
+    with
+    | Some flag, Some sg ->
+        Daric_crypto.Schnorr.verify_pooled pk
+          (Daric_tx.Sighash.message flag r.rev_body ~input_index:0)
+          sg
+    | _ -> false
   in
-  match (item rv1 r.sig_a, item rv2 r.sig_b) with
-  | Some a, Some b -> Daric_crypto.Schnorr.batch_verify_pooled [ a; b ]
-  | _ -> false
+  sig_ok rv1 r.sig_a && sig_ok rv2 r.sig_b
 
 (** Install or replace the record for a channel — the client calls this
     after each update. Storage stays constant per channel; both the
     replace and the funding-index update are O(1). Records whose
-    signatures do not batch-verify are rejected (returns [false]) and
+    signatures do not verify are rejected (returns [false]) and
     the previous record, if any, is kept. [enc] is [r]'s
     {!encode_record} bytes, which the caller also journals. *)
 let watch_encoded (t : t) (r : record) (enc : string) : bool =
@@ -230,7 +229,7 @@ let watch (t : t) (r : record) : bool = watch_encoded t r (encode_record r)
 (** Install a journaled record without re-running {!record_valid} — the
     recovery path: the record came from this tower's own WAL (it was
     verified when first watched, and the store is CRC-framed), so the
-    batch verification is not paid again. The payload is decoded once,
+    signature checks are not paid again. The payload is decoded once,
     to validate it and read its index fields, and installed as it is.
     The next poll re-checks the channel's funding directly: it may
     have been spent while the tower was down. *)
@@ -396,9 +395,7 @@ let end_of_round (t : t) ~(round : int) ~(ledger : Ledger.t)
 
 (** Build the current watchtower record for a party's channel. Returns
     [None] until the first update has completed (there is nothing to
-    revoke in state 0). The channel id and the signatures are interned —
-    the same bytes are also held by the parties, and at N channels the
-    duplicates add up. *)
+    revoke in state 0). *)
 let record_for (p : Party.t) ~(id : string) : record option =
   match Party.find_chan p id with
   | None -> None
@@ -407,7 +404,7 @@ let record_for (p : Party.t) ~(id : string) : record option =
       | Some (revoked, rev_body, sig_a, sig_b), Some fund ->
           let keys_a, keys_b = Party.keys_ab c in
           Some
-            { channel_id = Intern.string id;
+            { channel_id = id;
               funding = Tx.outpoint_of fund 0;
               keys_a;
               keys_b;
@@ -417,6 +414,6 @@ let record_for (p : Party.t) ~(id : string) : record option =
               client_role = c.Party.cfg.role;
               revoked;
               rev_body;
-              sig_a = Intern.string sig_a;
-              sig_b = Intern.string sig_b }
+              sig_a;
+              sig_b }
       | _ -> None)

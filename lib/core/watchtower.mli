@@ -36,15 +36,14 @@ val find_record : t -> string -> record option
 (** The record currently guarding this channel, if any. O(1) lookup;
     the record is decoded on demand. *)
 
-val record_valid : record -> bool
-(** Batch-verify the record's two revocation-branch signatures against
-    the counter-party commit's revocation keys. *)
-
 val watch : t -> record -> bool
 (** Install or replace a channel's record (constant storage; an
     in-place arena overwrite when the new encoding fits the slot).
-    Returns [false] — keeping the previous record — when
-    {!record_valid} rejects the signatures. *)
+    Returns [false] — keeping the previous record — unless each of the
+    record's two revocation-branch signatures is a 73-byte, canonically
+    padded signature with a known SIGHASH flag that verifies, under the
+    counter-party commit's revocation key, over the floating
+    revocation body's message for that flag. *)
 
 val watch_encoded : t -> record -> string -> bool
 (** {!watch} given the record's {!encode_record} bytes, which the
@@ -53,7 +52,7 @@ val watch_encoded : t -> record -> string -> bool
 
 val restore_record : t -> string -> (unit, Daric_util.Codec.error) result
 (** Install a journaled record payload (an {!encode_record} output)
-    without re-running {!record_valid} — the WAL recovery path of
+    without re-checking its signatures — the WAL recovery path of
     {!Durable.recover}: the record was verified when first watched and
     the store is CRC-framed. The payload is decoded once and its bytes
     are copied into the arena as they are, with no re-encode. The
@@ -108,9 +107,8 @@ val arena_capacity_bytes : t -> int
 
 val record_codec : record Daric_util.Codec.t
 (** The record format: the WAL watch payload and the record spans of a
-    snapshot. Only canonical encodings decode. Nothing decoded is
-    interned: a decoded record is transient — the tower retains bytes
-    and decodes on demand. *)
+    snapshot. Only canonical encodings decode. A decoded record is
+    transient: the tower retains bytes and decodes on demand. *)
 
 val encode_record : record -> string
 (** [Codec.encode record_codec]. *)

@@ -137,7 +137,8 @@ let dbl_pow (a : element) (ea : scalar) (b : element) (eb : scalar) : element =
 
 (** Straus interleaved multi-exponentiation: the product of b^e over all
     [(b, e)] terms, sharing one squaring ladder across every term. The
-    backbone of {!Schnorr.batch_verify}'s random linear combination. *)
+    backbone of {!Schnorr.batch_verify}'s random linear combination,
+    which only the repository benchmark calls. *)
 let multi_pow (terms : (element * scalar) list) : element =
   match terms with
   | [] -> 1

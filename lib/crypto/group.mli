@@ -70,7 +70,9 @@ val dbl_pow : element -> scalar -> element -> scalar -> element
 
 val multi_pow : (element * scalar) list -> element
 (** Straus interleaved multi-exponentiation of a product of powers;
-    shares one squaring ladder across every term (batch verification). *)
+    shares one squaring ladder across every term. Its one caller is
+    {!Schnorr.batch_verify}, which stays only for the repository
+    benchmark. *)
 
 val scalar_add : scalar -> scalar -> scalar
 val scalar_sub : scalar -> scalar -> scalar

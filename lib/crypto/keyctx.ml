@@ -30,7 +30,6 @@ module Group = Group
 type t = {
   pk : Group.element;
   valid : bool;  (** subgroup membership, checked once at build *)
-  pk_enc : string;  (** [Group.encode_element pk], shared *)
   sk : Group.scalar option;  (** present only in signing contexts *)
   sk_enc : string;  (** [Group.encode_scalar sk] ("" without [sk]) *)
   mutable table : Group.precomp option;  (** lazy fixed-base window table *)
@@ -39,7 +38,6 @@ type t = {
 let create ?(sk : Group.scalar option) (pk : Group.element) : t =
   { pk;
     valid = Group.is_element_fast pk;
-    pk_enc = Group.encode_element pk;
     sk;
     sk_enc = (match sk with Some sk -> Group.encode_scalar sk | None -> "");
     table = None }
@@ -47,7 +45,6 @@ let create ?(sk : Group.scalar option) (pk : Group.element) : t =
 let pk (t : t) : Group.element = t.pk
 let is_valid (t : t) : bool = t.valid
 let sk (t : t) : Group.scalar option = t.sk
-let pk_enc (t : t) : string = t.pk_enc
 let sk_enc (t : t) : string = t.sk_enc
 let has_table (t : t) : bool = t.table <> None
 

@@ -15,9 +15,6 @@ val is_valid : t -> bool
 (** The context key's subgroup membership, as checked at build time. *)
 
 val sk : t -> Group.scalar option
-val pk_enc : t -> string
-(** Cached [Group.encode_element (pk t)]. *)
-
 val sk_enc : t -> string
 (** Cached [Group.encode_scalar sk]; [""] for verify-only contexts. *)
 

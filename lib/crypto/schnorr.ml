@@ -165,6 +165,12 @@ let verify_naive (pk : public_key) (msg : string) (sg : signature) : bool =
 (* ------------------------------------------------------------------ *)
 (* Batch verification (random linear combination).                     *)
 
+(* No production path batches: the ledger and the watchtower verify each
+   signature on its own. [batch_verify] and [batch_coeffs] (and
+   [Group.multi_pow] under them) stay only because the repository
+   benchmark (perfbench/micro.ml) times [batch_verify]; they go once it
+   stops doing so. *)
+
 (* Coefficients are derived deterministically from the whole batch, so
    the check needs no RNG input and an item cannot choose its own
    weight: one tagged hash absorbs a compact summary of every item —
@@ -220,71 +226,6 @@ let batch_verify (items : (public_key * string * signature) list) : bool =
       let rhs_terms = List.map2 (fun (_, _, sg) z -> (sg.r, z)) items zs in
       Group.mul (Group.pow_g s_sum) (Group.multi_pow lhs_terms)
       = Group.multi_pow rhs_terms
-
-(** [batch_verify_detailed items] is the isolating form: [Ok ()] when
-    the batch accepts, [Error bad] with the (non-empty, sorted) indices
-    of every individually-failing triple otherwise. Individual [verify]
-    is the ground truth, so a batch rejected only by an (astronomically
-    unlikely) coefficient collision still returns [Ok ()]. *)
-let batch_verify_detailed (items : (public_key * string * signature) list) :
-    (unit, int list) result =
-  if batch_verify items then Ok ()
-  else
-    let bad = ref [] in
-    List.iteri
-      (fun i (pk, msg, sg) -> if not (verify pk msg sg) then bad := i :: !bad)
-      items;
-    match List.rev !bad with [] -> Ok () | bad -> Error bad
-
-(* Keyed batch: same random-linear-combination check and the same
-   coefficient derivation as [batch_verify], but each public-key term
-   g^(-z_i * e_i)-side is computed through the key's window table
-   (a handful of multiplications) instead of occupying a lane of the
-   Straus ladder; only the per-signature R_i terms — fresh group
-   elements with nothing to precompute — keep the shared ladder. *)
-let batch_verify_keyed (items : (Keyctx.t * string * signature) list) : bool =
-  match items with
-  | [] -> true
-  | [ (kc, msg, sg) ] -> verify_keyed kc msg sg
-  | _ ->
-      List.for_all
-        (fun (kc, _, sg) -> Keyctx.is_valid kc && Group.is_element_fast sg.r)
-        items
-      &&
-      let plain = List.map (fun (kc, msg, sg) -> (Keyctx.pk kc, msg, sg)) items in
-      let es = List.map (fun (kc, msg, sg) -> challenge sg.r (Keyctx.pk kc) msg) items in
-      let zs = batch_coeffs plain es in
-      let s_sum =
-        List.fold_left2
-          (fun acc (_, _, sg) z -> Group.scalar_add acc (Group.scalar_mul z sg.s))
-          0 items zs
-      in
-      let lhs =
-        List.fold_left2
-          (fun acc ((kc, _, _), e) z ->
-            Group.mul acc
-              (Group.pow_precomp (Keyctx.table kc)
-                 (Group.scalar_sub 0 (Group.scalar_mul z e))))
-          (Group.pow_g s_sum)
-          (List.combine items es) zs
-      in
-      let rhs_terms = List.map2 (fun (_, _, sg) z -> (sg.r, z)) items zs in
-      lhs = Group.multi_pow rhs_terms
-
-(** Pool-probing batch: items whose key has a resident context join a
-    keyed sub-batch, the rest a plain one; both random-linear-
-    combination checks must accept. Never inserts into the pool. *)
-let batch_verify_pooled (items : (public_key * string * signature) list) : bool =
-  let keyed, plain =
-    List.partition_map
-      (fun ((pk, msg, sg) as item) ->
-        match Keyctx.peek pk with
-        | Some kc -> Either.Left (kc, msg, sg)
-        | None -> Either.Right item)
-      items
-  in
-  (match plain with [] -> true | _ -> batch_verify plain)
-  && (match keyed with [] -> true | _ -> batch_verify_keyed keyed)
 
 (* Convenience wrappers over the wire encodings, used by the script
    interpreter which only sees byte strings. *)

@@ -56,12 +56,9 @@ val batch_verify : (public_key * string * signature) list -> bool
 (** Random-linear-combination batch verification: accepts iff (up to a
     2^-24 soundness error against adversarially crafted batches) every
     triple individually verifies. N triples cost roughly one
-    multi-exponentiation instead of N full verifies. *)
-
-val batch_verify_detailed :
-  (public_key * string * signature) list -> (unit, int list) result
-(** Isolating form of {!batch_verify}: on rejection, returns the
-    non-empty sorted indices of every individually-invalid triple. *)
+    multi-exponentiation instead of N full verifies. No production path
+    calls it; it stays for the repository benchmark's batch entries
+    (perfbench/micro.ml). *)
 
 (** {2 Keyed operations}
 
@@ -84,15 +81,6 @@ val verify_keyed : Keyctx.t -> string -> signature -> bool
 val verify_pooled : public_key -> string -> signature -> bool
 (** {!verify_keyed} when the key's context is resident in the
     {!Keyctx} pool (never inserting), {!verify} otherwise. *)
-
-val batch_verify_keyed : (Keyctx.t * string * signature) list -> bool
-(** {!batch_verify} with every public-key term computed through its
-    key's window table; only the fresh R_i terms keep the shared
-    Straus ladder. Identical accept/reject behaviour. *)
-
-val batch_verify_pooled : (public_key * string * signature) list -> bool
-(** Splits the batch by pool residency into a keyed and a plain
-    sub-batch (never inserting); accepts iff both accept. *)
 
 val sign_bytes : secret_key -> string -> string
 (** {!sign} composed with {!encode_signature}. *)

@@ -366,7 +366,7 @@ let fingerprint (w : world) : string =
     (Ledger.pending_due w.ledger);
   Buffer.add_char b '|';
   List.iter str w.reacted;
-  Mcheck.digest b
+  Daric_crypto.Hash.hash256 (Buffer.contents b)
 
 let check (w : world) : Mcheck.violation list =
   if resolved w then begin

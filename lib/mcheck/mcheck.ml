@@ -43,9 +43,6 @@ type result = {
   visited_set : (string, unit) Hashtbl.t;
 }
 
-let digest (b : Buffer.t) : string =
-  Daric_util.Intern.string (Daric_crypto.Hash.hash256 (Buffer.contents b))
-
 (* ---------------- replay ---------------- *)
 
 let replay (type w) (module M : MODEL with type world = w)

@@ -119,9 +119,4 @@ val minimize :
     whenever the remaining trace still replays to a state violating
     [invariant]; repeats until no single deletion survives. *)
 
-val digest : Buffer.t -> string
-(** Fingerprint helper: hash a buffer's contents ({!Daric_crypto.Hash}
-    double SHA-256) and intern the digest ({!Daric_util.Intern}) so
-    the visited set stores one shared instance per distinct state. *)
-
 val pp_counterexample : Format.formatter -> counterexample -> unit

@@ -242,7 +242,7 @@ let fingerprint (w : world) : string =
       int r;
       str (Tx.txid tx))
     (Ledger.accepted w.env.I.ledger);
-  Mcheck.digest b
+  Daric_crypto.Hash.hash256 (Buffer.contents b)
 
 type snap = action list
 

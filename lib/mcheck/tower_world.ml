@@ -388,7 +388,7 @@ let fingerprint (w : world) : string =
       int due;
       List.iter (fun tx -> str (Tx.txid tx)) txs)
     (Ledger.pending_due w.ledger);
-  Mcheck.digest b
+  Daric_crypto.Hash.hash256 (Buffer.contents b)
 
 type snap = int list
 

@@ -46,7 +46,6 @@ val serialize : t -> string
 val hash : t -> string
 (** SHA-256 of {!serialize} — the P2WSH witness program. *)
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
 
 val multisig_2 : string -> string -> t

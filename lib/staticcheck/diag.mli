@@ -43,7 +43,6 @@ val make :
 
 val rule_name : rule -> string
 val severity_name : severity -> string
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val count : severity -> t list -> int

@@ -3,9 +3,8 @@
     snapshots, the watchtower record, the protocol messages and the
     ledger's accepted-log compaction. Headerless — callers own their
     framing. [Raw] scripts are deliberately not decodable ({!packable}).
-    Decoded strings are not interned: every decoded transaction is
-    transient (tower records and packed ledger entries are decoded on
-    demand). *)
+    Every decoded transaction is transient (tower records and packed
+    ledger entries are decoded on demand). *)
 
 module Tx = Tx
 module Script = Daric_script.Script

@@ -3,7 +3,7 @@
     messages and the ledger's accepted-log compaction. Headerless —
     callers own their framing. Each value is a two-way
     {!Daric_util.Codec} description; decoding accepts only canonical
-    encodings, never raises and does not intern. *)
+    encodings and never raises. *)
 
 val output : Tx.output Daric_util.Codec.t
 (** Refuses [Raw] scripts — bare scripts are not persisted. *)

@@ -47,12 +47,3 @@ let pace () : unit =
 (** Finish the outstanding major cycle (and collect) so the next timed
     section measures its own work, not the collector's backlog. *)
 let quiesce () : unit = Gc.full_major ()
-
-(** [timed_quiesce ()] is {!quiesce} returning the wall-clock seconds
-    one full major cycle costs right now — the per-cycle marking price
-    of the current live heap, used to estimate the major-GC time share
-    of a phase from its collection count. *)
-let timed_quiesce () : float =
-  let t0 = Sys.time () in
-  quiesce ();
-  Sys.time () -. t0

@@ -24,7 +24,3 @@ val quiesce : unit -> unit
 (** Finish the outstanding major cycle and collect, so a following
     timed section measures its own work rather than the collector's
     backlog. *)
-
-val timed_quiesce : unit -> float
-(** {!quiesce}, returning its CPU seconds — the current per-cycle
-    cost of marking the live heap. *)

@@ -4,9 +4,10 @@
    Records are kept boxed in a hashtable keyed by channel id, and every
    poll resolves each guarded channel's funding spender by scanning the
    ledger's whole accepted history — O(channels × history) per round.
-   It shares no storage or monitor code with the production tower (no
-   arena, no funding index, no spent-log cursor), so a bug in either
-   half of that tower shows up as a disagreement. *)
+   It shares no storage, intake or monitor code with the production
+   tower (no arena, no funding index, no spent-log cursor, and its own
+   signature check), so a bug in any of them shows up as a
+   disagreement. *)
 
 module Tx = Daric_tx.Tx
 module Script = Daric_script.Script
@@ -14,6 +15,8 @@ module Ledger = Daric_chain.Ledger
 module Keys = Daric_core.Keys
 module Txs = Daric_core.Txs
 module Watchtower = Daric_core.Watchtower
+module Schnorr = Daric_crypto.Schnorr
+module Sighash = Daric_tx.Sighash
 
 type t = {
   records : (string, Watchtower.record) Hashtbl.t;  (** by channel id *)
@@ -22,8 +25,32 @@ type t = {
 
 let create () : t = { records = Hashtbl.create 16; punished = [] }
 
+(* A record is taken only if each signature verifies, by the reference
+   verifier over the uncached message, under the revocation key of the
+   counter-party's commit (rv for owner Alice, rv' for owner Bob). *)
+let record_valid (r : Watchtower.record) : bool =
+  let verifies pk sig_bytes =
+    String.length sig_bytes = Schnorr.signature_size
+    &&
+    match
+      ( Sighash.flag_of_byte (Char.code sig_bytes.[Schnorr.signature_size - 1]),
+        Schnorr.decode_signature sig_bytes )
+    with
+    | Some flag, Some sg ->
+        Schnorr.verify_naive pk
+          (Sighash.message_uncached flag r.rev_body ~input_index:0)
+          sg
+    | _ -> false
+  in
+  let rv (k : Keys.pub) =
+    match Keys.other_role r.client_role with
+    | Keys.Alice -> k.Keys.rv_pk
+    | Keys.Bob -> k.Keys.rv'_pk
+  in
+  verifies (rv r.keys_a) r.sig_a && verifies (rv r.keys_b) r.sig_b
+
 let watch (t : t) (r : Watchtower.record) : bool =
-  if Watchtower.record_valid r then begin
+  if record_valid r then begin
     Hashtbl.replace t.records r.channel_id r;
     true
   end

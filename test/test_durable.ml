@@ -16,7 +16,9 @@
    to themselves (a snapshot up to record order). A cursor that does
    not fit a non-negative int is refused in a snapshot and in the WAL;
    a restored snapshot re-encodes to itself, and a WAL replay installs
-   each replayed payload as it is. *)
+   each replayed payload as it is. The plain, durable and reference
+   towers each refuse a record with a corrupted signature, flag byte or
+   revocation body, and keep the record, storage and journal they had. *)
 
 module Tx = Daric_tx.Tx
 module Ledger = Daric_chain.Ledger
@@ -239,6 +241,88 @@ let test_tower_snapshot_roundtrip () =
         |> Result.is_error);
       check_b "padded snapshot rejected" true
         (Persist.restore_tower (blob ^ "x") |> Result.is_error)
+
+(* ---- the tower refuses a record it could never post ---- *)
+
+(* One updated channel's valid record, built once. *)
+let valid_record =
+  lazy
+    (let _, chans = build_world ~channels:1 ~updates:2 ~seed:5 in
+     match DS.watch_record chans.(0) with
+     | Some r -> r
+     | None -> failwith "no record after update")
+
+let flip_byte (s : string) (i : int) : string =
+  String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+
+let with_flag (s : string) (b : int) : string =
+  String.sub s 0 (String.length s - 1) ^ String.make 1 (Char.chr b)
+
+(* One bad record per kind of corruption. Byte 7 is the low byte of the
+   signature's s, so the flipped signature still decodes. The flag
+   bytes are the two other known flags and two unknown ones. *)
+let corruptions : (string * (Watchtower.record -> Watchtower.record list)) list =
+  let open Watchtower in
+  [ ("flipped byte in sig_a", fun r -> [ { r with sig_a = flip_byte r.sig_a 7 } ]);
+    ("flipped byte in sig_b", fun r -> [ { r with sig_b = flip_byte r.sig_b 7 } ]);
+    ("swapped signatures", fun r -> [ { r with sig_a = r.sig_b; sig_b = r.sig_a } ]);
+    ( "wrong flag byte",
+      fun r ->
+        List.concat_map
+          (fun b -> [ { r with sig_a = with_flag r.sig_a b };
+                      { r with sig_b = with_flag r.sig_b b } ])
+          [ 0x01; 0x43; 0x00; 0xff ] );
+    ( "signature truncated to 72 bytes",
+      fun r ->
+        [ { r with sig_a = String.sub r.sig_a 0 72 };
+          { r with sig_b = String.sub r.sig_b 0 72 } ] );
+    ( "changed rev_body",
+      fun r ->
+        let b = r.rev_body in
+        let outputs =
+          List.mapi
+            (fun i (o : Tx.output) -> if i = 0 then { o with value = o.value - 1 } else o)
+            b.Tx.outputs
+        in
+        [ { r with
+            rev_body =
+              Tx.make ~locktime:b.Tx.locktime ~witnesses:b.Tx.witnesses
+                ~inputs:b.Tx.inputs ~outputs () } ] ) ]
+
+(* The plain tower, the durable tower and the reference tower each take
+   the valid record, then refuse every corrupted one and keep the valid
+   record, its storage and (durable) the journal as they were. *)
+let test_refuses (corrupt : Watchtower.record -> Watchtower.record list) () =
+  let r = Lazy.force valid_record in
+  let id = r.Watchtower.channel_id in
+  let tw = Watchtower.create ~wid:"plain" () in
+  let d = Durable.create ~wid:"durable" (Durable.memory_store ()) in
+  let oracle = Daric_oracle.Ref_tower.create () in
+  check_b "plain tower takes the valid record" true (Watchtower.watch tw r);
+  check_b "durable tower takes the valid record" true (Durable.watch d r);
+  check_b "reference tower takes the valid record" true
+    (Daric_oracle.Ref_tower.watch oracle r);
+  let stored t = Option.map Watchtower.encode_record (Watchtower.find_record t id) in
+  let good = Some (Watchtower.encode_record r) in
+  let bytes = Watchtower.storage_bytes tw in
+  let wal = Durable.wal_bytes d in
+  let blobs = Daric_oracle.Ref_tower.record_blobs oracle in
+  List.iter
+    (fun bad ->
+      check_b "plain tower refuses" false (Watchtower.watch tw bad);
+      check_b "durable tower refuses" false (Durable.watch d bad);
+      check_b "reference tower refuses" false
+        (Daric_oracle.Ref_tower.watch oracle bad);
+      check_b "plain tower keeps the valid record" true (stored tw = good);
+      check_b "durable tower keeps the valid record" true
+        (stored (Durable.tower d) = good);
+      check_i "plain storage bytes" bytes (Watchtower.storage_bytes tw);
+      check_i "durable storage bytes" bytes
+        (Watchtower.storage_bytes (Durable.tower d));
+      check_i "wal bytes" wal (Durable.wal_bytes d);
+      check_b "reference tower keeps the valid record" true
+        (Daric_oracle.Ref_tower.record_blobs oracle = blobs))
+    (corrupt r)
 
 (* ---- file-backed store: drop the handle, re-open from disk ---- *)
 
@@ -768,6 +852,11 @@ let () =
             test_tower_snapshot_roundtrip;
           Alcotest.test_case "file store recovery" `Quick
             test_file_store_recovery ] );
+      ( "refusal",
+        List.map
+          (fun (name, corrupt) ->
+            Alcotest.test_case name `Quick (test_refuses corrupt))
+          corruptions );
       ( "wal-fuzz",
         List.map QCheck_alcotest.to_alcotest
           [ fuzz_roundtrip; fuzz_corruption; fuzz_truncation;

@@ -240,41 +240,11 @@ let prop_verify_keyed_agrees =
           && Schnorr.verify pk msg sg = Schnorr.verify_naive pk msg sg)
         cases)
 
-let prop_batch_keyed_agrees =
-  QCheck.Test.make
-    ~name:"batch_verify_keyed = batch_verify = per-item verify" ~count:120
-    QCheck.(pair small_nat (list_of_size Gen.(0 -- 16) (pair small_nat bool)))
-    (fun (seed, spec) ->
-      let items =
-        List.mapi
-          (fun i (msg_seed, corrupt) ->
-            let sk, pk = keygen (seed + (1000 * i) + 1) in
-            let msg = Printf.sprintf "m-%d" msg_seed in
-            let sg = Schnorr.sign sk msg in
-            let sg =
-              if corrupt then
-                { sg with Schnorr.s = Group.scalar_add sg.Schnorr.s 1 }
-              else sg
-            in
-            (pk, msg, sg))
-          spec
-      in
-      let keyed =
-        List.map
-          (fun (pk, m, s) ->
-            let kc = Keyctx.create pk in
-            (kc, m, s))
-          items
-      in
-      let per_item = List.for_all (fun (pk, m, s) -> Schnorr.verify pk m s) items in
-      Schnorr.batch_verify_keyed keyed = per_item
-      && Schnorr.batch_verify items = per_item)
-
 (* Pool residency must never change a pooled verdict: pin a random
-   subset of the batch's keys, compare against the plain oracles. *)
+   subset of the keys, compare against the plain oracle. *)
 let prop_pooled_residency_irrelevant =
   QCheck.Test.make
-    ~name:"verify_pooled / batch_verify_pooled invariant under pinning"
+    ~name:"verify_pooled invariant under pinning"
     ~count:120
     QCheck.(
       pair small_nat (list_of_size Gen.(0 -- 12) (triple small_nat bool bool)))
@@ -294,13 +264,11 @@ let prop_pooled_residency_irrelevant =
             (pk, msg, sg))
           spec
       in
-      let per_item = List.for_all (fun (pk, m, s) -> Schnorr.verify pk m s) items in
       let ok =
-        Schnorr.batch_verify_pooled items = per_item
-        && List.for_all
-             (fun (pk, m, s) ->
-               Schnorr.verify_pooled pk m s = Schnorr.verify pk m s)
-             items
+        List.for_all
+          (fun (pk, m, s) ->
+            Schnorr.verify_pooled pk m s = Schnorr.verify pk m s)
+          items
       in
       Keyctx.clear ();
       ok)
@@ -328,5 +296,4 @@ let () =
       ( "differential",
         [ qc prop_sign_keyed_bit_identical;
           qc prop_verify_keyed_agrees;
-          qc prop_batch_keyed_agrees;
           qc prop_pooled_residency_irrelevant ] ) ]

@@ -26,7 +26,6 @@ module Persist = Daric_core.Persist
 module Txs = Daric_core.Txs
 module Keys = Daric_core.Keys
 module Arena = Daric_util.Arena
-module Intern = Daric_util.Intern
 module Memo = Daric_util.Memo
 module Rng = Daric_util.Rng
 module I = Daric_schemes.Scheme_intf
@@ -74,14 +73,6 @@ let test_arena () =
   check_b "oversized blob" true (Arena.read a big = String.make 1000 'b');
   let sub = Arena.store_sub a "..span.." ~off:2 ~len:4 in
   check_b "store from an offset" true (Arena.read a sub = "span")
-
-let test_intern () =
-  let a = Intern.string (String.concat "-" [ "intern"; "me" ]) in
-  let b = Intern.string (String.concat "-" [ "intern"; "me" ]) in
-  check_b "same physical string" true (a == b);
-  check_b "content preserved" true (String.equal a "intern-me");
-  let long = String.make 4096 'l' in
-  check_b "overlong strings pass through" true (Intern.string long == long)
 
 (* A cap-4 memo fed a key sequence that overflows it many times,
    against a model of the table: every result equals [f key]; a key
@@ -397,8 +388,8 @@ let test_body_sharing_memo_keys () =
 
 (* A packed accepted-log entry re-materializes as the transaction that
    was recorded: two reads are two decodes of the arena bytes, each
-   equal to the original, txid included. Decoding does not intern —
-   a re-materialized transaction is transient. *)
+   equal to the original, txid included. A re-materialized
+   transaction is transient. *)
 let test_packed_decodes () =
   let l = Ledger.create ~delta:1 ~compact_depth:1 () in
   let funded =
@@ -455,7 +446,6 @@ let () =
   Alcotest.run "daric-mem"
     [ ( "engine",
         [ Alcotest.test_case "arena store/replace/free/reuse" `Quick test_arena;
-          Alcotest.test_case "interning" `Quick test_intern;
           Alcotest.test_case "bounded memo resets" `Quick test_memo;
           Alcotest.test_case "packed-entry decodes equal the recorded tx" `Quick
             test_packed_decodes;

@@ -8,7 +8,9 @@
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe -- table1    # one experiment
      dune exec bench/main.exe -- table1 table3 attack incentives lifetime micro
-     dune exec bench/main.exe -- table1 --full   # Table 1 up to n = 1000 *)
+     dune exec bench/main.exe -- table1 --full   # Table 1 up to n = 1000
+
+   An unknown section name prints the known ones and exits 2. *)
 
 module Tx = Daric_tx.Tx
 module I = Daric_schemes.Scheme_intf
@@ -642,29 +644,41 @@ let () =
   let args =
     List.filter (fun a -> a <> "--full" && a <> "--smoke" && a <> "--quick") args
   in
-  let all = args = [] in
-  let want x = all || List.mem x args in
-  if want "table1" then run_table1 ~full ();
-  if want "table3" then run_table3 ();
-  if want "attack" then run_attack ~full ();
-  if want "bounded" then run_bounded_closure ();
-  if want "closure" then run_closure ();
-  if want "incentives" then run_incentives ();
-  if want "lifetime" then run_lifetime ();
-  if List.mem "csv" args then begin
-    section "CSV export";
-    let ns = if full then [ 1; 10; 100; 1000 ] else [ 1; 10; 100 ] in
-    List.iter (Fmt.pr "wrote %s@.")
-      (Daric_analysis.Csv.write_all ~ns ~dir:"results" ())
-  end;
-  (* explicit-only: the full sweep builds up to 100k channels *)
-  if List.mem "scale" args then run_scale ~smoke ~quick ~full ();
-  (* explicit-only: builds up to 10k channels with R+1 towers *)
-  if List.mem "tower" args then run_tower ~smoke ~quick ~full ();
-  (* explicit-only: the full sweep retains up to 100k channels *)
-  if List.mem "mem" args then run_mem ~smoke ~quick ~full ();
-  (* explicit-only: bounded exhaustive exploration of every world *)
-  if List.mem "mcheck" args then run_mcheck ~smoke ();
-  (* "crypto" is the explicit name for the micro suite (it is crypto-
-     dominated and owns BENCH_crypto.json); --quick mirrors scale's *)
-  if want "micro" || List.mem "crypto" args then run_micro ~smoke ~quick ()
+  (* Each section: its name, whether a bare run includes it, and its
+     run. The explicit-only ones build up to 100k channels (scale, mem),
+     10k channels with R+1 towers (tower), or explore every world
+     (mcheck). "crypto" names the micro suite (it is crypto-dominated
+     and owns BENCH_crypto.json); --quick mirrors scale's. *)
+  let sections =
+    [ ("table1", true, fun () -> run_table1 ~full ());
+      ("table3", true, run_table3);
+      ("attack", true, fun () -> run_attack ~full ());
+      ("bounded", true, run_bounded_closure);
+      ("closure", true, run_closure);
+      ("incentives", true, run_incentives);
+      ("lifetime", true, run_lifetime);
+      ( "csv",
+        false,
+        fun () ->
+          section "CSV export";
+          let ns = if full then [ 1; 10; 100; 1000 ] else [ 1; 10; 100 ] in
+          List.iter (Fmt.pr "wrote %s@.")
+            (Daric_analysis.Csv.write_all ~ns ~dir:"results" ()) );
+      ("scale", false, fun () -> run_scale ~smoke ~quick ~full ());
+      ("tower", false, fun () -> run_tower ~smoke ~quick ~full ());
+      ("mem", false, fun () -> run_mem ~smoke ~quick ~full ());
+      ("mcheck", false, fun () -> run_mcheck ~smoke ());
+      ("micro", true, fun () -> run_micro ~smoke ~quick ()) ]
+  in
+  let args = List.map (function "crypto" -> "micro" | a -> a) args in
+  let names = List.map (fun (n, _, _) -> n) sections in
+  (match List.filter (fun a -> not (List.mem a names)) args with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "unknown section(s): %s@.known sections: %s, crypto@."
+        (String.concat ", " unknown) (String.concat ", " names);
+      exit 2);
+  List.iter
+    (fun (name, default, run) ->
+      if (default && args = []) || List.mem name args then run ())
+    sections

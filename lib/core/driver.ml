@@ -163,8 +163,8 @@ let update_channel ?(max_rounds = 20) (t : t) ~(id : string)
   in
   go max_rounds
 
-(** Total protocol bytes exchanged so far (communication cost, using
-    the canonical wire encoding). *)
+(** Protocol bytes exchanged so far (communication cost, using the
+    canonical wire encoding), summed over the retained traffic log. *)
 let bytes_sent (t : t) : int =
   List.fold_left
     (fun acc (_, env) -> acc + Wire.size env.Network.payload)

@@ -16,9 +16,11 @@ val create :
   ?ledger:Ledger.t -> ?net_log_cap:int -> ?delta:int -> ?seed:int -> unit -> t
 (** When [ledger] is given the driver runs on that shared ledger (its
     Δ governs posting delays) instead of creating a private one;
-    [delta] then has no effect. [net_log_cap] bounds
-    the retained network traffic log (total counters are unaffected) —
-    set it when simulating very many channels so memory stays flat. *)
+    [delta] then has no effect. [net_log_cap] bounds the retained
+    network traffic log — set it when simulating very many channels so
+    memory stays flat. {!messages_sent} still counts every message, but
+    {!bytes_sent} sums the retained log, so on a capped driver it covers
+    at most the last 2 × cap messages. *)
 
 val ledger : t -> Ledger.t
 val round : t -> int
@@ -58,6 +60,7 @@ val update_channel :
     timeout or rejection. *)
 
 val bytes_sent : t -> int
-(** Total protocol bytes exchanged (canonical wire encoding). *)
+(** Protocol bytes exchanged (canonical wire encoding), summed over the
+    retained traffic log: the total unless [net_log_cap] was set. *)
 
 val messages_sent : t -> int

@@ -1,14 +1,11 @@
-(** Daric channel party: the protocol state machine of Appendix D.
-
-    A party is driven by the simulation loop in three ways:
-    - {!handle_msg} processes a message delivered by the authenticated
-      network;
-    - the [request_*] functions inject environment commands
-      (INTRO/CREATE, UPDATE, CLOSE);
-    - {!end_of_round} runs the Punish phase ("executed at the end of
-      every round"), watches the funding output, schedules split
-      transactions after the T-round delay, and fires the timeout
-      (ForceClose) transitions.
+(** Daric channel party: the protocol state machine of Appendix D, as
+    a protocol core and an I/O shell. The core is Appendix D's (state,
+    message) -> (state, actions): every transition updates the channel
+    record and returns the {!action}s it takes. It reads the round and
+    the ledger from [ctx] but never calls its closures. The entry points
+    ({!handle_msg}, {!end_of_round}, {!intro}, the [request_*] commands,
+    {!force_close}) are the shell: each runs one core transition and
+    then {!apply}s its actions, in order.
 
     Environment round-trips (SETUP/SETUP-OK etc.) are modelled by a
     synchronous {!env_policy} consulted at the corresponding protocol
@@ -226,9 +223,21 @@ let create ?(env = accept_all) ~(pid : string) ~(seed : int) () : t =
 let events (t : t) : (int * event) list = List.rev t.outbox
 let ops (t : t) : ops = t.ops
 
-let emit (t : t) (ctx : ctx) (ev : event) =
-  Log.debug (fun m -> m "%s: %s" t.pid (event_to_string ev));
-  t.outbox <- (ctx.round, ev) :: t.outbox
+(** What a core transition asks of the world. A message always goes to
+    the channel's peer, so [Send] names no recipient. *)
+type action = Send of Wire.msg | Post of Tx.t | Emit of event
+
+(** The shell: carry out channel [c]'s actions in order. The only code
+    that calls [ctx]'s closures. *)
+let apply (t : t) (ctx : ctx) (c : chan) (actions : action list) : unit =
+  List.iter
+    (function
+      | Send msg -> ctx.send ~recipient:c.cfg.peer msg
+      | Post tx -> ctx.post tx
+      | Emit ev ->
+          Log.debug (fun m -> m "%s: %s" t.pid (event_to_string ev));
+          t.outbox <- (ctx.round, ev) :: t.outbox)
+    actions
 
 let find_chan (t : t) (id : string) : chan option = List.assoc_opt id t.chans
 
@@ -356,72 +365,37 @@ let cosign_funding_spend (c : chan)
 
 (** Enter [phase], arm its deadline [wait] rounds out, and send [msg]. *)
 let advance (ctx : ctx) (c : chan) (phase : phase) ~(wait : int)
-    (msg : Wire.msg) : unit =
+    (msg : Wire.msg) : action list =
   c.phase <- phase;
   c.deadline <- Some (ctx.round + wait);
-  ctx.send ~recipient:c.cfg.peer msg
+  [ Send msg ]
+
+(** Enter [phase] and post [tx], allowing it Δ + 1 rounds to confirm. *)
+let await_confirm (ctx : ctx) (c : chan) (phase : phase) (tx : Tx.t) :
+    action list =
+  c.phase <- phase;
+  c.deadline <- Some (ctx.round + 1 + Ledger.delta ctx.ledger);
+  [ Post tx ]
 
 (** Finish with the channel: Done, pins released, [ev] reported. *)
-let settle (t : t) (ctx : ctx) (c : chan) (ev : event) : unit =
+let settle (c : chan) (ev : event) : action list =
   c.phase <- Done;
   release_chan_keys c;
   c.deadline <- None;
   c.outcome <- Some ev;
-  emit t ctx ev
+  [ Emit ev ]
 
 (* ------------------------------------------------------------------ *)
 (* Create phase.                                                       *)
-
-(** INTRO: start creating the channel. [tid] must reference a P2WPKH
-    output controlled by our main key holding our side's balance;
-    tests that pre-mint that output pass the pre-generated [keys]. *)
-let intro (t : t) (ctx : ctx) ?(keys : Keys.t option) ~(cfg : config)
-    ~(tid : Tx.outpoint) () : unit =
-  if List.mem_assoc cfg.id t.chans then invalid_arg "duplicate channel id";
-  if cfg.rel_lock <= Ledger.delta ctx.ledger then
-    invalid_arg "rel_lock (T) must exceed the ledger delay";
-  let keys = match keys with Some k -> k | None -> Keys.generate t.rng in
-  let c =
-    { cfg;
-      keys;
-      sctx = sctx_of_keys keys;
-      pinned_pks = [];
-      their_keys = None;
-      tid_mine = Some tid;
-      tid_theirs = None;
-      fund = None;
-      fund_sig_mine = None;
-      fund_sig_theirs = None;
-      sn = 0;
-      st = [];
-      flag = 1;
-      st' = None;
-      commit_mine = None;
-      commit_theirs_body = None;
-      split = None;
-      rev_sig_theirs = None;
-      rev_sig_mine = None;
-      pending = None;
-      requested_theta = None;
-      phase = Await_create_info;
-      deadline = Some (ctx.round + 2);
-      fin_split = None;
-      commit_on_chain = None;
-      split_posted = false;
-      punish_posted = None;
-      outcome = None }
-  in
-  t.chans <- (cfg.id, c) :: t.chans;
-  c.pinned_pks <- pin_own_keys c;
-  ctx.send ~recipient:cfg.peer
-    (Wire.Create_info { id = cfg.id; tid; keys = Keys.pub keys })
 
 let initial_state (c : chan) : Tx.output list =
   let pk_a, pk_b = main_pks c in
   Txs.balance_state ~pk_a ~pk_b ~bal_a:c.cfg.bal_a ~bal_b:c.cfg.bal_b
 
+let split0 (c : chan) : Tx.t = Txs.gen_split ~theta:c.st ~s0:c.cfg.s0 ~i:0
+
 let on_create_info (t : t) (ctx : ctx) (c : chan) ~(tid : Tx.outpoint)
-    ~(keys : Keys.pub) : unit =
+    ~(keys : Keys.pub) : action list =
   c.their_keys <- Some keys;
   c.pinned_pks <- pin_their_keys keys @ c.pinned_pks;
   c.tid_theirs <- Some tid;
@@ -431,9 +405,8 @@ let on_create_info (t : t) (ctx : ctx) (c : chan) ~(tid : Tx.outpoint)
   c.fund <- Some fund;
   c.st <- initial_state c;
   let _, commit_theirs = commits c ~i:0 in
-  let split0 = Txs.gen_split ~theta:c.st ~s0:c.cfg.s0 ~i:0 in
   let split_sig =
-    sign_counted t c.sctx.x_sp Anyprevout (Txs.split_message split0)
+    sign_counted t c.sctx.x_sp Anyprevout (Txs.split_message (split0 c))
   in
   let commit_sig =
     sign_counted t c.sctx.x_main All (Txs.commit_message commit_theirs)
@@ -441,61 +414,40 @@ let on_create_info (t : t) (ctx : ctx) (c : chan) ~(tid : Tx.outpoint)
   advance ctx c Await_create_com ~wait:2
     (Wire.Create_com { id = c.cfg.id; split_sig; commit_sig })
 
-let on_create_com (t : t) (ctx : ctx) (c : chan) ~(split_sig : string)
-    ~(commit_sig : string) : unit =
-  let theirs = Option.get c.their_keys in
-  let commit_mine_body, commit_theirs = commits c ~i:0 in
-  let split0 = Txs.gen_split ~theta:c.st ~s0:c.cfg.s0 ~i:0 in
-  let split_ok =
-    verify_counted t theirs.Keys.sp_pk (Txs.split_message split0) split_sig
+(** The peer's state-0 signatures on [split] and [commit_mine] verified:
+    assemble state-0 data, then sign and send the funding transaction. *)
+let on_create_com (t : t) (ctx : ctx) (c : chan) ~(split : Tx.t)
+    ~(commit_mine : Tx.t) ~(commit_theirs : Tx.t) ~(split_sig : string)
+    ~(commit_sig : string) : action list =
+  let mine =
+    Sighash.sign_message_keyed c.sctx.x_sp Anyprevout (Txs.split_message split)
   in
-  let commit_ok =
-    verify_counted t theirs.Keys.main_pk (Txs.commit_message commit_mine_body)
-      commit_sig
+  c.split <- Some (split_with c split ~mine ~theirs:split_sig);
+  c.commit_mine <-
+    Some
+      (cosign_funding_spend c Txs.complete_commit Txs.commit_message
+         commit_mine ~theirs:commit_sig);
+  c.commit_theirs_body <- Some commit_theirs;
+  let fund_sig =
+    sign_counted t c.sctx.x_main All (Txs.funding_message (Option.get c.fund))
   in
-  if not (split_ok && commit_ok) then
-    emit t ctx (Protocol_error (c.cfg.id, "invalid createCom signatures"))
-  else begin
-    (* Assemble state-0 data. *)
-    let mine =
-      Sighash.sign_message_keyed c.sctx.x_sp Anyprevout (Txs.split_message split0)
-    in
-    c.split <- Some (split_with c split0 ~mine ~theirs:split_sig);
-    c.commit_mine <-
-      Some
-        (cosign_funding_spend c Txs.complete_commit Txs.commit_message
-           commit_mine_body ~theirs:commit_sig);
-    c.commit_theirs_body <- Some commit_theirs;
-    (* Sign and send the funding transaction. *)
-    let fund = Option.get c.fund in
-    let fund_sig =
-      sign_counted t c.sctx.x_main All (Txs.funding_message fund)
-    in
-    c.fund_sig_mine <- Some fund_sig;
-    advance ctx c Await_create_fund ~wait:2
-      (Wire.Create_fund { id = c.cfg.id; fund_sig })
-  end
+  c.fund_sig_mine <- Some fund_sig;
+  advance ctx c Await_create_fund ~wait:2
+    (Wire.Create_fund { id = c.cfg.id; fund_sig })
 
-let on_create_fund (t : t) (ctx : ctx) (c : chan) ~(fund_sig : string) : unit =
-  let theirs = Option.get c.their_keys in
-  let fund = Option.get c.fund in
-  if not (verify_counted t theirs.Keys.main_pk (Txs.funding_message fund) fund_sig)
-  then emit t ctx (Protocol_error (c.cfg.id, "invalid createFund signature"))
-  else begin
-    c.fund_sig_theirs <- Some fund_sig;
-    let pk_a, pk_b = main_pks c in
-    let sig_a, sig_b = ab c (Option.get c.fund_sig_mine) fund_sig in
-    let completed = Txs.complete_fund fund ~sig_a ~pk_a ~sig_b ~pk_b in
-    ctx.post completed;
-    c.phase <- Await_funding_confirm;
-    c.deadline <- Some (ctx.round + 1 + Ledger.delta ctx.ledger)
-  end
+let on_create_fund (ctx : ctx) (c : chan) ~(fund_sig : string) : action list =
+  c.fund_sig_theirs <- Some fund_sig;
+  let pk_a, pk_b = main_pks c in
+  let sig_a, sig_b = ab c (Option.get c.fund_sig_mine) fund_sig in
+  await_confirm ctx c Await_funding_confirm
+    (Txs.complete_fund (Option.get c.fund) ~sig_a ~pk_a ~sig_b ~pk_b)
 
 (** Abort channel creation by spending our own funding source back to
     ourselves (create step 5, Else branch). *)
-let post_refund (t : t) (ctx : ctx) (c : chan) : unit =
-  match (c.tid_mine, Ledger.find_utxo ctx.ledger (Option.get c.tid_mine)) with
-  | Some tid, Some utxo ->
+let post_refund (ctx : ctx) (c : chan) : action list =
+  let tid = Option.get c.tid_mine in
+  match Ledger.find_utxo ctx.ledger tid with
+  | Some utxo ->
       let refund =
         Tx.make
           ~inputs:[ Tx.input_of_outpoint tid ]
@@ -507,14 +459,10 @@ let post_refund (t : t) (ctx : ctx) (c : chan) : unit =
           ()
       in
       let sig_mine = Sighash.sign c.keys.Keys.main.sk All refund ~input_index:0 in
-      let refund =
-        Tx.with_witnesses refund
-          [ [ Tx.Data sig_mine; Tx.Data (Keys.enc c.keys.Keys.main.pk) ] ]
-      in
-      ctx.post refund;
-      c.phase <- Refunding;
-      c.deadline <- Some (ctx.round + 1 + Ledger.delta ctx.ledger)
-  | _ -> settle t ctx c (Aborted c.cfg.id)
+      await_confirm ctx c Refunding
+        (Tx.with_witnesses refund
+           [ [ Tx.Data sig_mine; Tx.Data (Keys.enc c.keys.Keys.main.pk) ] ])
+  | None -> settle c (Aborted c.cfg.id)
 
 (* ------------------------------------------------------------------ *)
 (* ForceClose.                                                         *)
@@ -524,7 +472,7 @@ let post_refund (t : t) (ctx : ctx) (c : chan) : unit =
     is not yet signed, state sn+1 otherwise. The Punish daemon then
     completes the closure by posting the matching split transaction
     after T rounds. *)
-let force_close (t : t) (ctx : ctx) (c : chan) : unit =
+let close_unilaterally (c : chan) : action list =
   let commit =
     match (c.flag, c.pending) with
     | 2, Some { u_commit_mine = Some cm; _ } -> Some cm
@@ -533,32 +481,25 @@ let force_close (t : t) (ctx : ctx) (c : chan) : unit =
   match commit with
   | None ->
       (* Nothing enforceable yet (creation never completed). *)
-      settle t ctx c (Aborted c.cfg.id)
+      settle c (Aborted c.cfg.id)
   | Some commit ->
-      ctx.post commit;
       c.phase <- Force_closed_waiting;
       c.deadline <- None;
-      emit t ctx (Force_closed c.cfg.id)
-
-(** A counter-party signature failed to verify once we were bound to
-    the new state: report it and ForceClose. *)
-let reject (t : t) (ctx : ctx) (c : chan) (error : string) : unit =
-  emit t ctx (Protocol_error (c.cfg.id, error));
-  force_close t ctx c
+      [ Post commit; Emit (Force_closed c.cfg.id) ]
 
 (* ------------------------------------------------------------------ *)
 (* Update phase.                                                       *)
 
 (** Update step 1 (initiator): request a state update to [theta]. *)
-let request_update (t : t) (ctx : ctx) ~(id : string) ~(theta : Tx.output list)
-    ?(tstp : int = 0) () : unit =
-  let c = chan_exn t id in
+let update_req (ctx : ctx) (c : chan) ~(theta : Tx.output list) ~(tstp : int)
+    : action list =
   if c.phase <> Operational then invalid_arg "request_update: channel busy";
   if
     List.fold_left (fun a (o : Tx.output) -> a + o.value) 0 theta <> cash c.cfg
   then invalid_arg "request_update: state must redistribute exactly the cash";
   c.requested_theta <- Some theta;
-  advance ctx c Upd_await_info ~wait:(2 + tstp) (Wire.Update_req { id; theta; tstp })
+  advance ctx c Upd_await_info ~wait:(2 + tstp)
+    (Wire.Update_req { id = c.cfg.id; theta; tstp })
 
 (** The state-(sn+1) split body for [theta]. *)
 let next_split (c : chan) ~(theta : Tx.output list) : Tx.t =
@@ -581,49 +522,44 @@ let begin_update (t : t) (c : chan) ~(theta : Tx.output list)
 (** Update steps 2-3 (responder): consult the environment; on approval,
     sign the new split transaction. *)
 let on_update_req (t : t) (ctx : ctx) (c : chan) ~(theta : Tx.output list) :
-    unit =
-  emit t ctx (Update_requested c.cfg.id);
-  if c.phase <> Operational then ()
-  else if not (t.env.approve_update ~id:c.cfg.id ~theta) then
-    emit t ctx (Update_rejected c.cfg.id)
+    action list =
+  let requested = Emit (Update_requested c.cfg.id) in
+  if not (t.env.approve_update ~id:c.cfg.id ~theta) then
+    [ requested; Emit (Update_rejected c.cfg.id) ]
   else begin
     let u = begin_update t c ~theta ~split_body:(next_split c ~theta) in
     c.pending <- Some u;
-    advance ctx c Upd_await_com_initiator ~wait:2
-      (Wire.Update_info { id = c.cfg.id; split_sig = u.u_my_split_sig })
+    requested
+    :: advance ctx c Upd_await_com_initiator ~wait:2
+         (Wire.Update_info { id = c.cfg.id; split_sig = u.u_my_split_sig })
   end
 
-(** Update steps 4-5 (initiator): verify the responder's split
-    signature; with the environment's SETUP-OK, sign the responder's
-    commit and our own split signature. From here the channel has two
-    potentially-enforceable states (flag = 2). *)
-let on_update_info (t : t) (ctx : ctx) (c : chan) ~(split_sig : string)
-    ~(theta : Tx.output list) : unit =
-  let theirs = Option.get c.their_keys in
-  let split_body = next_split c ~theta in
-  if not (verify_counted t theirs.Keys.sp_pk (Txs.split_message split_body) split_sig)
-  then begin
-    emit t ctx (Protocol_error (c.cfg.id, "invalid updateInfo signature"));
-    c.phase <- Operational;
-    c.deadline <- None
-  end
-  else begin
-    let u = begin_update t c ~theta ~split_body in
-    u.u_split <- Some (split_with c split_body ~mine:u.u_my_split_sig ~theirs:split_sig);
-    c.pending <- Some u;
-    c.flag <- 2;
-    c.st' <- Some theta;
-    if not (t.env.approve_setup ~id:c.cfg.id) then force_close t ctx c
-    else begin
-      let commit_sig =
-        sign_counted t c.sctx.x_main All
-          (Txs.commit_message u.u_commit_theirs_body)
-      in
-      advance ctx c Upd_await_com_responder ~wait:2
-        (Wire.Update_com_initiator
-           { id = c.cfg.id; split_sig = u.u_my_split_sig; commit_sig })
-    end
-  end
+(** Bind the in-flight state with the peer's split signature: from here
+    the channel has two potentially-enforceable states (flag = 2). *)
+let bind_pending (c : chan) (u : update_ctx) ~(split_sig : string) : unit =
+  u.u_split <-
+    Some (split_with c u.u_split_body ~mine:u.u_my_split_sig ~theirs:split_sig);
+  c.pending <- Some u;
+  c.flag <- 2;
+  c.st' <- Some u.u_theta
+
+(** Our (counted) signature on the peer's state-(sn+1) commit. *)
+let their_commit_sig (t : t) (c : chan) (u : update_ctx) : string =
+  sign_counted t c.sctx.x_main All (Txs.commit_message u.u_commit_theirs_body)
+
+(** Update steps 4-5 (initiator), the responder's split signature
+    verified: with the environment's SETUP-OK, sign the responder's
+    commit and our own split signature. *)
+let on_update_info (t : t) (ctx : ctx) (c : chan) ~(theta : Tx.output list)
+    ~(split_body : Tx.t) ~(split_sig : string) : action list =
+  let u = begin_update t c ~theta ~split_body in
+  bind_pending c u ~split_sig;
+  if not (t.env.approve_setup ~id:c.cfg.id) then close_unilaterally c
+  else
+    advance ctx c Upd_await_com_responder ~wait:2
+      (Wire.Update_com_initiator
+         { id = c.cfg.id; split_sig = u.u_my_split_sig;
+           commit_sig = their_commit_sig t c u })
 
 (** Our state-(sn+1) commit becomes enforceable: complete it with the
     peer's signature (update steps 6 and 8). *)
@@ -633,47 +569,23 @@ let complete_pending (c : chan) (u : update_ctx) ~(commit_sig : string) : unit =
       (cosign_funding_spend c Txs.complete_commit Txs.commit_message
          u.u_commit_mine_body ~theirs:commit_sig)
 
-(** Update steps 6-7 (responder): verify the initiator's split and
-    commit signatures; our new commit is now enforceable (flag = 2);
-    with SETUP'-OK, sign the initiator's commit. *)
-let on_update_com_initiator (t : t) (ctx : ctx) (c : chan)
-    ~(split_sig : string) ~(commit_sig : string) : unit =
-  match c.pending with
-  | None -> ()
-  | Some u ->
-      let theirs = Option.get c.their_keys in
-      let split_ok =
-        verify_counted t theirs.Keys.sp_pk (Txs.split_message u.u_split_body)
-          split_sig
-      in
-      let commit_ok =
-        verify_counted t theirs.Keys.main_pk
-          (Txs.commit_message u.u_commit_mine_body)
-          commit_sig
-      in
-      if not (split_ok && commit_ok) then
-        reject t ctx c "invalid updateComP signatures"
-      else begin
-        (* Deterministic signing: our updateInfo signature over this
-           very body is bit-identical, so reuse the bytes. Still
-           counted — the ops counters report the protocol's Table-3
-           cost model, not the memoization. *)
-        t.ops.signs <- t.ops.signs + 1;
-        u.u_split <-
-          Some (split_with c u.u_split_body ~mine:u.u_my_split_sig ~theirs:split_sig);
-        complete_pending c u ~commit_sig;
-        c.flag <- 2;
-        c.st' <- Some u.u_theta;
-        if not (t.env.approve_setup' ~id:c.cfg.id) then force_close t ctx c
-        else begin
-          let commit_sig =
-            sign_counted t c.sctx.x_main All
-              (Txs.commit_message u.u_commit_theirs_body)
-          in
-          advance ctx c Upd_await_revoke_initiator ~wait:2
-            (Wire.Update_com_responder { id = c.cfg.id; commit_sig })
-        end
-      end
+(** Update steps 6-7 (responder), the initiator's split and commit
+    signatures verified: our new commit is now enforceable; with
+    SETUP'-OK, sign the initiator's commit. *)
+let on_update_com_initiator (t : t) (ctx : ctx) (c : chan) (u : update_ctx)
+    ~(split_sig : string) ~(commit_sig : string) : action list =
+  (* Deterministic signing: our updateInfo signature over this very
+     body is bit-identical, so reuse the bytes. Still counted — the ops
+     counters report the protocol's Table-3 cost model, not the
+     memoization. *)
+  t.ops.signs <- t.ops.signs + 1;
+  complete_pending c u ~commit_sig;
+  bind_pending c u ~split_sig;
+  if not (t.env.approve_setup' ~id:c.cfg.id) then close_unilaterally c
+  else
+    advance ctx c Upd_await_revoke_initiator ~wait:2
+      (Wire.Update_com_responder
+         { id = c.cfg.id; commit_sig = their_commit_sig t c u })
 
 (* Revocation keys: Alice's commits carry the rv keys in their
    revocation branch, Bob's the rv' keys, so [ab c rv rv'] of any key
@@ -689,43 +601,23 @@ let revoke_sig (t : t) (c : chan) : string =
   sign_counted t kc Anyprevout
     (Txs.revoke_message (snd (rev_bodies c ~revoked:c.sn)))
 
-(** Update steps 8-9 (initiator): our new commit is enforceable; with
-    the environment's REVOKE, revoke state sn by signing the
-    counter-party's floating revocation transaction. *)
-let on_update_com_responder (t : t) (ctx : ctx) (c : chan)
-    ~(commit_sig : string) : unit =
-  match c.pending with
-  | None -> ()
-  | Some u ->
-      let theirs = Option.get c.their_keys in
-      if
-        not
-          (verify_counted t theirs.Keys.main_pk
-             (Txs.commit_message u.u_commit_mine_body)
-             commit_sig)
-      then reject t ctx c "invalid updateComQ signature"
-      else begin
-        complete_pending c u ~commit_sig;
-        if not (t.env.approve_revoke ~id:c.cfg.id) then force_close t ctx c
-        else
-          advance ctx c Upd_await_revoke_responder ~wait:2
-            (Wire.Revoke_initiator { id = c.cfg.id; rev_sig = revoke_sig t c })
-      end
-
-(** Does [rev_sig] verify as the peer's signature on our floating
-    revocation transaction for state sn (update steps 10 and 12)? *)
-let valid_rev_sig (t : t) (c : chan) ~(rev_sig : string) : bool =
-  let theirs = Option.get c.their_keys in
-  let _, pk = ab c theirs.Keys.rv_pk theirs.Keys.rv'_pk in
-  verify_counted t pk
-    (Txs.revoke_message (fst (rev_bodies c ~revoked:c.sn)))
-    rev_sig
+(** Update steps 8-9 (initiator), the responder's commit signature
+    verified: our new commit is enforceable; with the environment's
+    REVOKE, revoke state sn by signing the counter-party's floating
+    revocation transaction. *)
+let on_update_com_responder (t : t) (ctx : ctx) (c : chan) (u : update_ctx)
+    ~(commit_sig : string) : action list =
+  complete_pending c u ~commit_sig;
+  if not (t.env.approve_revoke ~id:c.cfg.id) then close_unilaterally c
+  else
+    advance ctx c Upd_await_revoke_responder ~wait:2
+      (Wire.Revoke_initiator { id = c.cfg.id; rev_sig = revoke_sig t c })
 
 (** Commit the pending state: the paper's step-10/12 bookkeeping common
     to both parties, including pre-signing our own revocation
     transaction for the watchtower. *)
-let finalize_update (t : t) (ctx : ctx) (c : chan) (u : update_ctx)
-    ~(rev_sig : string) : unit =
+let finalize_update (t : t) (c : chan) (u : update_ctx) ~(rev_sig : string) :
+    action list =
   c.rev_sig_theirs <- Some rev_sig;
   c.sn <- c.sn + 1;
   c.st <- u.u_theta;
@@ -744,92 +636,158 @@ let finalize_update (t : t) (ctx : ctx) (c : chan) (u : update_ctx)
     Some
       (sign_counted t kc Anyprevout
          (Txs.revoke_message (fst (rev_bodies c ~revoked:(c.sn - 1)))));
-  emit t ctx (Updated (c.cfg.id, c.sn))
+  [ Emit (Updated (c.cfg.id, c.sn)) ]
 
-(** Update steps 10-11 (responder): verify the revocation signature,
-    commit the new state, and with REVOKE' send our own revocation
+(** Update steps 10-11 (responder), the revocation signature verified:
+    with REVOKE', commit the new state and send our own revocation
     signature back. *)
-let on_revoke_initiator (t : t) (ctx : ctx) (c : chan) ~(rev_sig : string) :
-    unit =
-  match c.pending with
-  | None -> ()
-  | Some u ->
-      if not (valid_rev_sig t c ~rev_sig) then
-        reject t ctx c "invalid revokeP signature"
-      else if not (t.env.approve_revoke' ~id:c.cfg.id) then force_close t ctx c
-      else begin
-        let their_rev_sig = revoke_sig t c in
-        finalize_update t ctx c u ~rev_sig;
-        ctx.send ~recipient:c.cfg.peer
-          (Wire.Revoke_responder { id = c.cfg.id; rev_sig = their_rev_sig })
-      end
-
-(** Update step 12 (initiator): verify and store the responder's
-    revocation signature; the update is complete. *)
-let on_revoke_responder (t : t) (ctx : ctx) (c : chan) ~(rev_sig : string) :
-    unit =
-  match c.pending with
-  | None -> ()
-  | Some u ->
-      if not (valid_rev_sig t c ~rev_sig) then
-        reject t ctx c "invalid revokeQ signature"
-      else finalize_update t ctx c u ~rev_sig
+let on_revoke_initiator (t : t) (c : chan) (u : update_ctx) ~(rev_sig : string)
+    : action list =
+  if not (t.env.approve_revoke' ~id:c.cfg.id) then close_unilaterally c
+  else begin
+    let their_rev_sig = revoke_sig t c in
+    let updated = finalize_update t c u ~rev_sig in
+    updated @ [ Send (Wire.Revoke_responder { id = c.cfg.id; rev_sig = their_rev_sig }) ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Close phase.                                                        *)
 
-(** CLOSE (requester): propose a collaborative close with the modified
-    split transaction spending the funding output directly. *)
-let request_close (t : t) (ctx : ctx) ~(id : string) : unit =
-  let c = chan_exn t id in
-  if c.phase <> Operational then invalid_arg "request_close: channel busy";
-  let fin = Txs.gen_fin_split ~funding:(funding_outpoint c) ~theta:c.st in
-  let fin_sig =
-    sign_counted t c.sctx.x_main All (Txs.fin_split_message fin)
-  in
+(** The collaborative close's modified split transaction, spending the
+    funding output directly. *)
+let fin_split (c : chan) : Tx.t =
+  Txs.gen_fin_split ~funding:(funding_outpoint c) ~theta:c.st
+
+(** Keep [fin] for the closing post and sign it for the peer. *)
+let sign_fin (t : t) (c : chan) (fin : Tx.t) : string =
   c.fin_split <- Some fin;
-  advance ctx c Close_await_ack ~wait:2 (Wire.Close_req { id; fin_sig })
+  sign_counted t c.sctx.x_main All (Txs.fin_split_message fin)
 
-let on_close_req (t : t) (ctx : ctx) (c : chan) ~(fin_sig : string) : unit =
-  if c.phase <> Operational then ()
-  else if not (t.env.approve_close ~id:c.cfg.id) then ()
-    (* staying silent forces the requester into ForceClose, as in the
-       ideal functionality's "Q disagreed" branch *)
-  else begin
-    let theirs = Option.get c.their_keys in
-    let fin = Txs.gen_fin_split ~funding:(funding_outpoint c) ~theta:c.st in
-    if
-      not
-        (verify_counted t theirs.Keys.main_pk (Txs.fin_split_message fin)
-           fin_sig)
-    then emit t ctx (Protocol_error (c.cfg.id, "invalid closeP signature"))
-    else begin
-      let my_sig =
-        sign_counted t c.sctx.x_main All (Txs.fin_split_message fin)
-      in
-      c.fin_split <- Some fin;
-      advance ctx c Close_await_confirm ~wait:(2 + Ledger.delta ctx.ledger)
-        (Wire.Close_ack { id = c.cfg.id; fin_sig = my_sig })
-    end
-  end
+(** CLOSE (requester): propose a collaborative close at state sn. *)
+let close_req (t : t) (ctx : ctx) (c : chan) : action list =
+  if c.phase <> Operational then invalid_arg "request_close: channel busy";
+  advance ctx c Close_await_ack ~wait:2
+    (Wire.Close_req { id = c.cfg.id; fin_sig = sign_fin t c (fin_split c) })
 
-let on_close_ack (t : t) (ctx : ctx) (c : chan) ~(fin_sig : string) : unit =
-  match (c.phase, c.fin_split) with
-  | Close_await_ack, Some fin ->
-      let theirs = Option.get c.their_keys in
-      if
-        not
-          (verify_counted t theirs.Keys.main_pk (Txs.fin_split_message fin)
-             fin_sig)
-      then reject t ctx c "invalid closeQ signature"
+(* ------------------------------------------------------------------ *)
+(* Message dispatch (the wrapper W_P of Appendix F) and the signature- *)
+(* check table.                                                        *)
+
+(** What a message whose signature check fails does. *)
+type on_bad_sig =
+  | Report  (** report only: nothing is bound yet, the phase deadline recovers *)
+  | Resume  (** report and return to Operational: nothing was revealed *)
+  | Force  (** report and ForceClose: the new state may already bind *)
+
+(** A failed check: report [msg]'s bad signature(s) and apply [rule]. *)
+let bad_sig (c : chan) (msg : Wire.msg) ~(checks : int) (rule : on_bad_sig) :
+    action list =
+  let error =
+    Emit
+      (Protocol_error
+         ( c.cfg.id,
+           Fmt.str "invalid %s signature%s" (Wire.kind msg)
+             (if checks > 1 then "s" else "") ))
+  in
+  match rule with
+  | Report -> [ error ]
+  | Resume ->
+      c.phase <- Operational;
+      c.deadline <- None;
+      [ error ]
+  | Force -> error :: close_unilaterally c
+
+(** The check of the peer's signature on our floating revocation
+    transaction for state sn (update steps 10 and 12). *)
+let their_revocation (c : chan) ~(rev_sig : string) :
+    Daric_crypto.Schnorr.public_key * string * string =
+  let theirs = Option.get c.their_keys in
+  let _, pk = ab c theirs.Keys.rv_pk theirs.Keys.rv'_pk in
+  (pk, Txs.revoke_message (fst (rev_bodies c ~revoked:c.sn)), rev_sig)
+
+(** Handle a message the peer sent. Each row takes one message kind in
+    the one phase that expects it; every other message is dropped. A
+    signature-carrying row lists the peer's (key, message, signature)
+    checks and the failure rule; every check is verified and counted,
+    even after one fails, and the row's handler runs only if all
+    pass. *)
+let on_msg (t : t) (ctx : ctx) (c : chan) (msg : Wire.msg) : action list =
+  let checked rule checks handler =
+    let ok =
+      List.fold_left
+        (fun ok (pk, m, s) -> verify_counted t pk m s && ok)
+        true checks
+    in
+    if ok then handler () else bad_sig c msg ~checks:(List.length checks) rule
+  in
+  let theirs () = Option.get c.their_keys in
+  match (msg, c.phase) with
+  | Wire.Create_info { tid; keys; _ }, Await_create_info ->
+      on_create_info t ctx c ~tid ~keys
+  | Wire.Create_com { split_sig; commit_sig; _ }, Await_create_com ->
+      let k = theirs () and split = split0 c in
+      let commit_mine, commit_theirs = commits c ~i:0 in
+      checked Report
+        [ (k.Keys.sp_pk, Txs.split_message split, split_sig);
+          (k.Keys.main_pk, Txs.commit_message commit_mine, commit_sig) ]
+        (fun () ->
+          on_create_com t ctx c ~split ~commit_mine ~commit_theirs ~split_sig
+            ~commit_sig)
+  | Wire.Create_fund { fund_sig; _ }, Await_create_fund ->
+      checked Report
+        [ ((theirs ()).Keys.main_pk, Txs.funding_message (Option.get c.fund), fund_sig) ]
+        (fun () -> on_create_fund ctx c ~fund_sig)
+  | Wire.Update_req { theta; _ }, Operational -> on_update_req t ctx c ~theta
+  | Wire.Update_info { split_sig; _ }, Upd_await_info ->
+      (* theta travelled in our own updateReq *)
+      let theta = Option.get c.requested_theta in
+      let split_body = next_split c ~theta in
+      checked Resume
+        [ ((theirs ()).Keys.sp_pk, Txs.split_message split_body, split_sig) ]
+        (fun () -> on_update_info t ctx c ~theta ~split_body ~split_sig)
+  | Wire.Update_com_initiator { split_sig; commit_sig; _ }, Upd_await_com_initiator
+    ->
+      let k = theirs () and u = Option.get c.pending in
+      checked Force
+        [ (k.Keys.sp_pk, Txs.split_message u.u_split_body, split_sig);
+          (k.Keys.main_pk, Txs.commit_message u.u_commit_mine_body, commit_sig) ]
+        (fun () -> on_update_com_initiator t ctx c u ~split_sig ~commit_sig)
+  | Wire.Update_com_responder { commit_sig; _ }, Upd_await_com_responder ->
+      let u = Option.get c.pending in
+      checked Force
+        [ ((theirs ()).Keys.main_pk, Txs.commit_message u.u_commit_mine_body, commit_sig) ]
+        (fun () -> on_update_com_responder t ctx c u ~commit_sig)
+  | Wire.Revoke_initiator { rev_sig; _ }, Upd_await_revoke_initiator ->
+      let u = Option.get c.pending in
+      checked Force [ their_revocation c ~rev_sig ] (fun () ->
+          on_revoke_initiator t c u ~rev_sig)
+  | Wire.Revoke_responder { rev_sig; _ }, Upd_await_revoke_responder ->
+      let u = Option.get c.pending in
+      checked Force [ their_revocation c ~rev_sig ] (fun () ->
+          finalize_update t c u ~rev_sig)
+  | Wire.Close_req { fin_sig; _ }, Operational ->
+      if not (t.env.approve_close ~id:c.cfg.id) then []
+        (* staying silent forces the requester into ForceClose, as in
+           the ideal functionality's "Q disagreed" branch *)
       else begin
-        ctx.post
-          (cosign_funding_spend c Txs.complete_fin_split Txs.fin_split_message
-             fin ~theirs:fin_sig);
-        c.phase <- Close_await_confirm;
-        c.deadline <- Some (ctx.round + 1 + Ledger.delta ctx.ledger)
+        let fin = fin_split c in
+        checked Report
+          [ ((theirs ()).Keys.main_pk, Txs.fin_split_message fin, fin_sig) ]
+          (fun () ->
+            advance ctx c Close_await_confirm ~wait:(2 + Ledger.delta ctx.ledger)
+              (Wire.Close_ack { id = c.cfg.id; fin_sig = sign_fin t c fin }))
       end
-  | _ -> ()
+  | Wire.Close_ack { fin_sig; _ }, Close_await_ack ->
+      let fin = Option.get c.fin_split in
+      checked Force
+        [ ((theirs ()).Keys.main_pk, Txs.fin_split_message fin, fin_sig) ]
+        (fun () ->
+          await_confirm ctx c Close_await_confirm
+            (cosign_funding_spend c Txs.complete_fin_split Txs.fin_split_message
+               fin ~theirs:fin_sig))
+  | _ ->
+      Log.debug (fun m -> m "%s: dropping %s" t.pid (Wire.kind msg));
+      []
 
 (* ------------------------------------------------------------------ *)
 (* Punish daemon.                                                      *)
@@ -886,11 +844,10 @@ let latest_revocation (c : chan) : (int * Tx.t * string * string) option =
 (** Punish a revoked commit with {!Txs.punish_revoked} — the step the
     watchtower takes too — and post the revocation instantly
     (Section 4.4). *)
-let punish (t : t) (ctx : ctx) (c : chan) (published : Tx.t) : unit =
+let punish (c : chan) (published : Tx.t) : action list =
   match latest_revocation c with
   | None ->
-      emit t ctx
-        (Protocol_error (c.cfg.id, "foreign spend of funding output (forgery?)"))
+      [ Emit (Protocol_error (c.cfg.id, "foreign spend of funding output (forgery?)")) ]
   | Some (revoked, rev_body, sig_a, sig_b) -> (
       let keys_a, keys_b = keys_ab c in
       match
@@ -899,55 +856,41 @@ let punish (t : t) (ctx : ctx) (c : chan) (published : Tx.t) : unit =
           published
       with
       | None ->
-          emit t ctx
-            (Protocol_error (c.cfg.id, "unrecognized spend of funding output"))
+          [ Emit (Protocol_error (c.cfg.id, "unrecognized spend of funding output")) ]
       | Some rv ->
-          ctx.post rv;
-          c.punish_posted <- Some rv)
+          c.punish_posted <- Some rv;
+          [ Post rv ])
 
 (** Post the split transaction matching the on-chain commit, once T
     rounds have elapsed since the commit was recorded. *)
-let try_post_split (t : t) (ctx : ctx) (c : chan) : unit =
+let try_post_split (ctx : ctx) (c : chan) : action list =
   match c.commit_on_chain with
-  | Some (recorded, outpoint, script, idx) when not c.split_posted ->
-      if ctx.round - recorded >= c.cfg.rel_lock then begin
-        let split =
-          if idx = c.sn then c.split
-          else
-            match c.pending with Some u -> u.u_split | None -> None
-        in
-        match split with
-        | None ->
-            emit t ctx
-              (Protocol_error (c.cfg.id, "no split transaction for on-chain commit"))
-        | Some sd ->
-            let tx =
-              Txs.complete_split sd.split_body ~commit_outpoint:outpoint
-                ~commit_script:script ~sig_a:sd.split_sig_a
-                ~sig_b:sd.split_sig_b
-            in
-            ctx.post tx;
-            c.split_posted <- true
-      end
-  | _ -> ()
+  | Some (recorded, outpoint, script, idx)
+    when (not c.split_posted) && ctx.round - recorded >= c.cfg.rel_lock -> (
+      let split =
+        if idx = c.sn then c.split
+        else match c.pending with Some u -> u.u_split | None -> None
+      in
+      match split with
+      | None ->
+          [ Emit (Protocol_error (c.cfg.id, "no split transaction for on-chain commit")) ]
+      | Some sd ->
+          c.split_posted <- true;
+          [ Post
+              (Txs.complete_split sd.split_body ~commit_outpoint:outpoint
+                 ~commit_script:script ~sig_a:sd.split_sig_a ~sig_b:sd.split_sig_b) ])
+  | _ -> []
 
 (** The Punish phase, executed at the end of every round: watch the
     funding output and react to whatever spent it. *)
-let punish_daemon (t : t) (ctx : ctx) (c : chan) : unit =
+let punish_daemon (ctx : ctx) (c : chan) : action list =
   match c.fund with
-  | None -> ()
+  | None -> []
   | Some fund -> (
       let fund_op = Tx.outpoint_of fund 0 in
       match Ledger.spender_of ctx.ledger fund_op with
-      | None -> ()
+      | None -> []
       | Some spender -> (
-          (* Creation completed under us even if we were mid-abort. *)
-          (match c.phase with
-          | Await_funding_confirm | Refunding ->
-              c.phase <- Operational;
-              c.deadline <- None;
-              emit t ctx (Created c.cfg.id)
-          | _ -> ());
           let spender_id = Tx.txid spender in
           match
             List.find_opt
@@ -965,128 +908,167 @@ let punish_daemon (t : t) (ctx : ctx) (c : chan) : unit =
                  in
                  c.commit_on_chain <-
                    Some (recorded, Tx.outpoint_of spender 0, script, idx));
-              try_post_split t ctx c;
+              let split = try_post_split ctx c in
               (* Did something spend the commit output? *)
               let _, commit_op, _, _ = Option.get c.commit_on_chain in
               match Ledger.spender_of ctx.ledger commit_op with
-              | None -> ()
+              | None -> split
               | Some settlement ->
+                  split
+                  @
                   if expected_state c settlement.Tx.outputs then
-                    settle t ctx c (Closed c.cfg.id)
+                    settle c (Closed c.cfg.id)
                   else
                     (* Our old commit was punished (we must have been
                        acting dishonestly) — or a forgery occurred. *)
-                    settle t ctx c
+                    settle c
                       (Protocol_error (c.cfg.id, "commit output claimed by revocation")))
           | None -> (
               (* Not an enforceable commit: expected closure or fraud. *)
-              if expected_state c spender.Tx.outputs then
-                settle t ctx c (Closed c.cfg.id)
+              if expected_state c spender.Tx.outputs then settle c (Closed c.cfg.id)
               else
                 match c.punish_posted with
                 | Some rv ->
                     (* Already reacting: settle once the revocation lands. *)
-                    if not (Ledger.is_unspent ctx.ledger fund_op) then
-                      let rv_op = Tx.outpoint_of rv 0 in
-                      if Ledger.find_utxo ctx.ledger rv_op <> None then
-                        settle t ctx c (Punished c.cfg.id)
-                | None -> punish t ctx c spender)))
+                    if
+                      (not (Ledger.is_unspent ctx.ledger fund_op))
+                      && Ledger.find_utxo ctx.ledger (Tx.outpoint_of rv 0) <> None
+                    then settle c (Punished c.cfg.id)
+                    else []
+                | None -> punish c spender)))
 
 (** Create step 6: once the funding transaction is recorded, the
     channel becomes operational. Also resolves the refund race — if the
     funding lands despite a posted refund, or the peer posted it while
     we still wait for its funding signature, the channel proceeds (all
-    state-0 data is already in hand). *)
-let check_funding_confirmed (t : t) (ctx : ctx) (c : chan) : unit =
+    state-0 data is already in hand) — and creation completes under us
+    even if the funding output is already spent. *)
+let check_funding_confirmed (ctx : ctx) (c : chan) : action list =
   match (c.phase, c.fund) with
-  | (Await_create_fund | Await_funding_confirm | Refunding), Some fund ->
-      if Ledger.is_unspent ctx.ledger (Tx.outpoint_of fund 0) then begin
-        c.phase <- Operational;
-        c.deadline <- None;
-        emit t ctx (Created c.cfg.id)
-      end
-  | _ -> ()
+  | (Await_create_fund | Await_funding_confirm | Refunding), Some fund
+    when Ledger.is_unspent ctx.ledger (Tx.outpoint_of fund 0)
+         || c.phase <> Await_create_fund
+            && Ledger.spender_of ctx.ledger (Tx.outpoint_of fund 0) <> None ->
+      c.phase <- Operational;
+      c.deadline <- None;
+      [ Emit (Created c.cfg.id) ]
+  | _ -> []
 
 (** Timeout transitions. *)
-let check_deadline (t : t) (ctx : ctx) (c : chan) : unit =
+let check_deadline (ctx : ctx) (c : chan) : action list =
   match c.deadline with
   | Some d when ctx.round >= d -> (
       c.deadline <- None;
       match c.phase with
-      | Await_create_info | Await_create_com | Await_create_fund ->
-          post_refund t ctx c
+      | Await_create_info | Await_create_com | Await_create_fund -> post_refund ctx c
       | Await_funding_confirm | Refunding ->
           (* Neither the funding nor the refund made it: report and stop. *)
-          settle t ctx c (Aborted c.cfg.id)
+          settle c (Aborted c.cfg.id)
       | Upd_await_info ->
           (* Responder declined or vanished before revealing anything:
              the update simply does not happen (consensus on update). *)
           c.pending <- None;
           c.phase <- Operational;
-          emit t ctx (Update_rejected c.cfg.id)
+          [ Emit (Update_rejected c.cfg.id) ]
       | Upd_await_com_initiator | Upd_await_com_responder
       | Upd_await_revoke_initiator | Upd_await_revoke_responder
       | Close_await_ack ->
-          force_close t ctx c
+          close_unilaterally c
       | Close_await_confirm ->
           if c.outcome = None then
-            emit t ctx (Protocol_error (c.cfg.id, "close did not confirm in time"))
-      | Operational | Force_closed_waiting | Done -> ())
-  | _ -> ()
+            [ Emit (Protocol_error (c.cfg.id, "close did not confirm in time")) ]
+          else []
+      | Operational | Force_closed_waiting | Done -> [])
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
-(* Driver entry points.                                                *)
+(* The core transition and its shells.                                 *)
+
+type input = Deliver of Wire.msg Daric_chain.Network.envelope | Tick
+
+(** One transition of channel [c]: a delivered message (dropped unless
+    the channel's peer sent it) or the end-of-round tick (the Punish
+    daemon, split scheduling, timeouts). *)
+let step (t : t) (ctx : ctx) (c : chan) (input : input) : action list =
+  match input with
+  | Deliver env ->
+      if String.equal env.sender c.cfg.peer then on_msg t ctx c env.payload
+      else []
+  | Tick when c.phase = Done -> []
+  | Tick ->
+      let funded = check_funding_confirmed ctx c in
+      let punish = punish_daemon ctx c in
+      if c.phase = Done then funded @ punish
+      else
+        let split = try_post_split ctx c in
+        funded @ punish @ split @ check_deadline ctx c
 
 (** Process one delivered protocol message. Ill-formed or unexpected
     messages are dropped (protocol wrapper W_P of Appendix F). *)
 let handle_msg (t : t) (ctx : ctx) (env : Wire.msg Daric_chain.Network.envelope)
     : unit =
-  let msg = env.payload in
-  match find_chan t (Wire.channel_id msg) with
+  match find_chan t (Wire.channel_id env.payload) with
   | None -> ()
-  | Some c -> (
-      if not (String.equal env.sender c.cfg.peer) then ()
-      else
-        match (msg, c.phase) with
-        | Wire.Create_info { tid; keys; _ }, Await_create_info ->
-            on_create_info t ctx c ~tid ~keys
-        | Wire.Create_com { split_sig; commit_sig; _ }, Await_create_com ->
-            on_create_com t ctx c ~split_sig ~commit_sig
-        | Wire.Create_fund { fund_sig; _ }, Await_create_fund ->
-            on_create_fund t ctx c ~fund_sig
-        | Wire.Update_req { theta; _ }, Operational ->
-            on_update_req t ctx c ~theta
-        | Wire.Update_info { split_sig; _ }, Upd_await_info -> (
-            (* theta travelled in our own updateReq *)
-            match (c.pending, c.requested_theta) with
-            | None, Some theta -> on_update_info t ctx c ~split_sig ~theta
-            | _ -> ())
-        | Wire.Update_com_initiator { split_sig; commit_sig; _ },
-          Upd_await_com_initiator ->
-            on_update_com_initiator t ctx c ~split_sig ~commit_sig
-        | Wire.Update_com_responder { commit_sig; _ }, Upd_await_com_responder
-          ->
-            on_update_com_responder t ctx c ~commit_sig
-        | Wire.Revoke_initiator { rev_sig; _ }, Upd_await_revoke_initiator ->
-            on_revoke_initiator t ctx c ~rev_sig
-        | Wire.Revoke_responder { rev_sig; _ }, Upd_await_revoke_responder ->
-            on_revoke_responder t ctx c ~rev_sig
-        | Wire.Close_req { fin_sig; _ }, Operational ->
-            on_close_req t ctx c ~fin_sig
-        | Wire.Close_ack { fin_sig; _ }, Close_await_ack ->
-            on_close_ack t ctx c ~fin_sig
-        | _ -> Log.debug (fun m -> m "%s: dropping %s" t.pid (Wire.kind msg)))
+  | Some c -> apply t ctx c (step t ctx c (Deliver env))
 
 (** End-of-round processing: Punish daemon, split scheduling, timeouts. *)
 let end_of_round (t : t) (ctx : ctx) : unit =
-  List.iter
-    (fun (_, c) ->
-      if c.phase <> Done then begin
-        check_funding_confirmed t ctx c;
-        punish_daemon t ctx c;
-        if c.phase <> Done then begin
-          try_post_split t ctx c;
-          check_deadline t ctx c
-        end
-      end)
-    t.chans
+  List.iter (fun (_, c) -> apply t ctx c (step t ctx c Tick)) t.chans
+
+(** INTRO: start creating the channel. [tid] must reference a P2WPKH
+    output controlled by our main key holding our side's balance;
+    tests that pre-mint that output pass the pre-generated [keys]. *)
+let intro (t : t) (ctx : ctx) ?(keys : Keys.t option) ~(cfg : config)
+    ~(tid : Tx.outpoint) () : unit =
+  if List.mem_assoc cfg.id t.chans then invalid_arg "duplicate channel id";
+  if cfg.rel_lock <= Ledger.delta ctx.ledger then
+    invalid_arg "rel_lock (T) must exceed the ledger delay";
+  let keys = match keys with Some k -> k | None -> Keys.generate t.rng in
+  let c =
+    { cfg;
+      keys;
+      sctx = sctx_of_keys keys;
+      pinned_pks = [];
+      their_keys = None;
+      tid_mine = Some tid;
+      tid_theirs = None;
+      fund = None;
+      fund_sig_mine = None;
+      fund_sig_theirs = None;
+      sn = 0;
+      st = [];
+      flag = 1;
+      st' = None;
+      commit_mine = None;
+      commit_theirs_body = None;
+      split = None;
+      rev_sig_theirs = None;
+      rev_sig_mine = None;
+      pending = None;
+      requested_theta = None;
+      phase = Await_create_info;
+      deadline = Some (ctx.round + 2);
+      fin_split = None;
+      commit_on_chain = None;
+      split_posted = false;
+      punish_posted = None;
+      outcome = None }
+  in
+  t.chans <- (cfg.id, c) :: t.chans;
+  c.pinned_pks <- pin_own_keys c;
+  apply t ctx c [ Send (Wire.Create_info { id = cfg.id; tid; keys = Keys.pub keys }) ]
+
+(** UPDATE (initiator): propose the new state [theta]. *)
+let request_update (t : t) (ctx : ctx) ~(id : string) ~(theta : Tx.output list)
+    ?(tstp : int = 0) () : unit =
+  let c = chan_exn t id in
+  apply t ctx c (update_req ctx c ~theta ~tstp)
+
+(** CLOSE: propose a collaborative close at the current state. *)
+let request_close (t : t) (ctx : ctx) ~(id : string) : unit =
+  let c = chan_exn t id in
+  apply t ctx c (close_req t ctx c)
+
+(** ForceClose on the environment's command. *)
+let force_close (t : t) (ctx : ctx) (c : chan) : unit =
+  apply t ctx c (close_unilaterally c)

@@ -1,11 +1,11 @@
-(** Daric channel party: the protocol state machine of Appendix D.
-
-    A party is driven by the simulation loop in three ways:
-    {!handle_msg} processes network messages; the [request_*]/{!intro}
-    functions inject environment commands (INTRO/CREATE, UPDATE,
-    CLOSE); {!end_of_round} runs the per-round Punish phase, watches
-    the funding output, schedules split transactions after the
-    T-round delay and fires the timeout (ForceClose) transitions.
+(** Daric channel party: the protocol state machine of Appendix D, as
+    a protocol core and an I/O shell. The core takes a delivered
+    message, an environment command (INTRO/CREATE, UPDATE, CLOSE) or
+    the end-of-round tick, updates the channel and returns its actions:
+    send to the peer, post a transaction, report an event. Each entry
+    point below runs the core and carries out the actions through
+    {!ctx}; nothing else calls [ctx]'s closures. The tick runs the
+    Punish phase, schedules split transactions and fires the timeouts.
 
     Channel state is exposed transparently: tests, the watchtower and
     the storage accounting read it, and adversarial tests snapshot it

@@ -52,11 +52,13 @@ type record = {
   sig_b : string;  (** revocation-branch signature in Bob position *)
 }
 
-(* One guarded channel. The funding outpoint and serialized size are
-   kept unpacked — the monitor reads them on every poll that touches
-   the channel, and storage accounting must not decode. *)
+(* One guarded channel. The funding outpoint, revoked index and
+   serialized size are kept unpacked — the monitor reads the funding on
+   every poll that touches the channel, intake compares the revoked
+   index, and storage accounting must not decode. *)
 type entry = {
   mutable e_funding : Tx.outpoint;
+  mutable e_revoked : int;  (** the current record's [revoked] *)
   mutable e_rbytes : int;  (** {!record_bytes} of the current record *)
   mutable e_slot : Arena.slot;  (** the record's {!encode_record} bytes *)
 }
@@ -136,13 +138,14 @@ let entry_record (t : t) (e : entry) : record =
 type packed = {
   p_id : string;
   p_funding : Tx.outpoint;
+  p_revoked : int;
   p_rbytes : int;
   p_span : C.span;  (** the record's {!encode_record} bytes *)
 }
 
 let pack (r : record) (span : C.span) : packed =
-  { p_id = r.channel_id; p_funding = r.funding; p_rbytes = record_bytes r;
-    p_span = span }
+  { p_id = r.channel_id; p_funding = r.funding; p_revoked = r.revoked;
+    p_rbytes = record_bytes r; p_span = span }
 
 (* Decoding validates a record and keeps the bytes it was read from —
    canonical, so they are its {!encode_record} — for the arena. *)
@@ -161,11 +164,13 @@ let put_record (t : t) (p : packed) : unit =
         Hashtbl.replace t.by_funding p.p_funding p.p_id;
         e.e_funding <- p.p_funding
       end;
+      e.e_revoked <- p.p_revoked;
       e.e_rbytes <- p.p_rbytes;
       e.e_slot <- Arena.replace_sub t.arena e.e_slot src ~off ~len
   | None ->
       Hashtbl.replace t.entries p.p_id
         { e_funding = p.p_funding;
+          e_revoked = p.p_revoked;
           e_rbytes = p.p_rbytes;
           e_slot = Arena.store_sub t.arena src ~off ~len };
       Hashtbl.replace t.by_funding p.p_funding p.p_id
@@ -210,14 +215,23 @@ let record_valid (r : record) : bool =
   in
   sig_ok rv1 r.sig_a && sig_ok rv2 r.sig_b
 
+(* A record older than the one guarding the same funding output: it
+   would unguard the states between the two revoked indexes. A record
+   for a new funding outpoint replaces the old one whatever its index. *)
+let stale (t : t) (r : record) : bool =
+  match Hashtbl.find_opt t.entries r.channel_id with
+  | Some e -> Tx.outpoint_equal e.e_funding r.funding && r.revoked < e.e_revoked
+  | None -> false
+
 (** Install or replace the record for a channel — the client calls this
     after each update. Storage stays constant per channel; both the
     replace and the funding-index update are O(1). Records whose
-    signatures do not verify are rejected (returns [false]) and
-    the previous record, if any, is kept. [enc] is [r]'s
+    signatures do not verify, or that revoke less than the record
+    already guarding the same funding output, are rejected (returns
+    [false]) and the previous record, if any, is kept. [enc] is [r]'s
     {!encode_record} bytes, which the caller also journals. *)
 let watch_encoded (t : t) (r : record) (enc : string) : bool =
-  if not (record_valid r) then false
+  if stale t r || not (record_valid r) then false
   else begin
     put_record t (pack r { C.src = enc; off = 0; len = String.length enc });
     t.fresh <- r.channel_id :: t.fresh;
@@ -339,8 +353,8 @@ let snapshot : t C.t =
         Hashtbl.fold
           (fun id e acc ->
             let b = Arena.read t.arena e.e_slot in
-            { p_id = id; p_funding = e.e_funding; p_rbytes = e.e_rbytes;
-              p_span = { C.src = b; off = 0; len = String.length b } }
+            { p_id = id; p_funding = e.e_funding; p_revoked = e.e_revoked;
+              p_rbytes = e.e_rbytes; p_span = { C.src = b; off = 0; len = String.length b } }
             :: acc)
           t.entries []
       in

@@ -43,7 +43,10 @@ val watch : t -> record -> bool
     record's two revocation-branch signatures is a 73-byte, canonically
     padded signature with a known SIGHASH flag that verifies, under the
     counter-party commit's revocation key, over the floating
-    revocation body's message for that flag. *)
+    revocation body's message for that flag. Also [false] for a stale
+    record: one for the funding output already guarded with a lower
+    [revoked] (a replayed older record would unguard the states in
+    between). A record for a new funding outpoint always replaces. *)
 
 val watch_encoded : t -> record -> string -> bool
 (** {!watch} given the record's {!encode_record} bytes, which the

@@ -24,6 +24,7 @@ type report = {
   total_ops : I.ops;  (** cumulative, updates only *)
   per_update_ops : I.ops;
   outcome : I.outcome option;  (** [None] iff the scenario closes with [`None] *)
+  known_pubkeys : string list;  (** the channel's key inventory, after the close *)
 }
 
 let balance_at (cfg : I.config) (k : int) : int * int =
@@ -50,7 +51,8 @@ let run ?(config = I.default_config) ~(env : I.env)
       watchtower_bytes = S.watchtower_bytes ch;
       total_ops;
       per_update_ops = I.ops_div total_ops sc.updates;
-      outcome }
+      outcome;
+      known_pubkeys = S.known_pubkeys ch }
   in
   match sc.close with
   | `None -> Ok (report None)

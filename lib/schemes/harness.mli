@@ -15,6 +15,7 @@ type report = {
   total_ops : I.ops;  (** cumulative over the updates *)
   per_update_ops : I.ops;
   outcome : I.outcome option;  (** [None] iff the scenario closes with [`None] *)
+  known_pubkeys : string list;  (** the channel's key inventory, after the close *)
 }
 
 val balance_at : I.config -> int -> int * int

@@ -10,53 +10,28 @@ type report = {
   diags : Diag.t list;
 }
 
-type close = [ `Collaborative | `Dishonest | `Force ]
-
 let close_name = function
   | `Collaborative -> "collaborative"
   | `Dishonest -> "dishonest"
   | `Force -> "force"
-
-(* One scenario on a fresh environment: open, a few updates, close.
-   Returns the key inventory and the ledger to lint. The harness's
-   [run] discards the channel handle, and we need it for
-   [known_pubkeys] — hence the small local loop. *)
-let run_scenario (module S : I.SCHEME) ~updates (close : close) :
-    (string list * Ledger.t, I.error) result =
-  let ( let* ) = Result.bind in
-  let env = I.make_env () in
-  let cfg = I.default_config in
-  let* ch = S.open_channel env cfg in
-  let rec upd k =
-    if k > updates then Ok ()
-    else
-      let bal_a, bal_b = Harness.balance_at cfg k in
-      let* () = S.update ch ~bal_a ~bal_b in
-      upd (k + 1)
-  in
-  let* () = upd 1 in
-  let* _outcome =
-    match close with
-    | `Collaborative -> S.collaborative_close ch
-    | `Dishonest -> S.dishonest_close ch
-    | `Force -> S.force_close ch
-  in
-  Ok (S.known_pubkeys ch, env.I.ledger)
 
 let run_scheme ?(updates = 3) (module S : I.SCHEME) : report =
   let txs = ref 0 in
   let diags =
     List.concat_map
       (fun close ->
-        match run_scenario (module S : I.SCHEME) ~updates close with
+        let env = I.make_env () in
+        let scenario = { Harness.updates; close = (close :> Harness.close) } in
+        match Harness.run ~env (module S : I.SCHEME) scenario with
         | Error e ->
             [ Diag.make ~scheme:S.name ~path:(close_name close)
                 ~rule:Diag.Scenario_failure ~severity:Diag.Error
                 (I.error_to_string e) ]
-        | Ok (known, ledger) ->
-            let accepted = Ledger.accepted ledger in
+        | Ok report ->
+            let accepted = Ledger.accepted env.I.ledger in
             txs := !txs + List.length accepted;
-            Dagcheck.lint ~scheme:S.name ~known_keys:known accepted)
+            Dagcheck.lint ~scheme:S.name ~known_keys:report.Harness.known_pubkeys
+              accepted)
       [ `Collaborative; `Dishonest; `Force ]
   in
   { scheme = S.name; txs = !txs; scenarios = 3; diags = Diag.sort diags }

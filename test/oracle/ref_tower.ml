@@ -49,8 +49,15 @@ let record_valid (r : Watchtower.record) : bool =
   in
   verifies (rv r.keys_a) r.sig_a && verifies (rv r.keys_b) r.sig_b
 
+(* A record revoking less than the one guarding the same funding
+   output is refused; a new funding outpoint replaces whatever is held. *)
+let stale (t : t) (r : Watchtower.record) : bool =
+  match Hashtbl.find_opt t.records r.channel_id with
+  | Some old -> Tx.outpoint_equal old.funding r.funding && r.revoked < old.revoked
+  | None -> false
+
 let watch (t : t) (r : Watchtower.record) : bool =
-  if record_valid r then begin
+  if (not (stale t r)) && record_valid r then begin
     Hashtbl.replace t.records r.channel_id r;
     true
   end

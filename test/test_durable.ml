@@ -18,7 +18,8 @@
    a restored snapshot re-encodes to itself, and a WAL replay installs
    each replayed payload as it is. The plain, durable and reference
    towers each refuse a record with a corrupted signature, flag byte or
-   revocation body, and keep the record, storage and journal they had. *)
+   revocation body, or the channel's previous record, and keep the
+   record, storage and journal they had. *)
 
 module Tx = Daric_tx.Tx
 module Ledger = Daric_chain.Ledger
@@ -244,13 +245,24 @@ let test_tower_snapshot_roundtrip () =
 
 (* ---- the tower refuses a record it could never post ---- *)
 
-(* One updated channel's valid record, built once. *)
-let valid_record =
+(* One channel's record after its first update and its valid record
+   after the second, built once. *)
+let records =
   lazy
-    (let _, chans = build_world ~channels:1 ~updates:2 ~seed:5 in
-     match DS.watch_record chans.(0) with
-     | Some r -> r
-     | None -> failwith "no record after update")
+    (let _, chans = build_world ~channels:1 ~updates:1 ~seed:5 in
+     let record () =
+       match DS.watch_record chans.(0) with
+       | Some r -> r
+       | None -> failwith "no record after update"
+     in
+     let previous = record () in
+     (* the second update of [build_world ~updates:2] *)
+     (match DS.Scheme.update chans.(0) ~bal_a:(500_000 + 34) ~bal_b:(500_000 - 34) with
+     | Ok () -> ()
+     | Error e -> failwith (I.error_to_string e));
+     (previous, record ()))
+
+let valid_record = lazy (snd (Lazy.force records))
 
 let flip_byte (s : string) (i : int) : string =
   String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
@@ -287,7 +299,10 @@ let corruptions : (string * (Watchtower.record -> Watchtower.record list)) list 
         [ { r with
             rev_body =
               Tx.make ~locktime:b.Tx.locktime ~witnesses:b.Tx.witnesses
-                ~inputs:b.Tx.inputs ~outputs () } ] ) ]
+                ~inputs:b.Tx.inputs ~outputs () } ] );
+    (* validly signed, same funding, one revoked index lower: replaying
+       it would unguard state 1 *)
+    ("previous record of the channel", fun _ -> [ fst (Lazy.force records) ]) ]
 
 (* The plain tower, the durable tower and the reference tower each take
    the valid record, then refuse every corrupted one and keep the valid

@@ -823,6 +823,110 @@ let forgeries : forgery list =
     f "closeQ" "bob" Close "invalid closeQ signature" fc
       [ "FORCE-CLOSE"; "CLOSED" ] 50_000 ]
 
+(* ------------------------------------------------------------------ *)
+(* The message wrapper W_P (Appendix F): a message the channel's phase
+   does not expect, or one from anyone but the peer, is dropped. The
+   receiving party sends and posts nothing, and its channel's phase,
+   state number and deadline, its operation counters and its events
+   stay as they were. *)
+
+let all_phases =
+  Party.
+    [ Await_create_info; Await_create_com; Await_create_fund;
+      Await_funding_confirm; Refunding; Operational; Upd_await_info;
+      Upd_await_com_initiator; Upd_await_com_responder;
+      Upd_await_revoke_initiator; Upd_await_revoke_responder;
+      Close_await_ack; Close_await_confirm; Force_closed_waiting; Done ]
+
+(* The one phase in which each message kind is taken. *)
+let expected_in : (string * Party.phase) list =
+  Party.
+    [ ("createInfo", Await_create_info); ("createCom", Await_create_com);
+      ("createFund", Await_create_fund); ("updateReq", Operational);
+      ("updateInfo", Upd_await_info); ("updateComP", Upd_await_com_initiator);
+      ("updateComQ", Upd_await_com_responder);
+      ("revokeP", Upd_await_revoke_initiator);
+      ("revokeQ", Upd_await_revoke_responder); ("closeP", Operational);
+      ("closeQ", Close_await_ack) ]
+
+(* One message of every kind for channel [id], every signature [sg]. *)
+let every_kind ~id ~(sg : string) ~(keys : Keys.pub) ~(tid : Tx.outpoint)
+    ~(theta : Tx.output list) : Wire.msg list =
+  Wire.
+    [ Create_info { id; tid; keys };
+      Create_com { id; split_sig = sg; commit_sig = sg };
+      Create_fund { id; fund_sig = sg };
+      Update_req { id; theta; tstp = 0 };
+      Update_info { id; split_sig = sg };
+      Update_com_initiator { id; split_sig = sg; commit_sig = sg };
+      Update_com_responder { id; commit_sig = sg };
+      Revoke_initiator { id; rev_sig = sg };
+      Revoke_responder { id; rev_sig = sg };
+      Close_req { id; fin_sig = sg };
+      Close_ack { id; fin_sig = sg } ]
+
+(* Alice's channel after one update. *)
+let wrapper_session =
+  lazy
+    (let s = make_session () in
+     open_ok s ~id:"chan1";
+     update_ok s ~id:"chan1" ~bal_a:50_000 ~bal_b:50_000;
+     s)
+
+(* Put Alice's channel in [phase] with a deadline armed, deliver [msg]
+   from [sender] through a [ctx] that counts its calls, and restore the
+   phase and deadline. True iff the message was dropped. *)
+let dropped (s : session) (c : Party.chan) (phase : Party.phase)
+    ~(sender : string) (msg : Wire.msg) : bool =
+  let phase0 = c.Party.phase and deadline0 = c.Party.deadline in
+  c.Party.phase <- phase;
+  c.Party.deadline <- Some (Driver.round s.d + 5);
+  let observe () =
+    let o = Party.ops s.alice in
+    ( (c.Party.phase, c.Party.sn, c.Party.deadline),
+      (o.Party.signs, o.Party.verifies, o.Party.exps),
+      Party.events s.alice )
+  in
+  let before = observe () in
+  let calls = ref 0 in
+  let ctx =
+    { Party.round = Driver.round s.d;
+      ledger = Driver.ledger s.d;
+      send = (fun ~recipient:_ _ -> incr calls);
+      post = (fun _ -> incr calls) }
+  in
+  Party.handle_msg s.alice ctx
+    { Network.sender; recipient = "alice"; payload = msg };
+  let after = observe () in
+  c.Party.phase <- phase0;
+  c.Party.deadline <- deadline0;
+  !calls = 0 && before = after
+
+(* Every (phase, kind, sender) case except a kind from the peer in its
+   own phase, for arbitrary signature bytes. *)
+let test_wrapper_drops =
+  QCheck.Test.make ~count:20 ~name:"unexpected or foreign messages are dropped"
+    QCheck.(string_of_size (Gen.return 73))
+    (fun sg ->
+      let s = Lazy.force wrapper_session in
+      let c = Party.chan_exn s.alice "chan1" in
+      let msgs =
+        every_kind ~id:"chan1" ~sg ~keys:(Keys.pub c.Party.keys)
+          ~tid:(Party.funding_outpoint c) ~theta:c.Party.st
+      in
+      List.for_all
+        (fun phase ->
+          List.for_all
+            (fun msg ->
+              List.for_all
+                (fun sender ->
+                  (sender = "bob"
+                  && List.assoc (Wire.kind msg) expected_in = phase)
+                  || dropped s c phase ~sender msg)
+                [ "bob"; "mallory"; "alice"; "" ])
+            msgs)
+        all_phases)
+
 let () =
   Alcotest.run "daric-protocol"
     [ ( "punisher",
@@ -834,6 +938,7 @@ let () =
         List.map
           (fun f -> Alcotest.test_case f.f_kind `Quick (run_forgery f))
           forgeries );
+      ("wrapper", [ QCheck_alcotest.to_alcotest test_wrapper_drops ]);
       ( "lifecycle",
         [ Alcotest.test_case "create" `Quick test_create;
           Alcotest.test_case "update" `Quick test_update;

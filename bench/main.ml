@@ -464,6 +464,10 @@ let bench_tests () =
     Test.make ~name:"sha256-64B"
       (Staged.stage (fun () -> ignore (Daric_crypto.Sha256.digest msg)))
   in
+  let sha_naive =
+    Test.make ~name:"sha256-64B_naive"
+      (Staged.stage (fun () -> ignore (Daric_crypto.Sha256.digest_portable msg)))
+  in
   let txid_tx =
     Tx.make ~locktime:(500_000_123) ~inputs:[ Tx.input_of_outpoint { Tx.txid = String.make 32 'x'; vout = 0 } ] ~outputs:[ { Tx.value = 50_000; spk = Tx.P2wpkh (String.make 20 'h') };
           { Tx.value = 50_000; spk = Tx.P2wsh (String.make 32 's') } ] ()
@@ -551,7 +555,7 @@ let bench_tests () =
   in
   [ sign; verify; verify_naive; sign_keyed; sign_keyed_naive; verify_keyed;
     verify_keyed_naive; batch; batch_naive; pow_fixed; pow_naive; is_elt_qr;
-    is_elt_naive; sha; txid_memo; txid_naive; tx_encode; tx_encode_naive;
+    is_elt_naive; sha; sha_naive; txid_memo; txid_naive; tx_encode; tx_encode_naive;
     sighash_family; sighash_family_naive ]
   @ scheme_updates @ [ weights ]
 
@@ -585,7 +589,7 @@ let required_entries =
     "schnorr-verify-keyed"; "schnorr-verify-keyed_naive";
     "schnorr-batch-verify-64"; "schnorr-batch-verify-64_naive";
     "txid"; "txid_naive"; "tx-encode"; "tx-encode_naive";
-    "sighash-family"; "sighash-family_naive" ]
+    "sighash-family"; "sighash-family_naive"; "sha256-64B"; "sha256-64B_naive" ]
   @ List.map
       (fun (module S : I.SCHEME) ->
         String.lowercase_ascii S.name ^ "-channel-update")

@@ -381,15 +381,17 @@ let react (t : t) (r : record) (spender : Tx.t) ~(post : Tx.t -> unit) : unit =
       Hashtbl.replace t.punished_set r.channel_id ();
       drop_record t r.channel_id
 
+(* The spender is looked up from the unpacked funding outpoint; the
+   record is decoded only when there is a spend to react to. *)
 let check_channel (t : t) ~(ledger : Ledger.t) ~(post : Tx.t -> unit)
     (cid : string) : unit =
-  match find_record t cid with
+  match Hashtbl.find_opt t.entries cid with
   | None -> ()
-  | Some r ->
+  | Some e ->
       if not (Hashtbl.mem t.punished_set cid) then (
-        match Ledger.spender_of ledger r.funding with
+        match Ledger.spender_of ledger e.e_funding with
         | None -> ()
-        | Some spender -> react t r spender ~post)
+        | Some spender -> react t (entry_record t e) spender ~post)
 
 (** End-of-round monitoring: punish revoked counter-party commits.
     Cost is O(records watched since the last poll + outpoints spent

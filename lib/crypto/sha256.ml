@@ -1,8 +1,15 @@
-(** SHA-256 (FIPS 180-4), pure OCaml.
+(** SHA-256 (FIPS 180-4).
 
-    Implemented on 32-bit words carried in native ints; every word is
-    masked to 32 bits after arithmetic. Verified in the test suite
-    against the FIPS/NIST vectors. *)
+    Two block compressions compute the same function. Where the CPU has
+    the x86 SHA extensions (SHA-NI, with SSSE3 and SSE4.1), a small C
+    kernel in [sha256_stubs.c] runs the rounds; everywhere else the
+    OCaml compression below does. The choice is made once, when the
+    module is initialised. The OCaml compression is both the fallback
+    and the oracle: the test suite checks the kernel against it, and
+    both against the FIPS/NIST vectors.
+
+    The OCaml compression works on 32-bit words carried in native ints;
+    every word is masked to 32 bits after arithmetic. *)
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -29,16 +36,6 @@ let add32 a b = (a + b) &: mask
 external get16u : string -> int -> int = "%caml_string_get16u"
 external bswap16 : int -> int = "%bswap16"
 
-type ctx = { h : int array; w : int array }
-(** [w] is the 64-word message schedule, allocated once per context and
-    reused by every [compress] call instead of per block. *)
-
-let init () : ctx =
-  { h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    w = Array.make 64 0 }
-
 (* Hot path: bounds checks are skipped (offsets are validated by the
    caller) and masking is deferred — all inputs are 32-bit, so sums of
    up to five terms stay well inside the 63-bit native int and only the
@@ -50,8 +47,7 @@ let init () : ctx =
    of six shifts, three masks and five or/xors. (Bit 31 of the high
    copy falls off the 63-bit native int, but the windows read here stop
    at bit 56.) *)
-let compress (ctx : ctx) (block : string) (off : int) =
-  let w = ctx.w in
+let compress (w : int array) (h : int array) (block : string) (off : int) =
   let word16 i = bswap16 (get16u block i) in
   for t = 0 to 15 do
     let i = off + (4 * t) in
@@ -66,7 +62,6 @@ let compress (ctx : ctx) (block : string) (off : int) =
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
       &: mask)
   done;
-  let h = ctx.h in
   (* The working variables live as arguments of a tail-recursive loop
      rather than [ref] cells: without flambda, local refs are boxed and
      every round would pay 16+ heap loads/stores; as loop parameters
@@ -107,6 +102,45 @@ let output_of_h (h : int array) : string =
   done;
   Bytes.unsafe_to_string out
 
+(* ------------------------------------------------------------------ *)
+(* Block functions.                                                    *)
+
+external sha_ni_available : unit -> bool = "daric_sha256_ni_available"
+[@@noalloc]
+
+(* [ni_blocks h s off n]: the SHA-NI kernel over [n] whole blocks of
+   [s] from [off]. No bounds checks; call only when [accelerated]. *)
+external ni_blocks : int array -> string -> int -> int -> unit
+  = "daric_sha256_ni_blocks"
+[@@noalloc]
+
+(* The 64-word message schedule is scratch within one [compress]; one
+   per domain, shared by every digest and streaming state. *)
+let schedule : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make 64 0)
+
+let portable_blocks (h : int array) (s : string) (off : int) (n : int) : unit =
+  let w = Domain.DLS.get schedule in
+  for b = 0 to n - 1 do
+    compress w h s (off + (64 * b))
+  done
+
+let accelerated = sha_ni_available ()
+
+(* [digest] and the streaming state compress through [blocks], chosen
+   once here. *)
+let blocks = if accelerated then ni_blocks else portable_blocks
+
+let checked_blocks name f (h : int array) (s : string) (off : int) (n : int) =
+  if Array.length h <> 8 || off < 0 || n < 0 || off + (64 * n) > String.length s
+  then invalid_arg name;
+  f h s off n
+
+let compress_blocks = checked_blocks "Sha256.compress_blocks" blocks
+
+let compress_blocks_portable =
+  checked_blocks "Sha256.compress_blocks_portable" portable_blocks
+
 (* Pad-and-finish into a domain-local two-block scratch: writes the
    remaining [rem] bytes already placed at the scratch head, the 0x80
    marker, zeros and the 64-bit big-endian bit length, then compresses
@@ -115,7 +149,8 @@ let output_of_h (h : int array) : string =
 let tail_scratch : Bytes.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Bytes.create 128)
 
-let finish_tail (ctx : ctx) (tail : Bytes.t) (rem : int) (total : int) : string =
+let finish_tail blocks (h : int array) (tail : Bytes.t) (rem : int)
+    (total : int) : string =
   let tail_blocks = if rem < 56 then 1 else 2 in
   Bytes.fill tail rem ((tail_blocks * 64) - rem) '\000';
   Bytes.unsafe_set tail rem '\x80';
@@ -125,40 +160,37 @@ let finish_tail (ctx : ctx) (tail : Bytes.t) (rem : int) (total : int) : string 
       ((tail_blocks * 64) - 1 - i)
       (Char.unsafe_chr ((bits lsr (8 * i)) land 0xff))
   done;
-  let tail_s = Bytes.unsafe_to_string tail in
-  compress ctx tail_s 0;
-  if tail_blocks = 2 then compress ctx tail_s 64;
-  output_of_h ctx.h
+  blocks h (Bytes.unsafe_to_string tail) 0 tail_blocks;
+  output_of_h h
 
-(* One scratch context per domain: [digest] resets its chaining array
-   in place instead of allocating a fresh [ctx] (and 64-word schedule)
-   per call. *)
 let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
             0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
-let ctx_scratch : ctx Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> init ())
+(* One scratch chaining value per domain: [digest] resets it in place
+   instead of allocating per call. *)
+let h_scratch : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.copy iv)
 
-(** [digest s] is the 32-byte SHA-256 digest of [s].
-
-    Full 64-byte blocks are compressed in place from [msg] — the input
-    is never copied into a padded buffer. Only the tail (the remaining
-    bytes, the 0x80 marker, zeros and the 64-bit big-endian bit length)
-    lands in a small domain-local scratch of at most two blocks; the
-    context itself is domain-local too, so a digest allocates only its
-    32-byte result. *)
-let digest (msg : string) : string =
-  let ctx = Domain.DLS.get ctx_scratch in
-  Array.blit iv 0 ctx.h 0 8;
+(* Full 64-byte blocks are compressed in place from [msg], in one call
+   — the input is never copied into a padded buffer. Only the tail (the
+   remaining bytes, the 0x80 marker, zeros and the 64-bit big-endian
+   bit length) lands in a small domain-local scratch of at most two
+   blocks, so a digest allocates only its 32-byte result. *)
+let digest_with blocks (msg : string) : string =
+  let h = Domain.DLS.get h_scratch in
+  Array.blit iv 0 h 0 8;
   let len = String.length msg in
   let full = len / 64 in
-  for b = 0 to full - 1 do
-    compress ctx msg (b * 64)
-  done;
+  if full > 0 then blocks h msg 0 full;
   let rem = len - (full * 64) in
   let tail = Domain.DLS.get tail_scratch in
   Bytes.blit_string msg (full * 64) tail 0 rem;
-  finish_tail ctx tail rem len
+  finish_tail blocks h tail rem len
+
+(** [digest s] is the 32-byte SHA-256 digest of [s]. *)
+let digest (msg : string) : string = digest_with blocks msg
+
+let digest_portable (msg : string) : string = digest_with portable_blocks msg
 
 (* ------------------------------------------------------------------ *)
 (* Streaming interface.                                                *)
@@ -175,29 +207,13 @@ type st = {
     prefix-plus-suffix without recompressing the prefix — see
     {!st_digest}, which never mutates the state it reads. *)
 
-(* The 64-word message schedule is scratch within one [compress]; all
-   streaming states on a domain share one, so cloning a state copies
-   only the 8-word chaining value and the partial block. *)
-let st_scratch_w : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make 64 0)
-
 let st_create () : st =
-  { st_h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    st_buf = Bytes.create 64;
-    st_buflen = 0;
-    st_total = 0 }
-
-(* Compress with a borrowed schedule: a [ctx] sharing the state's
-   chaining array and the domain scratch. *)
-let st_ctx (st : st) : ctx = { h = st.st_h; w = Domain.DLS.get st_scratch_w }
+  { st_h = Array.copy iv; st_buf = Bytes.create 64; st_buflen = 0; st_total = 0 }
 
 (** [st_feed st s off len] absorbs [len] bytes of [s] from [off]. *)
 let st_feed (st : st) (s : string) (off : int) (len : int) : unit =
   if off < 0 || len < 0 || off + len > String.length s then
     invalid_arg "Sha256.st_feed";
-  let ctx = st_ctx st in
   let pos = ref off and left = ref len in
   st.st_total <- st.st_total + len;
   (* top up a partial block first *)
@@ -208,16 +224,15 @@ let st_feed (st : st) (s : string) (off : int) (len : int) : unit =
     pos := !pos + take;
     left := !left - take;
     if st.st_buflen = 64 then begin
-      compress ctx (Bytes.unsafe_to_string st.st_buf) 0;
+      blocks st.st_h (Bytes.unsafe_to_string st.st_buf) 0 1;
       st.st_buflen <- 0
     end
   end;
-  (* whole blocks straight from the input, no copy *)
-  while !left >= 64 do
-    compress ctx s !pos;
-    pos := !pos + 64;
-    left := !left - 64
-  done;
+  (* whole blocks straight from the input, in one call, no copy *)
+  let full = !left / 64 in
+  if full > 0 then blocks st.st_h s !pos full;
+  pos := !pos + (64 * full);
+  left := !left - (64 * full);
   if !left > 0 then begin
     Bytes.blit_string s !pos st.st_buf 0 !left;
     st.st_buflen <- !left
@@ -225,11 +240,10 @@ let st_feed (st : st) (s : string) (off : int) (len : int) : unit =
 
 (* Finalize destructively: pad and emit. *)
 let st_finalize (st : st) : string =
-  let ctx = st_ctx st in
   let rem = st.st_buflen in
   let tail = Domain.DLS.get tail_scratch in
   Bytes.blit st.st_buf 0 tail 0 rem;
-  finish_tail ctx tail rem st.st_total
+  finish_tail blocks st.st_h tail rem st.st_total
 
 (* Scratch state for the non-mutating digest path: [st_digest] restores
    the midstate into this per-domain state instead of allocating a

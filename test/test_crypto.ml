@@ -12,26 +12,40 @@ module Rng = Daric_util.Rng
 let check_s = Alcotest.(check string)
 let check_b = Alcotest.(check bool)
 
+(* Every SHA-256 vector runs through both block paths: the selected one
+   (the SHA-NI kernel where the CPU has it) and the OCaml reference. *)
+let sha256_paths =
+  [ ("selected", Sha256.digest); ("ocaml", Sha256.digest_portable) ]
+
+let check_sha256 name expected msg =
+  List.iter
+    (fun (path, digest) ->
+      check_s (Fmt.str "%s (%s)" name path) expected
+        (Daric_util.Hex.encode (digest msg)))
+    sha256_paths
+
 let test_sha256_vectors () =
-  check_s "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (Sha256.hexdigest "");
-  check_s "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.hexdigest "abc");
-  check_s "448-bit"
+  check_sha256 "empty"
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" "";
+  check_sha256 "abc"
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" "abc";
+  check_sha256 "448-bit"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.hexdigest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  check_s "896-bit"
+    "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  check_sha256 "896-bit"
     "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-    (Sha256.hexdigest
-       "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
-        ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu");
-  check_s "million a"
+    "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+     ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+  check_sha256 "million a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hexdigest (String.make 1_000_000 'a'))
+    (String.make 1_000_000 'a');
+  check_s "hexdigest" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    (Sha256.hexdigest "abc")
 
 (* Padding boundaries: lengths 55, 56, 63, 64, 65 exercise the one- vs
    two-block padding logic. Reference values from any standard
-   implementation (python hashlib). *)
+   implementation (python hashlib). Every length up to three blocks
+   must also agree between the two paths. *)
 let test_sha256_padding_boundaries () =
   let cases =
     [ (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
@@ -41,9 +55,93 @@ let test_sha256_padding_boundaries () =
       (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0") ]
   in
   List.iter
-    (fun (n, expected) ->
-      check_s (Fmt.str "len %d" n) expected (Sha256.hexdigest (String.make n 'a')))
-    cases
+    (fun (n, expected) -> check_sha256 (Fmt.str "len %d" n) expected (String.make n 'a'))
+    cases;
+  for n = 0 to 192 do
+    let msg = String.init n (fun i -> Char.chr ((i * 37) land 0xff)) in
+    check_s (Fmt.str "len %d: selected = ocaml" n)
+      (Sha256.digest_portable msg) (Sha256.digest msg)
+  done
+
+(* ---- The SHA-NI kernel against the OCaml compression ---- *)
+
+(* Where the CPU lacks SHA-NI both sides of these comparisons are the
+   OCaml compression, so the cases report themselves skipped instead of
+   passing. *)
+let kernel_case (name, speed, run) =
+  (name, speed, fun () -> if Sha256.accelerated then run () else Alcotest.skip ())
+
+let test_sha256_path () =
+  check_b "SHA-NI kernel selected" true Sha256.accelerated
+
+let word32 = QCheck.Gen.int_bound 0xffffffff
+
+let print_hex = Daric_util.Hex.encode
+
+(* Random chaining values, messages of 0..300 bytes and start offsets:
+   [compress_blocks] on every whole block after the offset. *)
+let prop_kernel_blocks =
+  QCheck.Test.make ~name:"compress_blocks = OCaml compression" ~count:1000
+    (QCheck.make
+       ~print:(fun (h, msg, off) ->
+         Fmt.str "h=%s msg=%s off=%d"
+           (String.concat "," (List.map string_of_int (Array.to_list h)))
+           (print_hex msg) off)
+       QCheck.Gen.(
+         triple (array_size (return 8) word32)
+           (string_size (int_range 0 300))
+           (int_range 0 63)))
+    (fun (h, msg, off) ->
+      let off = min off (String.length msg) in
+      let n = (String.length msg - off) / 64 in
+      let h_sel = Array.copy h and h_ref = Array.copy h in
+      Sha256.compress_blocks h_sel msg off n;
+      Sha256.compress_blocks_portable h_ref msg off n;
+      h_sel = h_ref)
+
+(* Random messages of 0..300 bytes, cut at random points into slices;
+   each slice sits at a random offset inside a larger string. The first
+   slices build a midstate with [st_feed], the rest go to [st_digest]. *)
+let prop_kernel_stream =
+  QCheck.Test.make ~name:"st_feed/st_digest slices = OCaml digest" ~count:1000
+    (QCheck.make
+       ~print:(fun (msg, cuts, pads, split) ->
+         Fmt.str "msg=%s cuts=%s pads=%s split=%d" (print_hex msg)
+           (String.concat "," (List.map string_of_int cuts))
+           (String.concat "," (List.map string_of_int pads))
+           split)
+       QCheck.Gen.(
+         quad
+           (string_size (int_range 0 300))
+           (list_size (int_range 0 8) (int_range 0 300))
+           (list_size (return 9) (int_range 0 70))
+           (int_range 0 9)))
+    (fun (msg, cuts, pads, split) ->
+      let len = String.length msg in
+      let cuts = List.sort_uniq compare (List.map (fun c -> min c len) cuts) in
+      let bounds = (0 :: cuts) @ [ len ] in
+      let rec slices = function
+        | a :: (b :: _ as rest) -> (a, b - a) :: slices rest
+        | _ -> []
+      in
+      let parts =
+        List.mapi
+          (fun i (pos, n) ->
+            let pad = List.nth pads i in
+            let around = String.make pad in
+            (around '\xa5' ^ String.sub msg pos n ^ around '\x5a', pad, n))
+          (slices bounds)
+      in
+      let st = Sha256.st_create () in
+      let rec feed i = function
+        | (s, off, n) :: ps when i < split ->
+            Sha256.st_feed st s off n;
+            feed (i + 1) ps
+        | ps -> ps
+      in
+      let rest = feed 0 parts in
+      let expected = Sha256.digest_portable msg in
+      Sha256.st_digest st rest = expected && Sha256.digest msg = expected)
 
 let test_ripemd160_vectors () =
   check_s "empty" "9c1185a5c5e9fc54612808977ee8f548b2258d31" (Ripemd160.hexdigest "");
@@ -390,6 +488,10 @@ let test_txid_memo () =
   done
 
 let () =
+  if not Sha256.accelerated then
+    prerr_endline
+      "sha256: this CPU lacks SHA-NI; both paths are the OCaml compression, \
+       the kernel cases are skipped";
   Alcotest.run "daric-crypto"
     [ ( "hash",
         [ Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
@@ -397,6 +499,11 @@ let () =
             test_sha256_padding_boundaries;
           Alcotest.test_case "ripemd160 vectors" `Quick test_ripemd160_vectors;
           Alcotest.test_case "combinators" `Quick test_hash_combinators ] );
+      ( "sha256 kernel",
+        List.map kernel_case
+          [ Alcotest.test_case "SHA-NI path selected" `Quick test_sha256_path;
+            QCheck_alcotest.to_alcotest prop_kernel_blocks;
+            QCheck_alcotest.to_alcotest prop_kernel_stream ] );
       ( "group",
         [ Alcotest.test_case "laws" `Quick test_group_laws;
           QCheck_alcotest.to_alcotest prop_group_assoc ] );
